@@ -12,7 +12,9 @@ from .errors import (
     BadMagicError,
     ConfigurationError,
     DimensionError,
+    HeaderSchemaError,
     ModelFormatError,
+    NonFiniteError,
     ShapeChainError,
     TrainingDiverged,
     TruncatedBlobError,

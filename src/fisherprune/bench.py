@@ -1,13 +1,15 @@
 """Timing harness: per-layer and total per-image forward cost.
 
-Medians over repeated runs (after warmups) to resist scheduler noise;
-BLAS thread pools are pinned to one worker while timing when threadpoolctl
-is importable.
+Medians over repeated runs (after warmups) to resist scheduler noise.
+BLAS thread pools are pinned to one worker while timing only when
+threadpoolctl is importable; otherwise timings run with whatever BLAS
+thread count the process started with. blas_pinned() says which.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import statistics
 import time
 
@@ -15,13 +17,17 @@ from .network import Network, forward
 from .tensor import Tensor
 
 
-def _single_thread():
-    try:
-        from threadpoolctl import threadpool_limits
+def blas_pinned():
+    """Whether time_network pins BLAS to one thread (needs threadpoolctl)."""
+    return importlib.util.find_spec("threadpoolctl") is not None
 
-        return threadpool_limits(limits=1)
-    except Exception:
+
+def _single_thread():
+    if not blas_pinned():
         return contextlib.nullcontext()
+    from threadpoolctl import threadpool_limits
+
+    return threadpool_limits(limits=1)
 
 
 def _median_ms(fn, runs, warmup):

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import classify, deconv, firing, modelio, prune
-from .bench import time_network
+from .bench import blas_pinned, time_network
 from .data import generate_synthetic, images_labels, load_pgm_dir
 from .errors import ConfigurationError, ModelFormatError, TrainingDiverged
 from .network import reference_cnn
@@ -363,10 +363,12 @@ def cmd_bench(args):
         n_o = modelio.model_param_count(args.model)["total"]
         n_p = modelio.model_param_count(args.pruned)["total"]
         rows.append(["speedup", "", "", f"{speedup:.6f}"])
-        print(f"speedup {speedup:.2f}x; file size ratio "
-              f"{size_o / size_p:.2f} vs param ratio {n_o / n_p:.2f}")
+        summary = (f"speedup {speedup:.2f}x; file size ratio "
+                   f"{size_o / size_p:.2f} vs param ratio {n_o / n_p:.2f}")
     else:
-        print(f"total median {total:.3f} ms")
+        summary = f"total median {total:.3f} ms"
+    pinned = "yes" if blas_pinned() else "no (threadpoolctl not installed)"
+    print(f"{summary}; BLAS threads pinned: {pinned}")
     _write_csv(os.path.join(args.out, "bench.csv"),
                ["model", "layer", "kind", "median_ms"], rows)
     _update_manifest(args.out, "bench", {

@@ -9,6 +9,10 @@ class ConfigurationError(ValueError):
     """A layer, dataset, or run configuration cannot produce a valid result."""
 
 
+class NonFiniteError(ValueError):
+    """An activation holds NaN where a layer needs finite input."""
+
+
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite during training; carries diagnostics in the message."""
 
@@ -27,3 +31,7 @@ class TruncatedBlobError(ModelFormatError):
 
 class ShapeChainError(ModelFormatError):
     """Layer shapes in the container do not chain together."""
+
+
+class HeaderSchemaError(ModelFormatError):
+    """A header field is missing or has the wrong type."""

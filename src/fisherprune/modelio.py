@@ -10,8 +10,8 @@ Layout on disk:
     blob          all tensors back to back, little-endian float32
 
 Load failures are told apart: a wrong magic, a blob shorter than the
-directory demands, and a layer chain whose shapes do not compose each
-raise their own error type.
+directory demands, a header field that is missing or mistyped, and a
+layer chain whose shapes do not compose each raise their own error type.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagicError, ShapeChainError, TruncatedBlobError
+from .errors import (
+    BadMagicError, HeaderSchemaError, ShapeChainError, TruncatedBlobError,
+)
 from .network import LayerSpec, Network
 
 MAGIC = b"LDAP1"
@@ -92,13 +94,25 @@ def save_model(net: Network, path, provenance=None, classifier=None):
             fh.write(b)
 
 
+def _require(value, kind, what):
+    """value itself when it is a kind; HeaderSchemaError naming what otherwise."""
+    if not isinstance(value, kind):
+        got = "missing" if value is None else f"a {type(value).__name__}"
+        raise HeaderSchemaError(f"{what}: expected {kind.__name__}, got {got}")
+    return value
+
+
 def _read_tensor(blob, directory, name):
     if name not in directory:
         raise ShapeChainError(f"header references missing tensor {name!r}")
-    meta = directory[name]
-    shape = tuple(int(s) for s in meta["shape"])
+    meta = _require(directory[name], dict, f"tensor {name!r}")
+    what = f"tensor {name!r} 'shape'"
+    shape = tuple(_require(s, int, what) for s in _require(meta.get("shape"), list, what))
     count = int(np.prod(shape)) if shape else 1
-    start = int(meta["offset"])
+    start = _require(meta.get("offset"), int, f"tensor {name!r} 'offset'")
+    if start < 0 or min(shape, default=0) < 0:
+        raise HeaderSchemaError(
+            f"tensor {name!r} has a negative offset or extent ({start}, {shape})")
     end = start + count * 4
     if end > len(blob):
         raise TruncatedBlobError(
@@ -108,13 +122,21 @@ def _read_tensor(blob, directory, name):
     return arr.reshape(a if (a := shape) else ()).copy()
 
 
+def _layer_params(blob, directory, entry, where):
+    """(weights, bias) arrays that a conv or dense header entry names."""
+    return tuple(
+        _read_tensor(blob, directory, _require(entry.get(key), str, f"{where} {key!r}"))
+        for key in ("weights", "bias")
+    )
+
+
 def load_model(path):
     """Read a model file back into a Network.
 
     Returns (net, info) where info carries the provenance dict and, when
     present, the classifier section with its tensors materialized.
-    Raises BadMagicError / TruncatedBlobError / ShapeChainError on the
-    corresponding defects.
+    Raises BadMagicError / TruncatedBlobError / HeaderSchemaError /
+    ShapeChainError on the corresponding defects.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -130,31 +152,37 @@ def load_model(path):
         raise BadMagicError(f"{path}: header is not valid JSON ({exc})") from None
     blob = data[hstart + hlen:]
 
-    directory = header.get("tensors", {})
+    _require(header, dict, f"{path}: header")
+    directory = _require(header.get("tensors", {}), dict, f"{path}: 'tensors'")
+    entries = _require(header.get("layers", []), list, f"{path}: 'layers'")
     layers = []
-    for i, entry in enumerate(header.get("layers", [])):
-        kind = entry.get("kind")
+    for i, entry in enumerate(entries):
+        where = f"{path}: layer {i}"
+        kind = _require(entry, dict, where).get("kind")
         if kind == "conv":
-            w = _read_tensor(blob, directory, entry["weights"])
-            b = _read_tensor(blob, directory, entry["bias"])
+            w, b = _layer_params(blob, directory, entry, where)
             if w.ndim != 4:
                 raise ShapeChainError(f"layer {i}: conv weights rank {w.ndim}")
-            layers.append(LayerSpec.conv(w, b, stride=int(entry.get("stride", 1)),
-                                         pad=int(entry.get("pad", 0))))
+            stride = _require(entry.get("stride", 1), int, f"{where} 'stride'")
+            pad = _require(entry.get("pad", 0), int, f"{where} 'pad'")
+            layers.append(LayerSpec.conv(w, b, stride=stride, pad=pad))
         elif kind == "dense":
-            w = _read_tensor(blob, directory, entry["weights"])
-            b = _read_tensor(blob, directory, entry["bias"])
+            w, b = _layer_params(blob, directory, entry, where)
             if w.ndim != 2:
                 raise ShapeChainError(f"layer {i}: dense weights rank {w.ndim}")
             layers.append(LayerSpec.dense(w, b))
         elif kind == "maxpool":
-            layers.append(LayerSpec.maxpool(int(entry["window"]), int(entry["stride"])))
+            window = _require(entry.get("window"), int, f"{where} 'window'")
+            stride = _require(entry.get("stride"), int, f"{where} 'stride'")
+            layers.append(LayerSpec.maxpool(window, stride))
         elif kind in ("relu", "flatten", "softmax"):
             layers.append(LayerSpec(kind))
         else:
             raise ShapeChainError(f"layer {i}: unknown kind {kind!r}")
 
-    net = Network(tuple(int(s) for s in header.get("input_shape", [])), layers)
+    what = f"{path}: 'input_shape'"
+    input_shape = _require(header.get("input_shape", []), list, what)
+    net = Network(tuple(_require(s, int, what) for s in input_shape), layers)
     try:
         net.infer_shapes()
     except Exception as exc:
@@ -162,9 +190,13 @@ def load_model(path):
 
     info = {"provenance": header.get("provenance", {}), "classifier": None}
     if "classifier" in header:
-        sec = header["classifier"]
-        tensors = {name: _read_tensor(blob, directory, ref)
-                   for name, ref in sec.get("tensors", {}).items()}
+        sec = _require(header["classifier"], dict, f"{path}: 'classifier'")
+        refs = _require(sec.get("tensors", {}), dict,
+                        f"{path}: classifier 'tensors'")
+        tensors = {}
+        for name, ref in refs.items():
+            ref = _require(ref, str, f"{path}: classifier tensor {name!r}")
+            tensors[name] = _read_tensor(blob, directory, ref)
         info["classifier"] = {"kind": sec.get("kind"), "meta": sec.get("meta", {}),
                               "tensors": tensors}
     return net, info

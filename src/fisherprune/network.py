@@ -174,7 +174,7 @@ def forward(net: Network, x: Tensor, record=False):
         except (DimensionError, ConfigurationError, ValueError) as exc:
             raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
         if rec is not None:
-            rec.activations.append(cur.data.copy())
+            rec.activations.append(cur.data)  # ops return new arrays; no copy
     if rec is not None:
         return cur, rec
     return cur

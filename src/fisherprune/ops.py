@@ -2,16 +2,28 @@
 
 All ops are pure functions. Dot products accumulate in float64 and results
 are cast back to the input dtype, so float32 models produce reproducible
-sums. Max-pooling returns the winning flat input index per output cell
-("switches"); ties break to the smallest flat index.
+sums. Convolutions unroll their input channel-major: the im2col matrix is
+(C*kh*kw, OH*OW), row (c, i, j) holding the input pixel under kernel tap
+(i, j) of channel c for every output position in row-major order. With the
+kernel flattened to (O, C*kh*kw), the forward pass is one GEMM whose result
+is already (O, OH, OW), and the weight gradient and the adjoint are GEMMs on
+the same layout with no transposing copies.
+
+Max-pooling returns the winning flat input index per output cell
+("switches"). The winner is the first cell in window scan order (row-major)
+that holds the window maximum, and a window containing NaN pools to NaN
+with its first NaN as the winner; this is exactly numpy argmax over the
+flattened window.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, NonFiniteError
 from .tensor import Tensor
 
 
@@ -22,28 +34,25 @@ def conv_output_hw(h, w, kh, kw, stride, pad):
     return oh, ow
 
 
-def _pad2d(x, pad):
-    if pad == 0:
-        return x
-    c, h, w = x.shape
-    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, pad:pad + h, pad:pad + w] = x
-    return out
+def _window_views(x, kh, kw, stride, oh, ow):
+    """Strided view (C, kh, kw, OH, OW): [c, i, j] is tap (i, j) at every output."""
+    sc, sh, sw = x.strides
+    return as_strided(
+        x,
+        shape=(x.shape[0], kh, kw, oh, ow),
+        strides=(sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """(C,H,W) -> float64 matrix (OH*OW, C*kh*kw) of window contents."""
+    """(C,H,W) -> float64 matrix (C*kh*kw, OH*OW) of window contents."""
     c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    xp = _pad2d(x, pad)
-    sc, sh, sw = xp.strides
-    win = as_strided(
-        xp,
-        shape=(c, oh, ow, kh, kw),
-        strides=(sc, sh * stride, sw * stride, sh, sw),
-    )
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
-    return np.asarray(cols, dtype=np.float64), oh, ow
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    cols = _window_views(xp, kh, kw, stride, oh, ow).reshape(c * kh * kw, oh * ow)
+    return cols, oh, ow
 
 
 def conv2d_forward(input: Tensor, kernel: Tensor, bias, stride=1, pad=0) -> Tensor:
@@ -77,9 +86,9 @@ def conv2d_forward(input: Tensor, kernel: Tensor, bias, stride=1, pad=0) -> Tens
         )
     cols, _, _ = _im2col(input.data, kh, kw, stride, pad)
     k2 = kernel.data.reshape(o, c * kh * kw).astype(np.float64)
-    out = cols @ k2.T + b  # (OH*OW, O)
-    out = out.T.reshape(o, oh, ow).astype(input.dtype)
-    return Tensor(out)
+    out = k2 @ cols
+    out += b[:, None]
+    return Tensor(out.reshape(o, oh, ow).astype(input.dtype))
 
 
 def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
@@ -108,13 +117,12 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
         raise DimensionError(f"adjoint output {h}x{w} is empty")
     g2 = gout.reshape(o, oh * ow).astype(np.float64)
     k2 = kern.reshape(o, c * kh * kw).astype(np.float64)
-    cols = g2.T @ k2  # (OH*OW, C*kh*kw)
-    cols = cols.reshape(oh, ow, c, kh, kw)
+    cols = (k2.T @ g2).reshape(c, kh, kw, oh, ow)
     xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
             xp[:, i:i + (oh - 1) * stride + 1:stride,
-               j:j + (ow - 1) * stride + 1:stride] += cols[:, :, :, i, j].transpose(2, 0, 1)
+               j:j + (ow - 1) * stride + 1:stride] += cols[:, i, j]
     out = xp[:, pad:pad + h, pad:pad + w]
     return out.astype(gout.dtype)
 
@@ -125,7 +133,7 @@ def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
     o = gout.shape[0]
     cols, oh, ow = _im2col(x, kh, kw, stride, pad)
     g2 = gout.reshape(o, oh * ow).astype(np.float64)
-    dw = (g2 @ cols).reshape(o, c, kh, kw)
+    dw = (g2 @ cols.T).reshape(o, c, kh, kw)
     db = g2.sum(axis=1)
     return dw.astype(x.dtype), db.astype(x.dtype)
 
@@ -134,11 +142,33 @@ def relu_forward(input: Tensor) -> Tensor:
     return Tensor(np.maximum(input.data, 0))
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_index(c, h, w, window, stride):
+    """Read-only index tables for the switches of one pool geometry.
+
+    base[c, y, x] is the flat input index of window (y, x)'s top-left cell,
+    offset[t] the flat step from there to tap t in scan order, and
+    rank[t] = window*window - t, so the largest rank among hits marks the
+    first hit.
+    """
+    oh, ow = conv_output_hw(h, w, window, window, stride, 0)
+    base = (np.arange(c)[:, None, None] * (h * w)
+            + np.arange(oh)[None, :, None] * (stride * w)
+            + np.arange(ow)[None, None, :] * stride)
+    taps = np.arange(window * window)
+    offset = (taps // window) * w + taps % window
+    rank = (taps.size - taps).astype(np.min_scalar_type(taps.size))
+    for table in (base, offset, rank):
+        table.flags.writeable = False
+    return base, offset, rank
+
+
 def maxpool_forward(input: Tensor, window, stride):
     """Max-pool each channel; also return the winning flat input indices.
 
     Switches are flat indices into the full (C,H,W) input; ties break to the
-    smallest flat index (numpy argmax scan order matches).
+    first tap in window scan order, and a window holding NaN pools to NaN
+    with its first NaN as the switch (numpy argmax semantics).
     """
     if input.data.ndim != 3:
         raise DimensionError(f"pool input must be (C,H,W), got {input.shape}")
@@ -150,22 +180,15 @@ def maxpool_forward(input: Tensor, window, stride):
     oh, ow = conv_output_hw(h, w, window, window, stride, 0)
     if oh < 1 or ow < 1:
         raise ConfigurationError("pooling produces empty output")
-    x = input.data
-    sc, sh, sw = x.strides
-    win = as_strided(
-        x,
-        shape=(c, oh, ow, window, window),
-        strides=(sc, sh * stride, sw * stride, sh, sw),
-    )
-    flat = win.reshape(c, oh, ow, window * window)
-    local = flat.argmax(axis=3)  # first max in window scan order
-    vals = np.take_along_axis(flat, local[..., None], axis=3)[..., 0]
-    wi, wj = local // window, local % window
-    ys = np.arange(oh)[None, :, None] * stride + wi
-    xs = np.arange(ow)[None, None, :] * stride + wj
-    chan = np.arange(c)[:, None, None]
-    switches = (chan * (h * w) + ys * w + xs).astype(np.int64)
-    return Tensor(vals.astype(input.dtype)), switches
+    k = window * window
+    taps = _window_views(input.data, window, window, stride, oh, ow).transpose(
+        1, 2, 0, 3, 4).reshape(k, c, oh, ow)
+    base, offset, rank = _pool_index(c, h, w, window, stride)
+    hit = taps == taps.max(axis=0)  # the max propagates NaN
+    hit |= taps != taps  # so a NaN tap is a hit exactly in NaN windows
+    first = k - (hit * rank[:, None, None, None]).max(axis=0)
+    switches = base + offset[first]
+    return Tensor(input.data.take(switches)), switches
 
 
 def dense_forward(input: Tensor, weights: Tensor, bias) -> Tensor:
@@ -190,7 +213,7 @@ def softmax(scores: Tensor) -> Tensor:
     if x.ndim != 1:
         raise DimensionError(f"softmax input must be a vector, got {scores.shape}")
     if np.isnan(x).any():
-        raise ValueError("softmax input contains NaN")
+        raise NonFiniteError("softmax input contains NaN")
     z = x.astype(np.float64)
     z = z - z.max()
     e = np.exp(z)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError, NonFiniteError, TrainingDiverged
 from .network import ForwardRecord, Network, forward
 from .tensor import Tensor
 
@@ -57,12 +57,13 @@ def backward(net: Network, rec: ForwardRecord, label: int):
         elif layer.kind == "conv":
             o, _, kh, kw = layer.weights.shape
             dw, db = ops.conv2d_param_grads(
-                x.astype(np.float64), g, kh, kw, layer.stride, layer.pad
+                x, g, kh, kw, layer.stride, layer.pad
             )
             grads[i] = (dw.astype(np.float32), db.astype(np.float32))
-            g = ops.conv2d_adjoint(
-                g, layer.weights, layer.stride, layer.pad, out_hw=x.shape[1:]
-            )
+            if i > 0:  # nothing reads the gradient w.r.t. the network input
+                g = ops.conv2d_adjoint(
+                    g, layer.weights, layer.stride, layer.pad, out_hw=x.shape[1:]
+                )
         else:
             raise ConfigurationError(f"no backward rule for {layer.kind}")
     return grads
@@ -102,19 +103,17 @@ def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
         x = Tensor(images[idx])
         try:
             probs, rec = forward(net, x, record=True)
-        except ValueError as exc:
-            if "NaN" in str(exc):
-                raise TrainingDiverged(
-                    f"activations went NaN on sample {idx} "
-                    f"(lr={lr}, momentum={momentum}); reduce the learning rate"
-                ) from None
-            raise
-        loss = cross_entropy(probs.data, int(labels[idx]))
-        if not np.isfinite(loss):
+        except NonFiniteError as exc:
             raise TrainingDiverged(
-                f"loss became {loss} on sample {idx} "
+                f"activations went NaN on sample {idx} ({exc}; "
+                f"lr={lr}, momentum={momentum}); reduce the learning rate"
+            ) from None
+        if not np.isfinite(probs.data).all():
+            raise TrainingDiverged(
+                f"output became non-finite on sample {idx} "
                 f"(lr={lr}, momentum={momentum}); reduce the learning rate"
             )
+        loss = cross_entropy(probs.data, int(labels[idx]))
         total += loss
         if int(np.argmax(probs.data)) == int(labels[idx]):
             hit += 1
@@ -143,7 +142,8 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     weight_mask, when given, maps layer index -> 0/1 array the shape of that
     layer's weights; masked weights are zeroed after every update and their
     gradient contribution dropped, so they stay pruned for the whole run.
-    A NaN loss aborts with TrainingDiverged.
+    A NaN activation or a non-finite output aborts with TrainingDiverged,
+    naming the sample.
     """
     if len(train_labels) == 0:
         raise ConfigurationError("training set is empty")

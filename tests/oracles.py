@@ -32,8 +32,48 @@ def conv2d_loops(x, kernel, bias, stride=1, pad=0):
     return out
 
 
+def conv2d_weight_grad_loops(x, gout, kh, kw, stride=1, pad=0):
+    """d<conv(x, k), gout>/dk, accumulated one output element at a time."""
+    c, h, w = x.shape
+    o, oh, ow = gout.shape
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    padded[:, pad:pad + h, pad:pad + w] = x
+    dw = np.zeros((o, c, kh, kw), dtype=np.float64)
+    for f in range(o):
+        for i in range(oh):
+            for j in range(ow):
+                for ci in range(c):
+                    for u in range(kh):
+                        for v in range(kw):
+                            dw[f, ci, u, v] += (
+                                gout[f, i, j]
+                                * padded[ci, i * stride + u, j * stride + v]
+                            )
+    return dw
+
+
+def conv2d_adjoint_loops(gout, kernel, h, w, stride=1, pad=0):
+    """Scatter every gout element back through the kernel onto an (h, w) input."""
+    o, oh, ow = gout.shape
+    _, c, kh, kw = kernel.shape
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    for f in range(o):
+        for i in range(oh):
+            for j in range(ow):
+                for ci in range(c):
+                    for u in range(kh):
+                        for v in range(kw):
+                            padded[ci, i * stride + u, j * stride + v] += (
+                                gout[f, i, j] * kernel[f, ci, u, v]
+                            )
+    return padded[:, pad:pad + h, pad:pad + w]
+
+
 def maxpool_loops(x, window=2, stride=2):
-    """Max pooling with first-occurrence (row-major) argmax ties."""
+    """Max pooling with first-occurrence (row-major) argmax ties.
+
+    Like numpy argmax, a NaN beats every number and the first NaN wins.
+    """
     c, h, w = x.shape
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
@@ -47,8 +87,10 @@ def maxpool_loops(x, window=2, stride=2):
                 for u in range(window):
                     for v in range(window):
                         y, z = i * stride + u, j * stride + v
-                        if x[ci, y, z] > best:
-                            best = x[ci, y, z]
+                        val = x[ci, y, z]
+                        if (best_flat < 0 or val > best
+                                or (np.isnan(val) and not np.isnan(best))):
+                            best = val
                             best_flat = ci * h * w + y * w + z
                 out[ci, i, j] = best
                 idx[ci, i, j] = best_flat

@@ -6,8 +6,12 @@ import os
 
 import pytest
 
+from fisherprune.bench import blas_pinned
 from fisherprune.cli import main
-from fisherprune.modelio import load_model
+from fisherprune.modelio import load_model, save_model
+from fisherprune.network import build_cnn
+
+from test_modelio import rewrite_header
 
 
 def read_csv(path):
@@ -104,6 +108,16 @@ class TestArtifacts:
             if r[0] != "speedup":
                 assert float(r[3]) >= 0.0
 
+    def test_bench_says_whether_threads_were_pinned(self, piperun, tmp_path,
+                                                      capsys):
+        model = os.path.join(piperun, "model.ldap1")
+        assert main(["bench", "--out", str(tmp_path), "--model", model,
+                     "--runs", "1"] + TINY) == 0
+        said = "yes" if blas_pinned() else "no"
+        assert f"BLAS threads pinned: {said}" in capsys.readouterr().out
+        text = open(os.path.join(str(tmp_path), "report.txt")).read()
+        assert "pinned" not in text
+
     def test_manifest_records_every_command(self, piperun):
         with open(os.path.join(piperun, "manifest.json")) as fh:
             manifest = json.load(fh)
@@ -154,6 +168,21 @@ class TestFailureExits:
         rc = main(["prune", "--out", str(tmp_path), "--model", model] + TINY)
         assert rc == 2
         assert "threshold or --grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h["layers"][0].pop("weights"),
+        lambda h: h.update(layers=5),
+    ], ids=["layer_without_weights", "layers_not_a_list"])
+    def test_malformed_header(self, tmp_path, capsys, mutate):
+        model = tmp_path / "broken.ldap1"
+        save_model(build_cnn((1, 8, 8), [(2, 3, 1, True)], [], 2), str(model))
+        rewrite_header(model, mutate)
+        rc = main(["extract", "--out", str(tmp_path), "--model", str(model)]
+                  + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: HeaderSchemaError:")
+        assert err.count("\n") == 1
 
     def test_bad_grid_spec(self, piperun, tmp_path, capsys):
         model = os.path.join(piperun, "model.ldap1")

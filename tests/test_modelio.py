@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fisherprune.errors import (
-    BadMagicError, ShapeChainError, TruncatedBlobError,
+    BadMagicError, HeaderSchemaError, ShapeChainError, TruncatedBlobError,
 )
 from fisherprune.modelio import (
     MAGIC, load_model, model_param_count, save_model,
@@ -118,4 +118,38 @@ class TestDefects:
     def test_unknown_layer_kind(self, saved):
         rewrite_header(saved, lambda h: h["layers"][0].update(kind="mystery"))
         with pytest.raises(ShapeChainError):
+            load_model(str(saved))
+
+    def test_layer_entry_without_weights(self, saved):
+        rewrite_header(saved, lambda h: h["layers"][0].pop("weights"))
+        with pytest.raises(HeaderSchemaError, match="layer 0 'weights'"):
+            load_model(str(saved))
+
+    def test_layers_not_a_list(self, saved):
+        rewrite_header(saved, lambda h: h.update(layers=5))
+        with pytest.raises(HeaderSchemaError, match="'layers': expected list"):
+            load_model(str(saved))
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda h: h.update(input_shape=5), "'input_shape'"),
+        (lambda h: h["layers"].__setitem__(0, "conv"), "layer 0: expected dict"),
+        (lambda h: h["layers"][2].pop("window"), "layer 2 'window'"),
+        (lambda h: h.update(tensors=[]), "'tensors': expected dict"),
+        (lambda h: h["tensors"].update({"layer0.weights": 3}),
+         "tensor 'layer0.weights': expected dict"),
+        (lambda h: h["tensors"]["layer0.weights"].pop("shape"), "'shape'"),
+        (lambda h: h["tensors"]["layer0.bias"].update(shape=[[3]]),
+         "'shape': expected int"),
+        (lambda h: h["layers"][0].update(stride=[1]), "layer 0 'stride'"),
+        (lambda h: h["tensors"]["layer0.weights"].update(offset=-4),
+         "negative offset"),
+        (lambda h: h["tensors"]["layer0.bias"].update(shape=[-1]),
+         "negative offset or extent"),
+        (lambda h: h.update(classifier=3), "'classifier'"),
+    ], ids=["input_shape", "layer_entry", "pool_window", "tensors",
+            "tensor_entry", "tensor_shape", "tensor_shape_entry", "conv_stride",
+            "tensor_offset", "tensor_extent", "classifier"])
+    def test_mistyped_header_fields(self, saved, mutate, message):
+        rewrite_header(saved, mutate)
+        with pytest.raises(HeaderSchemaError, match=message):
             load_model(str(saved))

@@ -75,6 +75,32 @@ class TestConvAdjoint:
             rhs = float(np.sum(x * gx))
             assert abs(lhs - rhs) <= 1e-4 * (abs(lhs) + 1.0)
 
+    def test_stride2_pad1_dropped_row_matches_loop_oracles(self, rng):
+        # H=8: (8 + 2 - 3) / 2 floors, so the adjoint needs out_hw to get
+        # back to 8 rows; W=7 divides exactly
+        x = rng.standard_normal((2, 8, 7))
+        k = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal(3)
+        y = ops.conv2d_forward(Tensor(x), Tensor(k), b, stride=2, pad=1)
+        np.testing.assert_allclose(
+            y.data, oracles.conv2d_loops(x, k, b, stride=2, pad=1),
+            rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(y.data.shape)
+        gx = ops.conv2d_adjoint(g, k, stride=2, pad=1, out_hw=(8, 7))
+        want = oracles.conv2d_adjoint_loops(g, k, 8, 7, stride=2, pad=1)
+        assert gx.shape == want.shape == (2, 8, 7)
+        np.testing.assert_allclose(gx, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
+    def test_param_grads_match_loop_oracle(self, rng, stride, pad):
+        x = rng.standard_normal((2, 8, 7))
+        oh, ow = ops.conv_output_hw(8, 7, 3, 3, stride, pad)
+        g = rng.standard_normal((3, oh, ow))
+        dw, db = ops.conv2d_param_grads(x, g, 3, 3, stride=stride, pad=pad)
+        want = oracles.conv2d_weight_grad_loops(x, g, 3, 3, stride=stride, pad=pad)
+        np.testing.assert_allclose(dw, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db, g.sum(axis=(1, 2)), rtol=1e-12)
+
     def test_param_grads_shapes(self, rng):
         x = rng.standard_normal((2, 6, 6))
         g = rng.standard_normal((3, 4, 4))
@@ -96,6 +122,42 @@ class TestPooling:
         x = np.zeros((1, 2, 2), dtype=np.float32)
         _, sw = ops.maxpool_forward(Tensor(x), window=2, stride=2)
         assert sw[0, 0, 0] == 0
+
+    @pytest.mark.parametrize("shape,window,stride", [
+        ((3, 8, 8), 2, 2),
+        ((2, 7, 9), 2, 2),  # odd extents: trailing row and column dropped
+        ((2, 9, 7), 3, 2),  # overlapping windows
+        ((2, 6, 5), 3, 1),
+        ((1, 5, 4), 1, 2),
+    ])
+    def test_ties_match_loop_oracle(self, rng, shape, window, stride):
+        x = rng.integers(-1, 2, size=shape).astype(np.float32)  # dense ties
+        got, sw = ops.maxpool_forward(Tensor(x), window=window, stride=stride)
+        want, widx = oracles.maxpool_loops(x, window=window, stride=stride)
+        np.testing.assert_array_equal(got.data, want)
+        np.testing.assert_array_equal(sw, widx)
+
+    def test_nan_window_pools_to_its_first_nan(self):
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
+        x[0, 1, 1] = np.nan  # last tap of window (0,0)
+        x[0, 1, 2] = np.nan  # window (0,1) holds NaN at flat 6 and 3 ...
+        x[0, 0, 3] = np.nan  # ... and 3 comes first in scan order
+        x[0, 2, 2] = np.nan  # first tap of window (1,1)
+        got, sw = ops.maxpool_forward(Tensor(x), window=2, stride=2)
+        np.testing.assert_array_equal(sw[0], [[5, 3], [13, 10]])
+        np.testing.assert_array_equal(got.data[0], [[np.nan, np.nan],
+                                                    [13.0, np.nan]])
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (3, 1)])
+    def test_nan_and_infinities_match_loop_oracle(self, rng, window, stride):
+        x = rng.standard_normal((2, 9, 7)).astype(np.float32)
+        x[rng.random(x.shape) < 0.15] = np.nan
+        x[rng.random(x.shape) < 0.1] = -np.inf
+        x[rng.random(x.shape) < 0.05] = np.inf
+        got, sw = ops.maxpool_forward(Tensor(x), window=window, stride=stride)
+        want, widx = oracles.maxpool_loops(x, window=window, stride=stride)
+        np.testing.assert_array_equal(got.data, want)
+        np.testing.assert_array_equal(sw, widx)
 
 
 class TestPointwise:

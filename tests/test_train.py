@@ -99,6 +99,15 @@ class TestTrainLoop:
             train(net, images, labels, images, labels,
                   TrainConfig(epochs=5, lr=1e5, seed=0))
 
+    def test_nan_image_diverges_naming_the_sample(self):
+        # the NaN has to survive conv, relu and max-pool to reach softmax
+        images, labels = toy_split()
+        images[5][0, 3, 3] = np.nan
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        with pytest.raises(TrainingDiverged, match=r"sample 5\b"):
+            train(net, images, labels, images, labels,
+                  TrainConfig(epochs=1, seed=0))
+
     def test_empty_train_set_rejected(self):
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
         with pytest.raises(ConfigurationError):
