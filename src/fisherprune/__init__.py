@@ -7,7 +7,7 @@ optionally swap the dense head for a QDA or SVM on the reduced features.
 """
 
 from .data import DatasetSplit, LabeledImage, generate_synthetic, load_pgm_dir
-from .deconv import dependency_scores, deconv_from_neuron, transposed_conv, unpool
+from .deconv import dependency_scores, deconv_from_neuron, unpool
 from .errors import (
     BadMagicError,
     ConfigurationError,

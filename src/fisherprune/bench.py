@@ -45,19 +45,27 @@ def time_network(net: Network, image: Tensor, runs=30, warmup=5):
     """Median per-layer and total forward time in milliseconds.
 
     Returns (per_layer, total_ms) where per_layer is a list of
-    (layer_index, kind, median_ms). runs is clamped to at least 30 and
+    (layer_index, kind, median_ms). Layer times are laps between the
+    outputs of whole forward passes, taken by a forward hook; the total is
+    timed on passes without the hook. runs is clamped to at least 30 and
     warmup to at least 5.
     """
     runs = max(int(runs), 30)
     warmup = max(int(warmup), 5)
-    _, rec = forward(net, image, record=True)
-    inputs = [image.data] + rec.activations[:-1]
-    per_layer = []
+    laps = [[] for _ in net.layers]
+    last = 0
+
+    def lap(i, out):
+        nonlocal last
+        now = time.perf_counter_ns()
+        laps[i].append((now - last) / 1e6)
+        last = now
+        return out
+
     with _single_thread():
-        for i, layer in enumerate(net.layers):
-            sub = Network(inputs[i].shape, [layer])
-            x = Tensor(inputs[i].copy())
-            ms = _median_ms(lambda: forward(sub, x), runs, warmup)
-            per_layer.append((i, layer.kind, ms))
+        for _ in range(warmup + runs):
+            last = time.perf_counter_ns()
+            forward(net, image, hook=lap)
         total = _median_ms(lambda: forward(net, image), runs, warmup)
-    return per_layer, total
+    return [(i, layer.kind, statistics.median(laps[i][warmup:]))
+            for i, layer in enumerate(net.layers)], total

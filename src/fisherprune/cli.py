@@ -77,11 +77,6 @@ def _standardized_features(net, samples, layer):
     return firing.standardize(mat)
 
 
-def _apply_stats(mat_values, mean, std):
-    scale = np.where(std < 1e-8, 1.0, std)
-    return (mat_values - mean) / scale
-
-
 def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     split = _load_dataset(args.dataset, args.seed, args.n_per_class)
@@ -294,7 +289,6 @@ def cmd_eval(args):
     if args.classifier == "fc":
         hit = 0
         from .network import forward
-        from .tensor import Tensor
 
         for sample in split.test:
             p = forward(net, sample.image)
@@ -306,8 +300,8 @@ def cmd_eval(args):
         last = net.last_conv_index()
         train_mat = _standardized_features(net, split.train, last)
         test_raw = firing.extract_firing_matrix(net, split.test, last)
-        test_vals = _apply_stats(test_raw.values, train_mat.col_mean,
-                                 train_mat.col_std)
+        test_vals, _ = firing.zscore(test_raw.values, train_mat.col_mean,
+                                     train_mat.col_std)
         if args.classifier == "qda":
             model = classify.qda_fit(train_mat.values, train_mat.labels,
                                      lam=args.lam)

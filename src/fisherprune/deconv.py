@@ -1,11 +1,12 @@
 """Deconvolution walk: project a neuron's max activation back to pixels.
 
-Mirrors the forward stack in reverse. Each forward layer has a mirror
-stage: max-pool -> unpool through the stored switches, relu -> rectify,
-conv -> transposed conv with the same kernel. Walking a one-hot start
-tensor (the neuron's spatial argmax holding its max value) down the stack
-yields a reconstruction per layer; the L1 channel energy of those
-reconstructions says how much each lower filter participates.
+Mirrors the forward stack in reverse on plain arrays, reading each layer's
+shape from the ForwardRecord. Each forward layer has a mirror stage:
+max-pool -> unpool through the stored switches, relu -> relu (rectify),
+conv -> transposed conv (ops.conv2d_adjoint) with the same kernel. Walking
+a one-hot start tensor (the neuron's spatial argmax holding its max value)
+down the stack yields a reconstruction per layer; the L1 channel energy of
+those reconstructions says how much each lower filter participates.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 from . import ops
 from .errors import ConfigurationError, DimensionError
 from .network import ForwardRecord, Network, forward
-from .tensor import Tensor
 
 
-def unpool(pooled: Tensor, switches, target_shape) -> Tensor:
+def unpool(pooled, switches, target_shape):
     """Place each pooled value at its recorded flat index; zeros elsewhere."""
     out = np.zeros(int(np.prod(target_shape)), dtype=pooled.dtype)
     idx = np.asarray(switches).ravel()
@@ -30,25 +30,8 @@ def unpool(pooled: Tensor, switches, target_shape) -> Tensor:
         )
     if idx.size and (idx.min() < 0 or idx.max() >= out.size):
         raise DimensionError("pool switch out of target bounds")
-    out[idx] = pooled.data.ravel()
-    return Tensor(out.reshape(target_shape))
-
-
-def deconv_rectify(t: Tensor) -> Tensor:
-    return ops.relu_forward(t)
-
-
-def transposed_conv(signal: Tensor, kernel: Tensor, stride=1, pad=0,
-                    out_hw=None) -> Tensor:
-    """Adjoint of the bias-free forward conv with the same kernel.
-
-    For every x, y: <conv(x), y> == <x, transposed_conv(y)>. Pass out_hw
-    when the forward pass floor-divided away trailing rows or columns.
-    """
-    if signal.data.ndim != 3 or kernel.data.ndim != 4:
-        raise DimensionError("need (O,H,W) signal and (O,C,kh,kw) kernel")
-    out = ops.conv2d_adjoint(signal.data, kernel.data, stride, pad, out_hw=out_hw)
-    return Tensor(out)
+    out[idx] = pooled.ravel()
+    return out.reshape(target_shape)
 
 
 @dataclass
@@ -76,13 +59,14 @@ class DependencyTable:
     dead_layers: set = field(default_factory=set)
 
 
-def _mirror_step(layer, cur, rec, i, shapes, input_shape):
-    below = shapes[i - 1] if i > 0 else input_shape
+def _mirror_step(layer, cur, rec, i):
+    """One layer's mirror stage; always returns a fresh array."""
+    below = (rec.activations[i - 1] if i > 0 else rec.input).shape
     if layer.kind == "conv":
-        return transposed_conv(cur, Tensor(layer.weights), layer.stride,
-                               layer.pad, out_hw=below[1:])
+        return ops.conv2d_adjoint(cur, layer.weights, layer.stride, layer.pad,
+                                  out_hw=below[1:])
     if layer.kind == "relu":
-        return deconv_rectify(cur)
+        return ops.relu_forward(cur)
     if layer.kind == "maxpool":
         return unpool(cur, rec.switches[i], below)
     raise ConfigurationError(f"no mirror stage for layer kind {layer.kind!r}")
@@ -95,8 +79,7 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     the smallest flat index), holding the post-relu max value.
     """
     last = net.last_conv_index()
-    shapes = net.infer_shapes()
-    n_filters = shapes[last][0]
+    n_filters = rec.activations[last].shape[0]
     if not 0 <= neuron < n_filters:
         raise ConfigurationError(f"neuron {neuron} out of range [0,{n_filters})")
     act = rec.activations[last + 1] if (
@@ -104,18 +87,16 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     ) else np.maximum(rec.activations[last], 0)
     chan = act[neuron]
     peak = float(chan.max())
-    start = np.zeros_like(rec.activations[last])
+    cur = np.zeros_like(rec.activations[last])
     dead = peak <= 0.0
     if not dead:
-        flat = int(chan.argmax())
-        start[neuron].ravel()[flat] = peak
-    maps = {last: start}
-    cur = Tensor(start)
+        cur[neuron].ravel()[int(chan.argmax())] = peak
+    maps = {last: cur}
     for i in range(last, -1, -1):
-        cur = _mirror_step(net.layers[i], cur, rec, i, shapes, net.input_shape)
+        cur = _mirror_step(net.layers[i], cur, rec, i)
         if i > 0:
-            maps[i - 1] = cur.data.copy()
-    return DeconvMap(neuron=neuron, maps=maps, pixel=cur.data.copy(), dead=dead)
+            maps[i - 1] = cur
+    return DeconvMap(neuron=neuron, maps=maps, pixel=cur, dead=dead)
 
 
 def _layer_contrib(dmap, conv_layers):

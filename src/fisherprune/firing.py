@@ -81,19 +81,23 @@ def extract_firing_matrix(net: Network, images, layer: int) -> FiringMatrix:
                         np.array(labels, dtype=np.int64))
 
 
-def standardize(mat: FiringMatrix) -> FiringMatrix:
-    """Per-column z-score (population stddev).
+def zscore(values, mean, std):
+    """Scale columns by given stats: (values - mean) / std.
 
-    Columns with stddev below 1e-8 are centered but left unscaled and
-    flagged constant.
+    A column whose stddev is below 1e-8 is constant: it is centered but left
+    unscaled. Returns (scaled values, constant-column flags).
     """
+    constant = std < 1e-8
+    return (values - mean) / np.where(constant, 1.0, std), constant
+
+
+def standardize(mat: FiringMatrix) -> FiringMatrix:
+    """Per-column z-score (population stddev) by zscore's rule."""
     if mat.values.shape[0] < 2:
         raise ConfigurationError("standardization needs at least 2 rows")
     mean = mat.values.mean(axis=0)
     std = mat.values.std(axis=0)  # population: ddof=0
-    constant = std < 1e-8
-    scale = np.where(constant, 1.0, std)
-    vals = (mat.values - mean) / scale
+    vals, constant = zscore(mat.values, mean, std)
     return FiringMatrix(vals, mat.labels.copy(), standardized=True,
                         col_mean=mean, col_std=std, constant_cols=constant)
 
@@ -166,51 +170,13 @@ def diagonal_dominance(s_w) -> float:
     return float(np.trace(a) / total)
 
 
-def jacobi_eigh(a, max_sweeps=100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted. Raises when
-    the off-diagonal mass has not vanished after max_sweeps sweeps.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.linalg.norm(a)
-    if scale == 0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(max((a * a).sum() - (np.diag(a) ** 2).sum(), 0.0))
-        if off <= 1e-12 * scale:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise RuntimeError(f"Jacobi did not converge after {max_sweeps} sweeps")
-
-
 def full_lda_directions(scatter: ScatterPair, m: int):
     """Top-m directions of the multivariate criterion max |W'SbW|/|W'SwW|.
 
     Solved as the generalized symmetric problem (S_b, S_w + eps*I) with
     eps = 1e-6 * trace(S_w)/d: Cholesky-reduce to an ordinary symmetric
-    problem, run Jacobi, map back. Eigenvalues come out descending and each
-    eigenvector v satisfies v' (S_w + eps I) v = 1.
+    problem, solve that with np.linalg.eigh, map back. Eigenvalues come out
+    descending and each eigenvector v satisfies v' (S_w + eps I) v = 1.
     """
     d = scatter.s_w.shape[0]
     if d > 64:
@@ -225,7 +191,7 @@ def full_lda_directions(scatter: ScatterPair, m: int):
     y = np.linalg.solve(chol, scatter.s_b)
     mat = np.linalg.solve(chol, y.T).T
     mat = (mat + mat.T) / 2
-    evals, evecs = jacobi_eigh(mat)
+    evals, evecs = np.linalg.eigh(mat)
     order = np.argsort(-evals)
     evals = evals[order][:m]
     evecs = evecs[:, order][:, :m]

@@ -1,9 +1,12 @@
 """Sequential CNN container: layer descriptors, shape inference, forward pass.
 
 A network is a list of LayerSpec entries applied in order to a (C,H,W)
-input. Parameters live on the specs themselves (conv/dense only). The
-forward pass can record every intermediate activation plus pooling
-switches, which the dependency tracer and the backward pass both consume.
+input. Parameters live on the specs themselves (conv/dense only).
+forward() is the package's one forward layer walk: it takes and returns a
+Tensor but runs every layer on plain arrays. It can record every
+intermediate activation plus pooling switches, which the dependency tracer
+and the backward pass both consume, and a per-layer hook lets callers
+replace each layer's output (masked passes) or observe it (timing).
 """
 
 from __future__ import annotations
@@ -140,44 +143,50 @@ class ForwardRecord:
     switches: dict  # layer index -> flat-index switch array for maxpool
 
 
-def forward(net: Network, x: Tensor, record=False):
+def _step(layer, x):
+    """Apply one layer to a raw array: (output, pool switches or None)."""
+    if layer.kind == "conv":
+        return ops.conv2d_forward(x, layer.weights, layer.bias,
+                                  stride=layer.stride, pad=layer.pad), None
+    if layer.kind == "relu":
+        return ops.relu_forward(x), None
+    if layer.kind == "maxpool":
+        return ops.maxpool_forward(x, layer.window, layer.stride)
+    if layer.kind == "flatten":
+        return x.reshape(-1), None
+    if layer.kind == "dense":
+        return ops.dense_forward(x, layer.weights, layer.bias), None
+    return ops.softmax(x), None
+
+
+def forward(net: Network, x: Tensor, record=False, hook=None):
     """Run the network on one input; optionally keep all intermediates.
 
-    Returns the output Tensor, or (output, ForwardRecord) when record=True.
-    Layer failures are re-raised with the layer index prepended.
+    hook(i, out), when given, is called with each layer's output and returns
+    the array that is carried forward (and recorded) in its place; masking
+    and per-layer timing ride on it. Returns the output Tensor, or
+    (output, ForwardRecord) when record=True. Layer failures are re-raised
+    with the layer index prepended.
     """
     if tuple(x.shape) != tuple(net.input_shape):
         raise DimensionError(
             f"network expects input {net.input_shape}, got {x.shape}"
         )
-    rec = ForwardRecord(input=x.data.copy(), activations=[], switches={}) if record else None
-    cur = x
+    cur = x.data
+    rec = ForwardRecord(input=cur.copy(), activations=[], switches={}) if record else None
     for i, layer in enumerate(net.layers):
         try:
-            if layer.kind == "conv":
-                cur = ops.conv2d_forward(
-                    cur, Tensor(layer.weights), layer.bias,
-                    stride=layer.stride, pad=layer.pad,
-                )
-            elif layer.kind == "relu":
-                cur = ops.relu_forward(cur)
-            elif layer.kind == "maxpool":
-                cur, sw = ops.maxpool_forward(cur, layer.window, layer.stride)
-                if rec is not None:
-                    rec.switches[i] = sw
-            elif layer.kind == "flatten":
-                cur = Tensor(cur.data.reshape(-1))
-            elif layer.kind == "dense":
-                cur = ops.dense_forward(cur, Tensor(layer.weights), layer.bias)
-            elif layer.kind == "softmax":
-                cur = ops.softmax(cur)
+            cur, switches = _step(layer, cur)
         except (DimensionError, ConfigurationError, ValueError) as exc:
             raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
+        if hook is not None:
+            cur = hook(i, cur)
         if rec is not None:
-            rec.activations.append(cur.data)  # ops return new arrays; no copy
-    if rec is not None:
-        return cur, rec
-    return cur
+            rec.activations.append(cur)  # ops return new arrays; no copy
+            if switches is not None:
+                rec.switches[i] = switches
+    out = Tensor(cur)
+    return (out, rec) if record else out
 
 
 def logits(net: Network, x: Tensor):
@@ -189,6 +198,13 @@ def logits(net: Network, x: Tensor):
 
 
 def _layer_out_shape(layer, shape):
+    if layer.kind in ("conv", "maxpool"):
+        if layer.kind == "maxpool" and layer.window < 1:
+            raise ConfigurationError(f"pool window must be >= 1, got {layer.window}")
+        if layer.stride < 1:
+            raise ConfigurationError(f"stride must be >= 1, got {layer.stride}")
+        if layer.pad < 0:
+            raise ConfigurationError(f"pad must be >= 0, got {layer.pad}")
     if layer.kind == "conv":
         if len(shape) != 3:
             raise DimensionError(f"conv needs (C,H,W) input, got {shape}")

@@ -1,13 +1,15 @@
 """Layer primitives for the inference engine.
 
-All ops are pure functions. Dot products accumulate in float64 and results
-are cast back to the input dtype, so float32 models produce reproducible
-sums. Convolutions unroll their input channel-major: the im2col matrix is
-(C*kh*kw, OH*OW), row (c, i, j) holding the input pixel under kernel tap
-(i, j) of channel c for every output position in row-major order. With the
-kernel flattened to (O, C*kh*kw), the forward pass is one GEMM whose result
-is already (O, OH, OW), and the weight gradient and the adjoint are GEMMs on
-the same layout with no transposing copies.
+All ops are pure functions on plain ndarrays: feature maps are (C,H,W),
+conv kernels (O,C,kh,kw), dense weights (m,n). Dot products accumulate in
+float64 and results are cast back to the input dtype, so float32 models
+produce reproducible sums. Convolutions unroll their input channel-major:
+the im2col matrix is (C*kh*kw, OH*OW), row (c, i, j) holding the input
+pixel under kernel tap (i, j) of channel c for every output position in
+row-major order. With the kernel flattened to (O, C*kh*kw), the forward
+pass is one GEMM whose result is already (O, OH, OW), and the weight
+gradient and the adjoint are GEMMs on the same layout with no transposing
+copies.
 
 Max-pooling returns the winning flat input index per output cell
 ("switches"). The winner is the first cell in window scan order (row-major)
@@ -24,7 +26,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DimensionError, NonFiniteError
-from .tensor import Tensor
 
 
 def conv_output_hw(h, w, kh, kw, stride, pad):
@@ -55,15 +56,15 @@ def _im2col(x, kh, kw, stride, pad):
     return cols, oh, ow
 
 
-def conv2d_forward(input: Tensor, kernel: Tensor, bias, stride=1, pad=0) -> Tensor:
+def conv2d_forward(input, kernel, bias, stride=1, pad=0):
     """2-D cross-correlation with zero padding.
 
     out[o,y,x] = bias[o] + sum_{c,i,j} input[c, y*stride+i-pad, x*stride+j-pad]
                  * kernel[o,c,i,j], reading zero outside the input bounds.
     """
-    if input.data.ndim != 3:
+    if input.ndim != 3:
         raise DimensionError(f"conv input must be (C,H,W), got {input.shape}")
-    if kernel.data.ndim != 4:
+    if kernel.ndim != 4:
         raise DimensionError(f"conv kernel must be (O,C,kh,kw), got {kernel.shape}")
     c, h, w = input.shape
     o, kc, kh, kw = kernel.shape
@@ -84,21 +85,24 @@ def conv2d_forward(input: Tensor, kernel: Tensor, bias, stride=1, pad=0) -> Tens
             f"conv of {h}x{w} with kernel {kh}x{kw} stride {stride} pad {pad} "
             f"produces empty output {oh}x{ow}"
         )
-    cols, _, _ = _im2col(input.data, kh, kw, stride, pad)
-    k2 = kernel.data.reshape(o, c * kh * kw).astype(np.float64)
+    cols, _, _ = _im2col(input, kh, kw, stride, pad)
+    k2 = kernel.reshape(o, c * kh * kw).astype(np.float64)
     out = k2 @ cols
     out += b[:, None]
-    return Tensor(out.reshape(o, oh, ow).astype(input.dtype))
+    return out.reshape(o, oh, ow).astype(input.dtype)
 
 
 def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
-    """Exact adjoint of bias-free conv2d_forward, on raw arrays.
+    """Exact adjoint (transposed conv) of bias-free conv2d_forward.
 
-    gout: (O,OH,OW); kernel: (O,C,kh,kw) -> (C,H,W). When the forward floor
-    division dropped trailing rows/cols, pass the original (H,W) as out_hw.
+    gout: (O,OH,OW); kernel: (O,C,kh,kw) -> (C,H,W). For every x, y:
+    <conv(x), y> == <x, adjoint(y)>. When the forward floor division dropped
+    trailing rows/cols, pass the original (H,W) as out_hw.
     """
     gout = np.asarray(gout)
     kern = np.asarray(kernel)
+    if gout.ndim != 3 or kern.ndim != 4:
+        raise DimensionError("need (O,H,W) signal and (O,C,kh,kw) kernel")
     o, oh, ow = gout.shape
     ko, c, kh, kw = kern.shape
     if ko != o:
@@ -128,7 +132,7 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
 
 
 def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
-    """Weight and bias gradients for conv2d_forward, on raw arrays."""
+    """Weight and bias gradients for conv2d_forward."""
     c = x.shape[0]
     o = gout.shape[0]
     cols, oh, ow = _im2col(x, kh, kw, stride, pad)
@@ -138,8 +142,8 @@ def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
     return dw.astype(x.dtype), db.astype(x.dtype)
 
 
-def relu_forward(input: Tensor) -> Tensor:
-    return Tensor(np.maximum(input.data, 0))
+def relu_forward(input):
+    return np.maximum(input, 0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -163,14 +167,14 @@ def _pool_index(c, h, w, window, stride):
     return base, offset, rank
 
 
-def maxpool_forward(input: Tensor, window, stride):
+def maxpool_forward(input, window, stride):
     """Max-pool each channel; also return the winning flat input indices.
 
     Switches are flat indices into the full (C,H,W) input; ties break to the
     first tap in window scan order, and a window holding NaN pools to NaN
     with its first NaN as the switch (numpy argmax semantics).
     """
-    if input.data.ndim != 3:
+    if input.ndim != 3:
         raise DimensionError(f"pool input must be (C,H,W), got {input.shape}")
     c, h, w = input.shape
     if window > h or window > w:
@@ -181,21 +185,21 @@ def maxpool_forward(input: Tensor, window, stride):
     if oh < 1 or ow < 1:
         raise ConfigurationError("pooling produces empty output")
     k = window * window
-    taps = _window_views(input.data, window, window, stride, oh, ow).transpose(
+    taps = _window_views(input, window, window, stride, oh, ow).transpose(
         1, 2, 0, 3, 4).reshape(k, c, oh, ow)
     base, offset, rank = _pool_index(c, h, w, window, stride)
     hit = taps == taps.max(axis=0)  # the max propagates NaN
     hit |= taps != taps  # so a NaN tap is a hit exactly in NaN windows
     first = k - (hit * rank[:, None, None, None]).max(axis=0)
     switches = base + offset[first]
-    return Tensor(input.data.take(switches)), switches
+    return input.take(switches), switches
 
 
-def dense_forward(input: Tensor, weights: Tensor, bias) -> Tensor:
+def dense_forward(input, weights, bias):
     """Affine map W @ x + b on a rank-1 input."""
-    if input.data.ndim != 1:
+    if input.ndim != 1:
         raise DimensionError(f"dense input must be a vector, got {input.shape}")
-    if weights.data.ndim != 2:
+    if weights.ndim != 2:
         raise DimensionError(f"dense weights must be (m,n), got {weights.shape}")
     m, n = weights.shape
     if input.shape[0] != n:
@@ -203,18 +207,17 @@ def dense_forward(input: Tensor, weights: Tensor, bias) -> Tensor:
     b = np.asarray(bias, dtype=np.float64).reshape(-1)
     if b.shape[0] != m:
         raise DimensionError(f"bias length {b.shape[0]} != out dim {m}")
-    out = weights.data.astype(np.float64) @ input.data.astype(np.float64) + b
-    return Tensor(out.astype(input.dtype))
+    out = weights.astype(np.float64) @ input.astype(np.float64) + b
+    return out.astype(input.dtype)
 
 
-def softmax(scores: Tensor) -> Tensor:
+def softmax(x):
     """Numerically stable softmax (max subtraction)."""
-    x = scores.data
     if x.ndim != 1:
-        raise DimensionError(f"softmax input must be a vector, got {scores.shape}")
+        raise DimensionError(f"softmax input must be a vector, got {x.shape}")
     if np.isnan(x).any():
         raise NonFiniteError("softmax input contains NaN")
     z = x.astype(np.float64)
     z = z - z.max()
     e = np.exp(z)
-    return Tensor((e / e.sum()).astype(x.dtype))
+    return (e / e.sum()).astype(x.dtype)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .data import images_labels
 from .errors import ConfigurationError, DimensionError
-from .network import Network, forward
-from .tensor import Tensor
+from .network import Network, forward, logits
 from .train import TrainConfig, accuracy, retrain
 
 
@@ -137,45 +136,26 @@ def apply_prune(net: Network, plan: PrunePlan) -> Network:
     return out
 
 
-def masked_forward(net: Network, plan: PrunePlan, image: Tensor):
+def masked_forward(net: Network, plan: PrunePlan, image):
     """Forward on the original net with pruned channels zeroed post-relu.
 
     Returns (output, list of post-mask activations per layer). Channels
     missing from a conv's keep-list are forced to zero right after that
     conv's relu, so downstream layers see exactly what the pruned net sees.
     """
-    conv_idx = set(net.conv_indices())
     masks = {}
-    for i in sorted(conv_idx):
-        o = net.layers[i].weights.shape[0]
-        m = np.zeros(o, dtype=np.float32)
+    for i in net.conv_indices():
+        m = np.zeros(net.layers[i].weights.shape[0], dtype=np.float32)
         m[np.asarray(plan.keep[i], dtype=np.int64)] = 1.0
-        masks[i] = m
-    cur = image
-    acts = []
-    for i, layer in enumerate(net.layers):
-        if layer.kind == "relu":
-            cur = Tensor(np.maximum(cur.data, 0))
-            if i - 1 in masks and cur.data.ndim == 3:
-                cur = Tensor(cur.data * masks[i - 1][:, None, None])
-        else:
-            sub = Network(cur.shape, [layer])
-            cur = forward(sub, cur)
-        acts.append(cur.data.copy())
-    return cur, acts
+        masks[i + 1] = m[:, None, None]
 
+    def mask(i, out):
+        if i in masks and net.layers[i].kind == "relu":
+            return out * masks[i]
+        return out
 
-def masked_logits(net: Network, plan: PrunePlan, image: Tensor):
-    if net.layers[-1].kind != "softmax":
-        raise ConfigurationError("expected a softmax-terminated network")
-    _, acts = masked_forward(net, plan, image)
-    return acts[-2]
-
-
-def pruned_logits(pruned: Network, image: Tensor):
-    from .network import logits
-
-    return logits(pruned, image).data
+    out, rec = forward(net, image, record=True, hook=mask)
+    return out, rec.activations
 
 
 def equivalence_check(net: Network, plan: PrunePlan, images) -> float:
@@ -183,8 +163,8 @@ def equivalence_check(net: Network, plan: PrunePlan, images) -> float:
     pruned = apply_prune(net, plan)
     worst = 0.0
     for sample in images:
-        ref = masked_logits(net, plan, sample.image)
-        got = pruned_logits(pruned, sample.image)
+        ref = masked_forward(net, plan, sample.image)[1][-2]
+        got = logits(pruned, sample.image).data
         dev = np.abs(got - ref) / (np.abs(ref) + 1e-6)
         worst = max(worst, float(dev.max()))
     return worst

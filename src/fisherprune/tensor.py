@@ -1,9 +1,11 @@
-"""Dense tensors backing activations and weights.
+"""The array type at the package's public boundary.
 
-Feature maps are laid out (channels, height, width) row-major; conv kernels
-are (out_channels, in_channels, kh, kw). Model data is float32. float64 is
-also accepted so verification code (finite differences, oracles) can run the
-exact same ops at high precision.
+A Tensor wraps the pixels of a LabeledImage and the input and output of
+network.forward / network.logits; everything inside the package (ops, the
+layer walk, training, the deconv tracer) works on plain ndarrays. Feature
+maps are laid out (channels, height, width) row-major. Model data is
+float32; float64 is kept as given so verification code (finite differences,
+oracles) can run the exact same ops at high precision.
 """
 
 from __future__ import annotations
@@ -16,14 +18,10 @@ from .errors import DimensionError
 class Tensor:
     __slots__ = ("data",)
 
-    def __init__(self, data, shape=None, dtype=None):
+    def __init__(self, data):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        if shape is not None:
-            arr = arr.reshape(shape)
         arr = np.ascontiguousarray(arr)
         if arr.ndim == 0:
             raise DimensionError("tensor needs at least one axis")
@@ -31,28 +29,9 @@ class Tensor:
             raise DimensionError(f"tensor extents must be >= 1, got {arr.shape}")
         self.data = arr
 
-    @classmethod
-    def zeros(cls, shape, dtype=np.float32):
-        return cls(np.zeros(shape, dtype=dtype))
-
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def copy(self):
-        return Tensor(self.data.copy())
-
-    def ravel(self):
-        """Flat row-major view of the values."""
-        return self.data.ravel()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"

@@ -145,11 +145,10 @@ def test_c04_adjointness_and_unpool_round_trip():
         w = int(rng.integers(max(k, 5), 10))
         x = rng.standard_normal((c, h, w))
         kern = rng.standard_normal((o, c, k, k))
-        y = ops.conv2d_forward(Tensor(x), Tensor(kern), np.zeros(o),
-                               stride=stride, pad=pad)
-        g = rng.standard_normal(y.data.shape)
+        y = ops.conv2d_forward(x, kern, np.zeros(o), stride=stride, pad=pad)
+        g = rng.standard_normal(y.shape)
         gx = ops.conv2d_adjoint(g, kern, stride=stride, pad=pad, out_hw=(h, w))
-        lhs = float(np.sum(y.data * g))
+        lhs = float(np.sum(y * g))
         rhs = float(np.sum(x * gx))
         assert abs(lhs - rhs) <= 1e-4 * max(1.0, abs(lhs))
 
@@ -157,13 +156,12 @@ def test_c04_adjointness_and_unpool_round_trip():
     # Inputs are non-negative like the post-relu maps the tracer unpools;
     # an all-negative window would repool to 0 by construction.
     for _ in range(20):
-        x = Tensor(rng.random((3, 8, 8), dtype=np.float32))
+        x = rng.random((3, 8, 8), dtype=np.float32)
         pooled, sw = ops.maxpool_forward(x, 2, 2)
         up = unpool(pooled, sw, x.shape)
-        np.testing.assert_array_equal(up.data.ravel()[sw.ravel()],
-                                      pooled.data.ravel())
+        np.testing.assert_array_equal(up.ravel()[sw.ravel()], pooled.ravel())
         repooled, resw = ops.maxpool_forward(up, 2, 2)
-        np.testing.assert_array_equal(repooled.data, pooled.data)
+        np.testing.assert_array_equal(repooled, pooled)
         np.testing.assert_array_equal(resw, sw)
 
 

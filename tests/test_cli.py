@@ -184,6 +184,22 @@ class TestFailureExits:
         assert err.startswith("error: HeaderSchemaError:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda h: h["layers"][2].update(window=0), "pool window must be >= 1"),
+        (lambda h: h["layers"][0].update(stride=0), "stride must be >= 1"),
+    ], ids=["pool_window_0", "conv_stride_0"])
+    def test_invalid_geometry(self, tmp_path, capsys, mutate, message):
+        model = tmp_path / "broken.ldap1"
+        save_model(build_cnn((1, 8, 8), [(2, 3, 1, True)], [], 2), str(model))
+        rewrite_header(model, mutate)
+        rc = main(["extract", "--out", str(tmp_path), "--model", str(model)]
+                  + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ShapeChainError:")
+        assert message in err
+        assert err.count("\n") == 1
+
     def test_bad_grid_spec(self, piperun, tmp_path, capsys):
         model = os.path.join(piperun, "model.ldap1")
         rc = main(["prune", "--out", str(tmp_path), "--model", model,

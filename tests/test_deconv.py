@@ -5,10 +5,7 @@ import pytest
 
 from fisherprune import ops
 from fisherprune.data import LabeledImage
-from fisherprune.deconv import (
-    deconv_from_neuron, deconv_rectify, dependency_scores, transposed_conv,
-    unpool,
-)
+from fisherprune.deconv import deconv_from_neuron, dependency_scores, unpool
 from fisherprune.errors import ConfigurationError, DimensionError
 from fisherprune.network import LayerSpec, Network, build_cnn, forward
 from fisherprune.tensor import Tensor
@@ -22,42 +19,37 @@ class TestMirrors:
     def test_unpool_restores_argmax_positions(self):
         rng = np.random.default_rng(1)
         # mirrors pooling of post-relu maps, so the input is non-negative
-        x = Tensor(rng.random((2, 6, 6), dtype=np.float32))
+        x = rng.random((2, 6, 6), dtype=np.float32)
         pooled, sw = ops.maxpool_forward(x, 2, 2)
         up = unpool(pooled, sw, x.shape)
         repooled, _ = ops.maxpool_forward(up, 2, 2)
-        np.testing.assert_array_equal(repooled.data, pooled.data)
-        assert np.count_nonzero(up.data) <= pooled.data.size
-        np.testing.assert_array_equal(up.data.ravel()[sw.ravel()],
-                                      pooled.data.ravel())
+        np.testing.assert_array_equal(repooled, pooled)
+        assert np.count_nonzero(up) <= pooled.size
+        np.testing.assert_array_equal(up.ravel()[sw.ravel()],
+                                      pooled.ravel())
 
     def test_unpool_rejects_bad_switches(self):
-        pooled = Tensor(np.ones((1, 1, 1), dtype=np.float32))
+        pooled = np.ones((1, 1, 1), dtype=np.float32)
         with pytest.raises(DimensionError, match="switch count"):
             unpool(pooled, np.array([0, 1]), (1, 2, 2))
         with pytest.raises(DimensionError, match="bounds"):
             unpool(pooled, np.array([9]), (1, 2, 2))
 
-    def test_rectify_drops_negative_evidence(self):
-        t = Tensor(np.array([[-1.0, 2.0]], dtype=np.float32))
-        np.testing.assert_array_equal(deconv_rectify(t).data, [[0.0, 2.0]])
-
     def test_transposed_conv_is_the_adjoint(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 7, 7))
         k = rng.standard_normal((3, 2, 3, 3))
-        y = ops.conv2d_forward(Tensor(x), Tensor(k), np.zeros(3), stride=2, pad=1)
-        g = rng.standard_normal(y.data.shape)
-        back = transposed_conv(Tensor(g), Tensor(k), stride=2, pad=1,
-                               out_hw=(7, 7))
-        lhs = np.sum(y.data * g)
-        rhs = np.sum(x * back.data)
+        y = ops.conv2d_forward(x, k, np.zeros(3), stride=2, pad=1)
+        g = rng.standard_normal(y.shape)
+        back = ops.conv2d_adjoint(g, k, stride=2, pad=1, out_hw=(7, 7))
+        lhs = np.sum(y * g)
+        rhs = np.sum(x * back)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_transposed_conv_checks_ranks(self):
         with pytest.raises(DimensionError):
-            transposed_conv(Tensor(np.ones((2, 2), dtype=np.float32)),
-                            Tensor(np.ones((1, 1, 1, 1), dtype=np.float32)))
+            ops.conv2d_adjoint(np.ones((2, 2), dtype=np.float32),
+                               np.ones((1, 1, 1, 1), dtype=np.float32))
 
 
 def passthrough_net():

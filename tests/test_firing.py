@@ -8,7 +8,7 @@ from fisherprune.data import generate_synthetic
 from fisherprune.errors import ConfigurationError, DimensionError
 from fisherprune.firing import (
     FiringMatrix, diagonal_dominance, extract_firing_matrix,
-    full_lda_directions, icc_scores, jacobi_eigh, rank_and_select,
+    full_lda_directions, icc_scores, rank_and_select,
     scatter_matrices, standardize, variance_ranking_baseline,
 )
 from fisherprune.network import Network, build_cnn, forward
@@ -145,24 +145,6 @@ class TestDiagonalDominance:
 
     def test_zero_matrix_counts_as_diagonal(self):
         assert diagonal_dominance(np.zeros((3, 3))) == 1.0
-
-
-class TestJacobi:
-    def test_agrees_with_lapack(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(0, 1, (8, 8))
-        a = (a + a.T) / 2
-        evals, evecs = jacobi_eigh(a)
-        want = np.linalg.eigvalsh(a)
-        np.testing.assert_allclose(np.sort(evals), want, atol=1e-10)
-        np.testing.assert_allclose(evecs.T @ evecs, np.eye(8), atol=1e-10)
-        np.testing.assert_allclose(
-            a @ evecs, evecs @ np.diag(evals), atol=1e-9)
-
-    def test_zero_sweep_budget_raises(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(RuntimeError, match="converge"):
-            jacobi_eigh(m, max_sweeps=0)
 
 
 class TestFullLda:

@@ -115,6 +115,17 @@ class TestDefects:
         with pytest.raises(ShapeChainError):
             load_model(str(saved))
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda h: h["layers"][2].update(window=0),
+         r"layer 2 \(maxpool\): pool window must be >= 1"),
+        (lambda h: h["layers"][0].update(stride=0),
+         r"layer 0 \(conv\): stride must be >= 1"),
+    ], ids=["pool_window_0", "conv_stride_0"])
+    def test_invalid_geometry(self, saved, mutate, message):
+        rewrite_header(saved, mutate)
+        with pytest.raises(ShapeChainError, match=message):
+            load_model(str(saved))
+
     def test_unknown_layer_kind(self, saved):
         rewrite_header(saved, lambda h: h["layers"][0].update(kind="mystery"))
         with pytest.raises(ShapeChainError):

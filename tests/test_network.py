@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fisherprune.bench import time_network
 from fisherprune.errors import ConfigurationError, DimensionError
 from fisherprune.network import (
     LayerSpec, Network, build_cnn, forward, logits, reference_cnn,
@@ -41,6 +42,18 @@ class TestShapeInference:
         net = tiny_net()
         net.layers[0].weights = np.zeros((4, 2, 3, 3), dtype=np.float32)
         with pytest.raises(DimensionError, match="layer 0"):
+            net.infer_shapes()
+
+    @pytest.mark.parametrize("layer,field,value,message", [
+        (2, "window", 0, r"layer 2 \(maxpool\): pool window must be >= 1"),
+        (2, "stride", 0, r"layer 2 \(maxpool\): stride must be >= 1"),
+        (0, "stride", 0, r"layer 0 \(conv\): stride must be >= 1"),
+        (0, "pad", -1, r"layer 0 \(conv\): pad must be >= 0"),
+    ])
+    def test_invalid_geometry_names_the_layer(self, layer, field, value, message):
+        net = tiny_net()
+        setattr(net.layers[layer], field, value)
+        with pytest.raises(ConfigurationError, match=message):
             net.infer_shapes()
 
     def test_last_conv_requires_a_conv(self):
@@ -84,6 +97,49 @@ class TestForward:
         out = forward(net, x)
         np.testing.assert_allclose(
             out.data, np.exp(z.data) / np.exp(z.data).sum(), rtol=1e-5)
+
+
+class TestForwardHook:
+    def test_identity_hook_changes_nothing(self):
+        net = tiny_net()
+        x = Tensor(np.random.default_rng(2).random((1, 8, 8)).astype(np.float32))
+        seen = []
+
+        def hook(i, out):
+            seen.append(i)
+            return out
+
+        out, rec = forward(net, x, record=True, hook=hook)
+        want, ref = forward(net, x, record=True)
+        assert seen == list(range(len(net.layers)))
+        np.testing.assert_array_equal(out.data, want.data)
+        np.testing.assert_array_equal(rec.input, ref.input)
+        assert len(rec.activations) == len(ref.activations)
+        for got, exp in zip(rec.activations, ref.activations):
+            np.testing.assert_array_equal(got, exp)
+        assert rec.switches.keys() == ref.switches.keys()
+        for i in ref.switches:
+            np.testing.assert_array_equal(rec.switches[i], ref.switches[i])
+
+    def test_hook_output_is_carried_forward_and_recorded(self):
+        net = tiny_net()
+        x = Tensor(np.random.default_rng(3).random((1, 8, 8)).astype(np.float32))
+        _, plain = forward(net, x, record=True)
+        assert plain.activations[3].any()
+        _, rec = forward(net, x, record=True,
+                         hook=lambda i, a: np.zeros_like(a) if i == 1 else a)
+        # the zeroed relu output is what the pool and flatten layers saw
+        for i in (1, 2, 3):
+            assert not rec.activations[i].any()
+
+    def test_time_network_reports_every_layer(self):
+        net = tiny_net()
+        x = Tensor(np.random.default_rng(4).random((1, 8, 8)).astype(np.float32))
+        per_layer, total = time_network(net, x, runs=1, warmup=0)
+        assert [(i, kind) for i, kind, _ in per_layer] == [
+            (i, layer.kind) for i, layer in enumerate(net.layers)]
+        assert all(ms > 0 for _, _, ms in per_layer)
+        assert total > 0
 
 
 class TestBuilders:

@@ -5,7 +5,6 @@ import pytest
 
 from fisherprune import ops
 from fisherprune.errors import ConfigurationError, DimensionError
-from fisherprune.tensor import Tensor
 
 import oracles
 
@@ -21,42 +20,42 @@ class TestConvForward:
         x = rng.standard_normal((3, 9, 8)).astype(np.float32)
         k = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        got = ops.conv2d_forward(Tensor(x), Tensor(k), b, stride=stride, pad=pad)
+        got = ops.conv2d_forward(x, k, b, stride=stride, pad=pad)
         want = oracles.conv2d_loops(x, k, b, stride=stride, pad=pad)
-        assert got.data.shape == want.shape
-        np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_1x1_kernel(self, rng):
         x = rng.standard_normal((2, 5, 5)).astype(np.float32)
         k = rng.standard_normal((3, 2, 1, 1)).astype(np.float32)
         b = np.zeros(3, dtype=np.float32)
-        got = ops.conv2d_forward(Tensor(x), Tensor(k), b)
+        got = ops.conv2d_forward(x, k, b)
         want = oracles.conv2d_loops(x, k, b)
-        np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
     def test_channel_mismatch_rejected(self, rng):
-        x = Tensor(rng.standard_normal((3, 6, 6)).astype(np.float32))
+        x = rng.standard_normal((3, 6, 6)).astype(np.float32)
         k = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
         with pytest.raises(DimensionError):
-            ops.conv2d_forward(x, Tensor(k), np.zeros(2, dtype=np.float32))
+            ops.conv2d_forward(x, k, np.zeros(2, dtype=np.float32))
 
     def test_bias_mismatch_rejected(self, rng):
-        x = Tensor(rng.standard_normal((3, 6, 6)).astype(np.float32))
+        x = rng.standard_normal((3, 6, 6)).astype(np.float32)
         k = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         with pytest.raises(DimensionError):
-            ops.conv2d_forward(x, Tensor(k), np.zeros(5, dtype=np.float32))
+            ops.conv2d_forward(x, k, np.zeros(5, dtype=np.float32))
 
     def test_kernel_larger_than_input_rejected(self, rng):
-        x = Tensor(rng.standard_normal((1, 4, 4)).astype(np.float32))
+        x = rng.standard_normal((1, 4, 4)).astype(np.float32)
         k = rng.standard_normal((1, 1, 6, 6)).astype(np.float32)
         with pytest.raises(ConfigurationError):
-            ops.conv2d_forward(x, Tensor(k), np.zeros(1, dtype=np.float32))
+            ops.conv2d_forward(x, k, np.zeros(1, dtype=np.float32))
 
     def test_bad_stride_rejected(self, rng):
-        x = Tensor(rng.standard_normal((1, 4, 4)).astype(np.float32))
+        x = rng.standard_normal((1, 4, 4)).astype(np.float32)
         k = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
         with pytest.raises(ConfigurationError):
-            ops.conv2d_forward(x, Tensor(k), np.zeros(1, dtype=np.float32), stride=0)
+            ops.conv2d_forward(x, k, np.zeros(1, dtype=np.float32), stride=0)
 
 
 class TestConvAdjoint:
@@ -66,12 +65,12 @@ class TestConvAdjoint:
             x = rng.standard_normal((3, 8, 8))
             k = rng.standard_normal((5, 3, 3, 3))
             b = np.zeros(5)
-            y = ops.conv2d_forward(Tensor(x.astype(np.float32)), Tensor(k), b,
+            y = ops.conv2d_forward(x.astype(np.float32), k, b,
                                    stride=stride, pad=pad)
-            g = rng.standard_normal(y.data.shape)
+            g = rng.standard_normal(y.shape)
             gx = ops.conv2d_adjoint(g, k, stride=stride, pad=pad,
                                     out_hw=(8, 8))
-            lhs = float(np.sum(y.data.astype(np.float64) * g))
+            lhs = float(np.sum(y.astype(np.float64) * g))
             rhs = float(np.sum(x * gx))
             assert abs(lhs - rhs) <= 1e-4 * (abs(lhs) + 1.0)
 
@@ -81,11 +80,11 @@ class TestConvAdjoint:
         x = rng.standard_normal((2, 8, 7))
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        y = ops.conv2d_forward(Tensor(x), Tensor(k), b, stride=2, pad=1)
+        y = ops.conv2d_forward(x, k, b, stride=2, pad=1)
         np.testing.assert_allclose(
-            y.data, oracles.conv2d_loops(x, k, b, stride=2, pad=1),
+            y, oracles.conv2d_loops(x, k, b, stride=2, pad=1),
             rtol=1e-12, atol=1e-12)
-        g = rng.standard_normal(y.data.shape)
+        g = rng.standard_normal(y.shape)
         gx = ops.conv2d_adjoint(g, k, stride=2, pad=1, out_hw=(8, 7))
         want = oracles.conv2d_adjoint_loops(g, k, 8, 7, stride=2, pad=1)
         assert gx.shape == want.shape == (2, 8, 7)
@@ -113,14 +112,14 @@ class TestConvAdjoint:
 class TestPooling:
     def test_matches_loop_oracle(self, rng):
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
-        got, sw = ops.maxpool_forward(Tensor(x), window=2, stride=2)
+        got, sw = ops.maxpool_forward(x, window=2, stride=2)
         want, widx = oracles.maxpool_loops(x, window=2, stride=2)
-        np.testing.assert_array_equal(got.data, want)
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(sw, widx)
 
     def test_tie_takes_first_occurrence(self):
         x = np.zeros((1, 2, 2), dtype=np.float32)
-        _, sw = ops.maxpool_forward(Tensor(x), window=2, stride=2)
+        _, sw = ops.maxpool_forward(x, window=2, stride=2)
         assert sw[0, 0, 0] == 0
 
     @pytest.mark.parametrize("shape,window,stride", [
@@ -132,9 +131,9 @@ class TestPooling:
     ])
     def test_ties_match_loop_oracle(self, rng, shape, window, stride):
         x = rng.integers(-1, 2, size=shape).astype(np.float32)  # dense ties
-        got, sw = ops.maxpool_forward(Tensor(x), window=window, stride=stride)
+        got, sw = ops.maxpool_forward(x, window=window, stride=stride)
         want, widx = oracles.maxpool_loops(x, window=window, stride=stride)
-        np.testing.assert_array_equal(got.data, want)
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(sw, widx)
 
     def test_nan_window_pools_to_its_first_nan(self):
@@ -143,10 +142,10 @@ class TestPooling:
         x[0, 1, 2] = np.nan  # window (0,1) holds NaN at flat 6 and 3 ...
         x[0, 0, 3] = np.nan  # ... and 3 comes first in scan order
         x[0, 2, 2] = np.nan  # first tap of window (1,1)
-        got, sw = ops.maxpool_forward(Tensor(x), window=2, stride=2)
+        got, sw = ops.maxpool_forward(x, window=2, stride=2)
         np.testing.assert_array_equal(sw[0], [[5, 3], [13, 10]])
-        np.testing.assert_array_equal(got.data[0], [[np.nan, np.nan],
-                                                    [13.0, np.nan]])
+        np.testing.assert_array_equal(got[0], [[np.nan, np.nan],
+                                               [13.0, np.nan]])
 
     @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (3, 1)])
     def test_nan_and_infinities_match_loop_oracle(self, rng, window, stride):
@@ -154,33 +153,33 @@ class TestPooling:
         x[rng.random(x.shape) < 0.15] = np.nan
         x[rng.random(x.shape) < 0.1] = -np.inf
         x[rng.random(x.shape) < 0.05] = np.inf
-        got, sw = ops.maxpool_forward(Tensor(x), window=window, stride=stride)
+        got, sw = ops.maxpool_forward(x, window=window, stride=stride)
         want, widx = oracles.maxpool_loops(x, window=window, stride=stride)
-        np.testing.assert_array_equal(got.data, want)
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(sw, widx)
 
 
 class TestPointwise:
     def test_relu_clamps_negatives(self, rng):
         x = rng.standard_normal((2, 4, 4)).astype(np.float32)
-        y = ops.relu_forward(Tensor(x))
-        assert (y.data >= 0).all()
-        np.testing.assert_array_equal(y.data, np.maximum(x, 0))
+        y = ops.relu_forward(x)
+        assert (y >= 0).all()
+        np.testing.assert_array_equal(y, np.maximum(x, 0))
 
     def test_dense(self, rng):
         x = rng.standard_normal(6).astype(np.float32)
         w = rng.standard_normal((4, 6)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        y = ops.dense_forward(Tensor(x), Tensor(w), b)
-        np.testing.assert_allclose(y.data, w @ x + b, rtol=1e-6)
+        y = ops.dense_forward(x, w, b)
+        np.testing.assert_allclose(y, w @ x + b, rtol=1e-6)
 
     def test_softmax_sums_to_one_and_is_shift_invariant(self, rng):
         z = rng.standard_normal(5)
-        p = ops.softmax(Tensor(z))
-        assert abs(p.data.sum() - 1.0) < 1e-6
-        p2 = ops.softmax(Tensor(z + 1000.0))
-        np.testing.assert_allclose(p.data, p2.data, atol=1e-9)
+        p = ops.softmax(z)
+        assert abs(p.sum() - 1.0) < 1e-6
+        p2 = ops.softmax(z + 1000.0)
+        np.testing.assert_allclose(p, p2, atol=1e-9)
 
     def test_softmax_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
-            ops.softmax(Tensor(np.array([1.0, np.nan], dtype=np.float32)))
+            ops.softmax(np.array([1.0, np.nan], dtype=np.float32))

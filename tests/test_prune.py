@@ -8,11 +8,12 @@ import pytest
 from fisherprune.data import generate_synthetic, images_labels
 from fisherprune.deconv import DependencyTable, dependency_scores
 from fisherprune.errors import ConfigurationError, DimensionError
-from fisherprune.network import build_cnn, forward
+from fisherprune import ops
+from fisherprune.network import build_cnn, forward, logits
 from fisherprune.prune import (
-    apply_prune, build_prune_plan, equivalence_check, identity_plan,
-    magnitude_baseline, magnitude_mask, masked_forward, masked_logits,
-    plateau_threshold_search, pruned_logits,
+    PrunePlan, apply_prune, build_prune_plan, equivalence_check,
+    identity_plan, magnitude_baseline, magnitude_mask, masked_forward,
+    plateau_threshold_search,
 )
 from fisherprune.tensor import Tensor
 from fisherprune.train import TrainConfig, accuracy
@@ -23,6 +24,32 @@ def toy_table():
         scores={0: np.array([0.9, 0.2, 0.6]), 3: np.array([1.0, 1.0, 0.0, 0.0])},
         selected=np.array([1, 2]), n_images=1,
     )
+
+
+def masked_reference(net, plan, x):
+    """Every layer's output, applying the ops one layer at a time and
+    zeroing the dropped channels right after each conv's relu."""
+    cur, acts = x.data, []
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "conv":
+            cur = ops.conv2d_forward(cur, layer.weights, layer.bias,
+                                     stride=layer.stride, pad=layer.pad)
+        elif layer.kind == "relu":
+            cur = ops.relu_forward(cur)
+            if net.layers[i - 1].kind == "conv":
+                mask = np.zeros(cur.shape[0], dtype=np.float32)
+                mask[plan.keep[i - 1]] = 1.0
+                cur = cur * mask[:, None, None]
+        elif layer.kind == "maxpool":
+            cur, _ = ops.maxpool_forward(cur, layer.window, layer.stride)
+        elif layer.kind == "flatten":
+            cur = cur.reshape(-1)
+        elif layer.kind == "dense":
+            cur = ops.dense_forward(cur, layer.weights, layer.bias)
+        else:
+            cur = ops.softmax(cur)
+        acts.append(cur)
+    return acts
 
 
 def toy_net(seed=13):
@@ -127,9 +154,34 @@ class TestMaskedSemantics:
         net = toy_net()
         plan = build_prune_plan(toy_table(), [1, 2], 0.5)
         x = Tensor(np.random.default_rng(3).random((1, 8, 8)).astype(np.float32))
-        ref = masked_logits(net, plan, x)
-        got = pruned_logits(apply_prune(net, plan), x)
+        ref = masked_forward(net, plan, x)[1][-2]
+        got = logits(apply_prune(net, plan), x).data
         np.testing.assert_allclose(got, ref, atol=1e-6)
+
+    def test_identity_plan_is_the_plain_forward(self):
+        net = toy_net()
+        x = Tensor(np.random.default_rng(4).random((1, 8, 8)).astype(np.float32))
+        out, acts = masked_forward(net, identity_plan(net), x)
+        want, rec = forward(net, x, record=True)
+        np.testing.assert_array_equal(out.data, want.data)
+        assert len(acts) == len(rec.activations)
+        for got, ref in zip(acts, rec.activations):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_matches_layer_by_layer_masking(self):
+        net = toy_net()
+        rng = np.random.default_rng(5)
+        plans = [build_prune_plan(toy_table(), [1, 2], 0.5),
+                 PrunePlan(keep={0: np.array([1]), 3: np.array([0, 3])},
+                           threshold=0.0)]
+        for plan in plans:
+            x = Tensor(rng.random((1, 8, 8)).astype(np.float32))
+            out, acts = masked_forward(net, plan, x)
+            want = masked_reference(net, plan, x)
+            assert len(acts) == len(want)
+            for got, ref in zip(acts, want):
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(out.data, want[-1])
 
 
 class TestPlateauSearch:
