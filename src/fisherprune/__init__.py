@@ -15,6 +15,7 @@ from .errors import (
     HeaderSchemaError,
     ModelFormatError,
     NonFiniteError,
+    NonFiniteWeightsError,
     ShapeChainError,
     TrainingDiverged,
     TruncatedBlobError,

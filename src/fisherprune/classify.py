@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, HeaderSchemaError
 
 
 @dataclass
@@ -305,31 +305,44 @@ def to_arrays(model):
                         "alpha": model.alpha}}
 
 
+def _field(mapping, key, what):
+    """mapping[key]; HeaderSchemaError naming the field when it is absent."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise HeaderSchemaError(f"classifier {what} {key!r} is missing")
+    return mapping[key]
+
+
 def from_arrays(section):
-    """Rebuild a classifier from a loaded auxiliary section."""
-    kind = section["kind"]
-    t = section["tensors"]
+    """Rebuild a classifier from a loaded auxiliary section.
+
+    A missing kind, meta entry or tensor raises HeaderSchemaError naming it.
+    """
+    kind = _field(section, "kind", "section")
+    t = _field(section, "tensors", "section")
     meta = section.get("meta", {})
+
+    def tensor(name):
+        return np.asarray(_field(t, name, "tensor"), dtype=np.float64)
+
+    def number(key):
+        return float(_field(meta, key, "meta"))
+
     if kind == "qda":
-        cov = np.asarray(t["cov"], dtype=np.float64)
+        cov = tensor("cov")
         chol = np.linalg.cholesky(cov)
         logdet = np.array([2.0 * np.log(np.diag(chol[i])).sum() for i in (0, 1)])
-        return QdaModel(means=np.asarray(t["means"], dtype=np.float64),
-                        cov=cov, chol=chol, logdet=logdet,
-                        logprior=np.asarray(t["logprior"], dtype=np.float64),
+        return QdaModel(means=tensor("means"), cov=cov, chol=chol, logdet=logdet,
+                        logprior=tensor("logprior"),
                         lam=float(meta.get("lam", 0.0)))
     if kind == "svml":
-        return SvmModel(kind="linear", c=float(meta["c"]),
-                        w=np.asarray(t["w"], dtype=np.float64),
-                        b=float(meta["b"]),
+        return SvmModel(kind="linear", c=number("c"), w=tensor("w"),
+                        b=number("b"),
                         iterations=int(meta.get("iterations", 0)),
                         seed=int(meta.get("seed", 0)))
     if kind == "svmr":
-        return SvmModel(kind="rbf", c=float(meta["c"]), b=float(meta["b"]),
-                        sv_x=np.asarray(t["sv_x"], dtype=np.float64),
-                        sv_y=np.asarray(t["sv_y"], dtype=np.float64),
-                        alpha=np.asarray(t["alpha"], dtype=np.float64),
-                        gamma=float(meta["gamma"]),
+        return SvmModel(kind="rbf", c=number("c"), b=number("b"),
+                        sv_x=tensor("sv_x"), sv_y=tensor("sv_y"),
+                        alpha=tensor("alpha"), gamma=number("gamma"),
                         iterations=int(meta.get("iterations", 0)),
                         converged=bool(meta.get("converged", True)))
     raise ConfigurationError(f"unknown classifier kind {kind!r}")

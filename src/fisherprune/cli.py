@@ -283,6 +283,8 @@ def cmd_sweep(args):
 def cmd_eval(args):
     os.makedirs(args.out, exist_ok=True)
     net, info = modelio.load_model(args.model)
+    if info["classifier"] is not None:
+        classify.from_arrays(info["classifier"])  # refuse a malformed stored head
     split = _load_dataset(args.dataset, args.seed, args.n_per_class)
     te_imgs, te_labels = images_labels(split.test)
     rows = []

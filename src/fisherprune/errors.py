@@ -35,3 +35,7 @@ class ShapeChainError(ModelFormatError):
 
 class HeaderSchemaError(ModelFormatError):
     """A header field is missing or has the wrong type."""
+
+
+class NonFiniteWeightsError(ModelFormatError):
+    """A stored tensor holds NaN or infinity."""

@@ -10,8 +10,9 @@ Layout on disk:
     blob          all tensors back to back, little-endian float32
 
 Load failures are told apart: a wrong magic, a blob shorter than the
-directory demands, a header field that is missing or mistyped, and a
-layer chain whose shapes do not compose each raise their own error type.
+directory demands, a header field that is missing or mistyped, a tensor
+holding NaN or infinity, and a layer chain whose shapes do not compose
+each raise their own error type.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import struct
 import numpy as np
 
 from .errors import (
-    BadMagicError, HeaderSchemaError, ShapeChainError, TruncatedBlobError,
+    BadMagicError, HeaderSchemaError, NonFiniteWeightsError, ShapeChainError,
+    TruncatedBlobError,
 )
 from .network import LayerSpec, Network
 
@@ -119,6 +121,8 @@ def _read_tensor(blob, directory, name):
             f"tensor {name!r} needs bytes [{start},{end}) but blob has {len(blob)}"
         )
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
+    if not np.isfinite(arr).all():
+        raise NonFiniteWeightsError(f"tensor {name!r} holds NaN or infinity")
     return arr.reshape(a if (a := shape) else ()).copy()
 
 
@@ -136,7 +140,7 @@ def load_model(path):
     Returns (net, info) where info carries the provenance dict and, when
     present, the classifier section with its tensors materialized.
     Raises BadMagicError / TruncatedBlobError / HeaderSchemaError /
-    ShapeChainError on the corresponding defects.
+    NonFiniteWeightsError / ShapeChainError on the corresponding defects.
     """
     with open(path, "rb") as fh:
         data = fh.read()

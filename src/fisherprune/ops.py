@@ -3,13 +3,21 @@
 All ops are pure functions on plain ndarrays: feature maps are (C,H,W),
 conv kernels (O,C,kh,kw), dense weights (m,n). Dot products accumulate in
 float64 and results are cast back to the input dtype, so float32 models
-produce reproducible sums. Convolutions unroll their input channel-major:
-the im2col matrix is (C*kh*kw, OH*OW), row (c, i, j) holding the input
-pixel under kernel tap (i, j) of channel c for every output position in
-row-major order. With the kernel flattened to (O, C*kh*kw), the forward
-pass is one GEMM whose result is already (O, OH, OW), and the weight
-gradient and the adjoint are GEMMs on the same layout with no transposing
-copies.
+produce reproducible sums.
+
+Convolutions unroll their input in row runs. The map is zero-padded into a
+float64 grid of Hp x Wp cells per channel, with zero rows of slack below.
+The unrolled matrix is (C*kh*kw, OH*Wp): row (c, i, j) is one run through
+the grid that starts at tap (i, j) of channel c and steps by the stride,
+and column y*Wp + x holds that tap for output position (y, x). Columns with
+x >= OW fall off the right edge of the windows (they read on into the next
+grid row, or the slack), so each kernel drops them when it crops its result
+to (.., OH, OW). With the kernel flattened to (O, C*kh*kw), the forward
+pass is one GEMM. The weight gradient is one GEMM against the output
+gradient spread onto the same (OH, Wp) layout, with zeros in the dropped
+columns. The adjoint is a stride-1 correlation of the flipped,
+channel-transposed kernel with the output gradient, spread onto the stride
+grid behind kh-1 and kw-1 zeros: one GEMM with inner dimension O*kh*kw.
 
 Max-pooling returns the winning flat input index per output cell
 ("switches"). The winner is the first cell in window scan order (row-major)
@@ -23,7 +31,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DimensionError, NonFiniteError
 
@@ -35,25 +42,34 @@ def conv_output_hw(h, w, kh, kw, stride, pad):
     return oh, ow
 
 
-def _window_views(x, kh, kw, stride, oh, ow):
-    """Strided view (C, kh, kw, OH, OW): [c, i, j] is tap (i, j) at every output."""
-    sc, sh, sw = x.strides
-    return as_strided(
-        x,
-        shape=(x.shape[0], kh, kw, oh, ow),
-        strides=(sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
+def _span(top, spread, n, size):
+    """(source, grid) slices for n cells set at top + spread*k on a size-cell axis.
+
+    Cells that would land off the axis are dropped.
+    """
+    lo = max(0, -(top // spread))
+    hi = max(lo, min(n, -((top - size) // spread)))
+    return slice(lo, hi), slice(top + spread * lo, top + spread * hi, spread)
 
 
-def _im2col(x, kh, kw, stride, pad):
-    """(C,H,W) -> float64 matrix (C*kh*kw, OH*OW) of window contents."""
-    c, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, pad:pad + h, pad:pad + w] = x
-    cols = _window_views(xp, kh, kw, stride, oh, ow).reshape(c * kh * kw, oh * ow)
-    return cols, oh, ow
+def _unroll(x, kh, kw, stride, hp, wp, rows, cols):
+    """Row-run unroll of x set into a zero float64 grid of (C, hp, wp) cells.
+
+    x fills the grid cells [:, rows, cols]. Returns the (C*kh*kw, oh*wp)
+    matrix, oh = (hp - kh) // stride + 1, whose row (c, i, j) holds cell
+    (y*stride + i, z*stride + j) of channel c at column y*wp + z. Columns
+    with z past the last window read on into the next row; callers drop
+    them. Zero rows below each channel's grid hold the tail of its runs.
+    """
+    c = x.shape[0]
+    oh = (hp - kh) // stride + 1
+    n = oh * wp
+    depth = max(hp, -(-((kh - 1) * wp + kw + stride * (n - 1)) // wp))
+    grid = np.zeros((c, depth, wp))
+    grid[:, rows, cols] = x
+    runs = np.ndarray((c, kh, kw, n), np.float64, grid, 0,
+                      (depth * wp * 8, wp * 8, 8, stride * 8))
+    return runs.reshape(c * kh * kw, n)
 
 
 def conv2d_forward(input, kernel, bias, stride=1, pad=0):
@@ -85,11 +101,13 @@ def conv2d_forward(input, kernel, bias, stride=1, pad=0):
             f"conv of {h}x{w} with kernel {kh}x{kw} stride {stride} pad {pad} "
             f"produces empty output {oh}x{ow}"
         )
-    cols, _, _ = _im2col(input, kh, kw, stride, pad)
+    wp = w + 2 * pad
+    cols = _unroll(input, kh, kw, stride, h + 2 * pad, wp,
+                   slice(pad, pad + h), slice(pad, pad + w))
     k2 = kernel.reshape(o, c * kh * kw).astype(np.float64)
     out = k2 @ cols
     out += b[:, None]
-    return out.reshape(o, oh, ow).astype(input.dtype)
+    return out.reshape(o, oh, wp)[:, :, :ow].astype(input.dtype)
 
 
 def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
@@ -119,26 +137,33 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
             )
     if h < 1 or w < 1:
         raise DimensionError(f"adjoint output {h}x{w} is empty")
-    g2 = gout.reshape(o, oh * ow).astype(np.float64)
-    k2 = kern.reshape(o, c * kh * kw).astype(np.float64)
-    cols = (k2.T @ g2).reshape(c, kh, kw, oh, ow)
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i:i + (oh - 1) * stride + 1:stride,
-               j:j + (ow - 1) * stride + 1:stride] += cols[:, i, j]
-    out = xp[:, pad:pad + h, pad:pad + w]
-    return out.astype(gout.dtype)
+    # input cell (u, v) sums gout[o, y, x] * kernel[o, c, u+pad-y*stride,
+    # v+pad-x*stride]: gout spread onto the stride grid behind kh-1 / kw-1
+    # zeros, correlated with the flipped kernel over the input window only
+    hg, wg = h + kh - 1, w + kw - 1
+    rs, rg = _span(kh - 1 - pad, stride, oh, hg)
+    cs, cg = _span(kw - 1 - pad, stride, ow, wg)
+    cols = _unroll(gout[:, rs, cs], kh, kw, 1, hg, wg, rg, cg)
+    flipped = np.ascontiguousarray(
+        kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dtype=np.float64)
+    out = flipped.reshape(c, o * kh * kw) @ cols
+    return out.reshape(c, h, wg)[:, :, :w].astype(gout.dtype)
 
 
 def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
     """Weight and bias gradients for conv2d_forward."""
-    c = x.shape[0]
+    c, h, w = x.shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    if gout.ndim != 3 or gout.shape[1:] != (oh, ow):
+        raise DimensionError(f"gradient must be (O,{oh},{ow}), got {gout.shape}")
     o = gout.shape[0]
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
-    g2 = gout.reshape(o, oh * ow).astype(np.float64)
-    dw = (g2 @ cols.T).reshape(o, c, kh, kw)
-    db = g2.sum(axis=1)
+    wp = w + 2 * pad
+    cols = _unroll(x, kh, kw, stride, h + 2 * pad, wp,
+                   slice(pad, pad + h), slice(pad, pad + w))
+    spread = np.zeros((o, oh, wp))
+    spread[:, :, :ow] = gout
+    dw = (spread.reshape(o, oh * wp) @ cols.T).reshape(o, c, kh, kw)
+    db = np.asarray(gout, dtype=np.float64).reshape(o, oh * ow).sum(axis=1)
     return dw.astype(x.dtype), db.astype(x.dtype)
 
 
@@ -148,23 +173,26 @@ def relu_forward(input):
 
 @functools.lru_cache(maxsize=64)
 def _pool_index(c, h, w, window, stride):
-    """Read-only index tables for the switches of one pool geometry.
+    """Read-only tables that turn window hits into switches, per pool geometry.
 
-    base[c, y, x] is the flat input index of window (y, x)'s top-left cell,
-    offset[t] the flat step from there to tap t in scan order, and
-    rank[t] = window*window - t, so the largest rank among hits marks the
-    first hit.
+    Tap t of a window (scan order) lies offset[t] = (t // window)*w +
+    t % window cells past the window's top-left cell. weight[t] is span -
+    offset[t], with span one past the last offset, so the largest weight
+    among a window's hits marks its first hit. end[c, y, x] is the flat
+    index of window (y, x)'s top-left cell plus span, so a window's switch
+    is end minus its largest hit weight.
     """
     oh, ow = conv_output_hw(h, w, window, window, stride, 0)
-    base = (np.arange(c)[:, None, None] * (h * w)
-            + np.arange(oh)[None, :, None] * (stride * w)
-            + np.arange(ow)[None, None, :] * stride)
     taps = np.arange(window * window)
     offset = (taps // window) * w + taps % window
-    rank = (taps.size - taps).astype(np.min_scalar_type(taps.size))
-    for table in (base, offset, rank):
+    span = int(offset[-1]) + 1
+    weight = (span - offset).astype(np.min_scalar_type(span)).reshape(-1, 1, 1, 1)
+    end = (np.arange(c)[:, None, None] * (h * w)
+           + np.arange(oh)[None, :, None] * (stride * w)
+           + np.arange(ow)[None, None, :] * stride + span)
+    for table in (weight, end):
         table.flags.writeable = False
-    return base, offset, rank
+    return weight, end
 
 
 def maxpool_forward(input, window, stride):
@@ -184,15 +212,20 @@ def maxpool_forward(input, window, stride):
     oh, ow = conv_output_hw(h, w, window, window, stride, 0)
     if oh < 1 or ow < 1:
         raise ConfigurationError("pooling produces empty output")
-    k = window * window
-    taps = _window_views(input, window, window, stride, oh, ow).transpose(
-        1, 2, 0, 3, 4).reshape(k, c, oh, ow)
-    base, offset, rank = _pool_index(c, h, w, window, stride)
-    hit = taps == taps.max(axis=0)  # the max propagates NaN
-    hit |= taps != taps  # so a NaN tap is a hit exactly in NaN windows
-    first = k - (hit * rank[:, None, None, None]).max(axis=0)
-    switches = base + offset[first]
-    return input.take(switches), switches
+    x = np.ascontiguousarray(input)
+    item = x.itemsize
+    taps = np.ndarray(
+        (window, window, c, oh, ow), x.dtype, x, 0,
+        (w * item, item, h * w * item, stride * w * item, stride * item),
+    ).reshape(window * window, c, oh, ow)
+    weight, end = _pool_index(c, h, w, window, stride)
+    top = taps.max(axis=0)  # the max propagates NaN
+    hit = taps == top
+    peak = top.max()
+    if peak != peak:  # a NaN tap is a hit exactly in NaN windows
+        hit |= taps != taps
+    switches = end - (hit * weight).max(axis=0)
+    return x.take(switches), switches
 
 
 def dense_forward(input, weights, bias):
@@ -215,9 +248,9 @@ def softmax(x):
     """Numerically stable softmax (max subtraction)."""
     if x.ndim != 1:
         raise DimensionError(f"softmax input must be a vector, got {x.shape}")
-    if np.isnan(x).any():
-        raise NonFiniteError("softmax input contains NaN")
     z = x.astype(np.float64)
-    z = z - z.max()
-    e = np.exp(z)
+    top = z.max()  # NaN exactly when x holds one
+    if top != top:
+        raise NonFiniteError("softmax input contains NaN")
+    e = np.exp(z - top)
     return (e / e.sum()).astype(x.dtype)

@@ -98,11 +98,22 @@ def identity_plan(net: Network) -> PrunePlan:
     return PrunePlan(keep=keep, threshold=0.0)
 
 
-def apply_prune(net: Network, plan: PrunePlan) -> Network:
-    """Slice the network down to the plan's keep-lists, values untouched."""
+def _check_plan(net: Network, plan: PrunePlan):
+    """DimensionError unless the plan keeps 1..O valid filters of every conv."""
     conv_idx = net.conv_indices()
     if sorted(plan.keep) != conv_idx:
         raise DimensionError("plan layers do not match the model's conv layers")
+    for i in conv_idx:
+        kept = np.asarray(plan.keep[i], dtype=np.int64)
+        o = net.layers[i].weights.shape[0]
+        if kept.size == 0 or kept.min() < 0 or kept.max() >= o:
+            raise DimensionError(f"layer {i}: keep-list out of range for {o} filters")
+    return conv_idx
+
+
+def apply_prune(net: Network, plan: PrunePlan) -> Network:
+    """Slice the network down to the plan's keep-lists, values untouched."""
+    conv_idx = _check_plan(net, plan)
     shapes = net.infer_shapes()
     out = net.copy()
     in_keep = None
@@ -112,9 +123,6 @@ def apply_prune(net: Network, plan: PrunePlan) -> Network:
     for i, layer in enumerate(out.layers):
         if layer.kind == "conv":
             kept = np.asarray(plan.keep[i], dtype=np.int64)
-            o = layer.weights.shape[0]
-            if kept.size == 0 or kept.min() < 0 or kept.max() >= o:
-                raise DimensionError(f"layer {i}: keep-list out of range for {o} filters")
             w = layer.weights[kept]
             if in_keep is not None:
                 w = w[:, in_keep, :, :]
@@ -142,9 +150,10 @@ def masked_forward(net: Network, plan: PrunePlan, image):
     Returns (output, list of post-mask activations per layer). Channels
     missing from a conv's keep-list are forced to zero right after that
     conv's relu, so downstream layers see exactly what the pruned net sees.
+    A plan that does not fit the net raises DimensionError, as in apply_prune.
     """
     masks = {}
-    for i in net.conv_indices():
+    for i in _check_plan(net, plan):
         m = np.zeros(net.layers[i].weights.shape[0], dtype=np.float32)
         m[np.asarray(plan.keep[i], dtype=np.int64)] = 1.0
         masks[i + 1] = m[:, None, None]

@@ -122,11 +122,18 @@ def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
             layer = net.layers[li]
             if grad_mask is not None and li in grad_mask:
                 dw = dw * grad_mask[li]
-            vw, vb = velocity.setdefault(
-                li, (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            )
-            vw[...] = momentum * vw - lr * (dw + weight_decay * layer.weights)
-            vb[...] = momentum * vb - lr * db
+            if li not in velocity:
+                velocity[li] = (np.zeros_like(layer.weights),
+                                np.zeros_like(layer.bias))
+            vw, vb = velocity[li]
+            # v = m*v - lr*(dw + wd*w), in place and in the same float32 order
+            step = weight_decay * layer.weights
+            step += dw
+            step *= lr
+            vw *= momentum
+            vw -= step
+            vb *= momentum
+            vb -= lr * db
             layer.weights += vw
             layer.bias += vb
             if grad_mask is not None and li in grad_mask:

@@ -1,8 +1,9 @@
 """Slow, obviously-correct reference implementations used as oracles.
 
 Everything here is written the dumb way on purpose: quadruple loops,
-two-pass statistics, exhaustive searches. Nothing from the package under
-test is imported.
+two-pass statistics, exhaustive searches. The im2col / col2im conv kernels
+are the package's earlier GEMM implementations, kept as references for the
+ones that replaced them. Nothing from the package under test is imported.
 """
 
 import numpy as np
@@ -66,6 +67,54 @@ def conv2d_adjoint_loops(gout, kernel, h, w, stride=1, pad=0):
                             padded[ci, i * stride + u, j * stride + v] += (
                                 gout[f, i, j] * kernel[f, ci, u, v]
                             )
+    return padded[:, pad:pad + h, pad:pad + w]
+
+
+def im2col_channel_major(x, kh, kw, stride=1, pad=0):
+    """(C,H,W) -> float64 (C*kh*kw, OH*OW): row (c, i, j) holds tap (i, j)
+    of channel c for every output position, copied from a strided view."""
+    c, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    padded[:, pad:pad + h, pad:pad + w] = x
+    sc, sh, sw = padded.strides
+    view = np.lib.stride_tricks.as_strided(
+        padded, shape=(c, kh, kw, oh, ow),
+        strides=(sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return view.reshape(c * kh * kw, oh * ow), oh, ow
+
+
+def conv2d_im2col(x, kernel, bias, stride=1, pad=0):
+    """Convolution as one GEMM over the channel-major im2col matrix."""
+    o, c, kh, kw = kernel.shape
+    cols, oh, ow = im2col_channel_major(x, kh, kw, stride, pad)
+    out = kernel.reshape(o, c * kh * kw).astype(np.float64) @ cols
+    out += np.asarray(bias, dtype=np.float64)[:, None]
+    return out.reshape(o, oh, ow)
+
+
+def conv2d_param_grads_im2col(x, gout, kh, kw, stride=1, pad=0):
+    """Weight and bias gradients as GEMMs over the channel-major im2col matrix."""
+    c = x.shape[0]
+    o = gout.shape[0]
+    cols, oh, ow = im2col_channel_major(x, kh, kw, stride, pad)
+    g2 = gout.reshape(o, oh * ow).astype(np.float64)
+    return (g2 @ cols.T).reshape(o, c, kh, kw), g2.sum(axis=1)
+
+
+def conv2d_adjoint_col2im(gout, kernel, h, w, stride=1, pad=0):
+    """Adjoint as kernel.T @ gout, scattered back with one strided add per tap."""
+    o, oh, ow = gout.shape
+    _, c, kh, kw = kernel.shape
+    g2 = gout.reshape(o, oh * ow).astype(np.float64)
+    k2 = kernel.reshape(o, c * kh * kw).astype(np.float64)
+    cols = (k2.T @ g2).reshape(c, kh, kw, oh, ow)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, i:i + (oh - 1) * stride + 1:stride,
+                   j:j + (ow - 1) * stride + 1:stride] += cols[:, i, j]
     return padded[:, pad:pad + h, pad:pad + w]
 
 

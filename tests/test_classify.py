@@ -7,7 +7,7 @@ from fisherprune.classify import (
     evaluate_accuracy, from_arrays, linear_svm_fit, qda_fit, qda_predict,
     rbf_svm_fit, svm_decision, svm_objective, svm_predict, to_arrays,
 )
-from fisherprune.errors import ConfigurationError, DimensionError
+from fisherprune.errors import ConfigurationError, DimensionError, HeaderSchemaError
 
 import oracles
 
@@ -196,3 +196,33 @@ class TestSerialization:
             else:
                 assert svm_decision(rebuilt, row) == pytest.approx(
                     svm_decision(model, row), rel=1e-12)
+
+    @pytest.mark.parametrize("drop,field", [
+        (("kind",), "section 'kind'"),
+        (("tensors",), "section 'tensors'"),
+        (("meta", "c"), "meta 'c'"),
+        (("meta", "b"), "meta 'b'"),
+        (("meta", "gamma"), "meta 'gamma'"),
+        (("tensors", "sv_x"), "tensor 'sv_x'"),
+        (("tensors", "alpha"), "tensor 'alpha'"),
+    ])
+    def test_missing_field_is_a_schema_error(self, drop, field):
+        x, _, ypm = blobs(seed=6)
+        section = to_arrays(rbf_svm_fit(x, ypm, c=1.0))
+        where = section
+        for key in drop[:-1]:
+            where = where[key]
+        del where[drop[-1]]
+        with pytest.raises(HeaderSchemaError, match=field):
+            from_arrays(section)
+
+    @pytest.mark.parametrize("kind,drop", [
+        ("qda", "cov"), ("qda", "means"), ("qda", "logprior"), ("svml", "w"),
+    ])
+    def test_missing_tensor_of_each_kind(self, kind, drop):
+        x, y01, ypm = blobs(seed=6)
+        model = qda_fit(x, y01) if kind == "qda" else linear_svm_fit(x, ypm)
+        section = to_arrays(model)
+        del section["tensors"][drop]
+        with pytest.raises(HeaderSchemaError, match=f"tensor '{drop}'"):
+            from_arrays(section)

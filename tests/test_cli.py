@@ -4,6 +4,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fisherprune.bench import blas_pinned
@@ -11,7 +12,7 @@ from fisherprune.cli import main
 from fisherprune.modelio import load_model, save_model
 from fisherprune.network import build_cnn
 
-from test_modelio import rewrite_header
+from test_modelio import poke_tensor, rewrite_header
 
 
 def read_csv(path):
@@ -198,6 +199,42 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert err.startswith("error: ShapeChainError:")
         assert message in err
+        assert err.count("\n") == 1
+
+    def test_non_finite_weights(self, tmp_path, capsys):
+        model = tmp_path / "broken.ldap1"
+        save_model(build_cnn((1, 8, 8), [(2, 3, 1, True)], [], 2), str(model))
+        poke_tensor(model, "layer0.weights", 3, float("nan"))
+        rc = main(["extract", "--out", str(tmp_path), "--model", str(model)]
+                  + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteWeightsError:")
+        assert "'layer0.weights'" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("head,field", [
+        ({"kind": "qda", "meta": {"lam": 0.001},
+          "tensors": {"means": np.ones((2, 3)), "logprior": np.zeros(2)}},
+         "tensor 'cov'"),
+        ({"kind": "svml", "meta": {"b": 0.0}, "tensors": {"w": np.ones(3)}},
+         "meta 'c'"),
+        ({"kind": "svmr", "meta": {"c": 1.0, "b": 0.0},
+          "tensors": {"sv_x": np.ones((1, 3)), "sv_y": np.ones(1),
+                      "alpha": np.ones(1)}},
+         "meta 'gamma'"),
+    ], ids=["qda_without_cov", "svml_without_c", "svmr_without_gamma"])
+    def test_eval_rejects_a_malformed_stored_head(self, tmp_path, capsys,
+                                                  head, field):
+        model = tmp_path / "broken.ldap1"
+        save_model(build_cnn((1, 8, 8), [(2, 3, 1, True)], [], 2), str(model),
+                   classifier=head)
+        rc = main(["eval", "--out", str(tmp_path), "--model", str(model)]
+                  + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: HeaderSchemaError:")
+        assert field in err
         assert err.count("\n") == 1
 
     def test_bad_grid_spec(self, piperun, tmp_path, capsys):

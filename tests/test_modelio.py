@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fisherprune.errors import (
-    BadMagicError, HeaderSchemaError, ShapeChainError, TruncatedBlobError,
+    BadMagicError, HeaderSchemaError, ModelFormatError, NonFiniteWeightsError,
+    ShapeChainError, TruncatedBlobError,
 )
 from fisherprune.modelio import (
     MAGIC, load_model, model_param_count, save_model,
@@ -164,3 +165,36 @@ class TestDefects:
         rewrite_header(saved, mutate)
         with pytest.raises(HeaderSchemaError, match=message):
             load_model(str(saved))
+
+
+def poke_tensor(path, name, index, value):
+    """Overwrite one float32 of a stored tensor in place."""
+    data = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(data[start:start + hlen])
+    at = start + hlen + header["tensors"][name]["offset"] + 4 * index
+    struct.pack_into("<f", data, at, value)
+    path.write_bytes(bytes(data))
+
+
+class TestNonFiniteTensors:
+    @pytest.mark.parametrize("name,index,value", [
+        ("layer0.weights", 4, float("nan")),
+        ("layer0.bias", 1, float("inf")),
+        ("layer6.weights", 0, float("-inf")),
+    ])
+    def test_rejected_naming_the_tensor(self, saved, name, index, value):
+        poke_tensor(saved, name, index, value)
+        with pytest.raises(NonFiniteWeightsError, match=repr(name)):
+            load_model(str(saved))
+        assert issubclass(NonFiniteWeightsError, ModelFormatError)
+
+    def test_classifier_tensors_checked_too(self, net, tmp_path):
+        path = tmp_path / "with_head.ldap1"
+        means = np.ones((2, 4), dtype=np.float32)
+        means[1, 2] = np.nan
+        save_model(net, str(path), classifier={
+            "kind": "qda", "meta": {}, "tensors": {"means": means}})
+        with pytest.raises(NonFiniteWeightsError, match="classifier.means"):
+            load_model(str(path))

@@ -100,6 +100,12 @@ class TestConvAdjoint:
         np.testing.assert_allclose(dw, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(db, g.sum(axis=(1, 2)), rtol=1e-12)
 
+    def test_param_grads_reject_a_gradient_of_the_wrong_extent(self, rng):
+        x = rng.standard_normal((2, 6, 6))
+        for bad in [(3, 4, 3), (3, 3, 4), (3, 16)]:
+            with pytest.raises(DimensionError, match="gradient must be"):
+                ops.conv2d_param_grads(x, np.ones(bad), 3, 3, stride=1, pad=0)
+
     def test_param_grads_shapes(self, rng):
         x = rng.standard_normal((2, 6, 6))
         g = rng.standard_normal((3, 4, 4))
@@ -107,6 +113,116 @@ class TestConvAdjoint:
         assert dw.shape == (3, 2, 3, 3)
         assert db.shape == (3,)
         np.testing.assert_allclose(db, g.sum(axis=(1, 2)))
+
+
+KERNELS = [(1, 1), (3, 3), (5, 5), (2, 3)]
+EXTENTS = [(5, 7), (6, 5), (7, 8), (8, 6), (9, 11)]
+
+
+def geometries(stride, kh, kw):
+    """(pad, h, w) from pad 0 up past the kernel over odd, non-square extents.
+
+    At stride 1 every last window ends on the padded grid's last row; at
+    larger strides some extents end there and the rest drop trailing rows.
+    """
+    for pad in sorted({0, 1, 2, max(kh, kw), max(kh, kw) + 1}):
+        for h, w in EXTENTS:
+            if h + 2 * pad >= kh and w + 2 * pad >= kw:
+                yield pad, h, w
+
+
+def assert_reference_close(got, want):
+    """rtol 1e-12, relative to the entry or, where terms cancel, to the array."""
+    scale = float(np.abs(want).max()) if want.size else 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestRowRunKernelsMatchIm2col:
+    """The row-run kernels against the channel-major im2col / col2im ones."""
+
+    def test_grid_covers_windows_ending_on_the_last_row(self):
+        for stride in (2, 3):
+            for kh, kw in KERNELS:
+                ends = {(h + 2 * pad - kh) % stride == 0
+                        for pad, h, _ in geometries(stride, kh, kw)}
+                assert ends == {True, False}
+
+    @pytest.mark.parametrize("kh,kw", KERNELS)
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_forward(self, rng, stride, kh, kw):
+        for pad, h, w in geometries(stride, kh, kw):
+            x = rng.standard_normal((3, h, w))
+            k = rng.standard_normal((4, 3, kh, kw))
+            b = rng.standard_normal(4)
+            got = ops.conv2d_forward(x, k, b, stride=stride, pad=pad)
+            want = oracles.conv2d_im2col(x, k, b, stride=stride, pad=pad)
+            assert got.shape == want.shape
+            assert_reference_close(got, want)
+
+    @pytest.mark.parametrize("kh,kw", KERNELS)
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_param_grads(self, rng, stride, kh, kw):
+        for pad, h, w in geometries(stride, kh, kw):
+            x = rng.standard_normal((3, h, w))
+            oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)
+            g = rng.standard_normal((4, oh, ow))
+            dw, db = ops.conv2d_param_grads(x, g, kh, kw, stride=stride, pad=pad)
+            want_dw, want_db = oracles.conv2d_param_grads_im2col(
+                x, g, kh, kw, stride=stride, pad=pad)
+            assert dw.shape == want_dw.shape
+            assert_reference_close(dw, want_dw)
+            assert_reference_close(db, want_db)
+
+    @pytest.mark.parametrize("kh,kw", KERNELS)
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_adjoint(self, rng, stride, kh, kw):
+        for pad, h, w in geometries(stride, kh, kw):
+            k = rng.standard_normal((4, 3, kh, kw))
+            oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)
+            g = rng.standard_normal((4, oh, ow))
+            got = ops.conv2d_adjoint(g, k, stride=stride, pad=pad, out_hw=(h, w))
+            want = oracles.conv2d_adjoint_col2im(g, k, h, w, stride=stride, pad=pad)
+            assert got.shape == want.shape == (3, h, w)
+            assert_reference_close(got, want)
+
+    def test_single_channel_adjoint_and_default_extent(self, rng):
+        # C=1 (the first conv of every net) and out_hw left to the default
+        k = rng.standard_normal((5, 1, 3, 3))
+        g = rng.standard_normal((5, 6, 4))
+        got = ops.conv2d_adjoint(g, k, stride=2, pad=1)
+        want = oracles.conv2d_adjoint_col2im(g, k, 11, 7, stride=2, pad=1)
+        assert got.shape == (1, 11, 7)
+        assert_reference_close(got, want)
+
+    def test_non_contiguous_inputs(self, rng):
+        base = rng.standard_normal((3, 14, 9))
+        x = base[:, ::-2, :]  # (3, 7, 9), negative row stride
+        k = rng.standard_normal((2, 3, 3, 3))
+        b = rng.standard_normal(2)
+        got = ops.conv2d_forward(x, k, b, stride=2, pad=1)
+        assert_reference_close(got, oracles.conv2d_im2col(x, k, b, stride=2, pad=1))
+        g = rng.standard_normal((2, 8, 5))[:, ::2, :]  # (2, 4, 5)
+        dw, db = ops.conv2d_param_grads(x, g, 3, 3, stride=2, pad=1)
+        want_dw, want_db = oracles.conv2d_param_grads_im2col(
+            x, g, 3, 3, stride=2, pad=1)
+        assert_reference_close(dw, want_dw)
+        assert_reference_close(db, want_db)
+        gx = ops.conv2d_adjoint(g, k[:, :, ::-1], stride=2, pad=1, out_hw=(7, 9))
+        assert_reference_close(
+            gx, oracles.conv2d_adjoint_col2im(g, k[:, :, ::-1], 7, 9, stride=2, pad=1))
+
+    def test_float32_in_float32_out(self, rng):
+        x = rng.standard_normal((3, 7, 9)).astype(np.float32)
+        k = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(2).astype(np.float32)
+        got = ops.conv2d_forward(x, k, b, stride=2, pad=1)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(
+            got, oracles.conv2d_im2col(x, k, b, stride=2, pad=1), rtol=1e-6, atol=1e-6)
+        g = rng.standard_normal(got.shape).astype(np.float32)
+        assert ops.conv2d_adjoint(g, k, stride=2, pad=1, out_hw=(7, 9)).dtype == np.float32
+        dw, db = ops.conv2d_param_grads(x, g, 3, 3, stride=2, pad=1)
+        assert dw.dtype == db.dtype == np.float32
 
 
 class TestPooling:
@@ -155,6 +271,33 @@ class TestPooling:
         x[rng.random(x.shape) < 0.05] = np.inf
         got, sw = ops.maxpool_forward(x, window=window, stride=stride)
         want, widx = oracles.maxpool_loops(x, window=window, stride=stride)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(sw, widx)
+
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (2, 1)])
+    def test_non_contiguous_view_matches_loop_oracle(self, rng, window, stride):
+        base = rng.integers(-2, 3, size=(9, 4, 11)).astype(np.float32)
+        views = [base.transpose(1, 0, 2),  # (4, 9, 11), channel axis not outermost
+                 base[::2, :, ::-1].transpose(1, 2, 0),  # (4, 11, 5), reversed
+                 np.asfortranarray(base)]
+        for x in views:
+            got, sw = ops.maxpool_forward(x, window=window, stride=stride)
+            want, widx = oracles.maxpool_loops(x, window=window, stride=stride)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(sw, widx)
+            np.testing.assert_array_equal(x.ravel()[sw], got)
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (3, 1)])
+    def test_mixed_infinities_match_loop_oracle(self, rng, window, stride):
+        # no NaN anywhere: windows of all -inf, of +inf beside -inf, and ties
+        x = rng.choice(np.array([-np.inf, np.inf, 0.0, 1.0], dtype=np.float32),
+                       size=(3, 9, 8), p=[0.5, 0.2, 0.2, 0.1])
+        x[0, :3, :3] = -np.inf
+        got, sw = ops.maxpool_forward(x, window=window, stride=stride)
+        want, widx = oracles.maxpool_loops(x, window=window, stride=stride)
+        assert not np.isnan(got).any()
+        assert got[0, 0, 0] == -np.inf
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(sw, widx)
 

@@ -183,6 +183,22 @@ class TestMaskedSemantics:
                 np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(out.data, want[-1])
 
+    def test_plan_missing_a_conv_layer_rejected(self):
+        net = toy_net()
+        plan = identity_plan(net)
+        del plan.keep[3]
+        x = Tensor(np.zeros((1, 8, 8), dtype=np.float32))
+        with pytest.raises(DimensionError, match="plan layers"):
+            masked_forward(net, plan, x)
+
+    def test_keep_index_past_filter_count_rejected(self):
+        net = toy_net()
+        plan = identity_plan(net)
+        plan.keep[0] = np.array([7])
+        x = Tensor(np.zeros((1, 8, 8), dtype=np.float32))
+        with pytest.raises(DimensionError, match="layer 0: keep-list out of range"):
+            masked_forward(net, plan, x)
+
 
 class TestPlateauSearch:
     @pytest.fixture

@@ -9,7 +9,8 @@ from fisherprune.errors import ConfigurationError, TrainingDiverged
 from fisherprune.network import build_cnn, forward
 from fisherprune.tensor import Tensor
 from fisherprune.train import (
-    TrainConfig, accuracy, backward, cross_entropy, retrain, train, write_log,
+    TrainConfig, accuracy, backward, cross_entropy, retrain, sgd_epoch, train,
+    write_log,
 )
 
 import oracles
@@ -89,6 +90,51 @@ class TestTrainLoop:
         for a, b in zip(nets[0].layers, nets[1].layers):
             if a.weights is not None:
                 np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_momentum_step_matches_the_formula_bit_for_bit(self):
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        ref = net.copy()
+        m, lr, wd = 0.9, 0.05, 1e-3
+        rng = np.random.default_rng(3)
+        velocity = {
+            li: tuple((0.01 * rng.standard_normal(a.shape)).astype(np.float32)
+                      for a in (net.layers[li].weights, net.layers[li].bias))
+            for li in (0, 4, 6)
+        }
+        start = {li: (vw.copy(), vb.copy()) for li, (vw, vb) in velocity.items()}
+        held = {li: v for li, v in velocity.items()}
+        _, rec = forward(ref, Tensor(images[3]), record=True)
+        grads = backward(ref, rec, int(labels[3]))
+        sgd_epoch(net, images, labels, [3], lr, m, wd, velocity)
+        assert set(grads) == set(velocity)
+        for li, (dw, db) in grads.items():
+            w, b = ref.layers[li].weights, ref.layers[li].bias
+            vw0, vb0 = start[li]
+            vw = m * vw0 - lr * (dw + wd * w)
+            vb = m * vb0 - lr * db
+            assert vw.dtype == vb.dtype == np.float32
+            for got, want in ((velocity[li][0], vw), (velocity[li][1], vb),
+                              (net.layers[li].weights, w + vw),
+                              (net.layers[li].bias, b + vb)):
+                np.testing.assert_array_equal(got, want)
+            # updated in place: the caller's velocity arrays are the same objects
+            assert velocity[li][0] is held[li][0] and velocity[li][1] is held[li][1]
+
+    def test_momentum_starts_from_zero_velocity(self):
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        ref = net.copy()
+        lr, wd = 0.05, 1e-3
+        _, rec = forward(ref, Tensor(images[0]), record=True)
+        grads = backward(ref, rec, int(labels[0]))
+        velocity = {}
+        sgd_epoch(net, images, labels, [0], lr, 0.9, wd, velocity)
+        for li, (dw, db) in grads.items():
+            w = ref.layers[li].weights
+            np.testing.assert_array_equal(
+                velocity[li][0], 0.9 * np.zeros_like(w) - lr * (dw + wd * w))
+            np.testing.assert_array_equal(velocity[li][1], -lr * db)
 
     def test_huge_rate_diverges(self):
         images, labels = toy_split()
