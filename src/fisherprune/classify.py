@@ -7,6 +7,7 @@ use -1/+1 internally). Decision ties at exactly 0 go to +1.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -96,19 +97,43 @@ def qda_fit(features, labels, lam=1e-3) -> QdaModel:
     )
 
 
+def _rows(features, d):
+    """features as float64 (n, d) rows; a 1-D input is one row."""
+    x = np.asarray(features, dtype=np.float64)
+    x = x.reshape(1, -1) if x.ndim < 2 else x
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionError(f"expected {d}-dim input, got {x.shape[-1]}")
+    return x
+
+
+def _qda_scores(model: QdaModel, features):
+    """(n, 2) per-class log-posteriors; one solve per class for all rows."""
+    x = _rows(features, model.means.shape[1])
+    scores = np.empty((x.shape[0], 2))
+    for cls in (0, 1):
+        z = np.linalg.solve(model.chol[cls], (x - model.means[cls]).T)
+        scores[:, cls] = (model.logprior[cls] - 0.5 * model.logdet[cls]
+                          - 0.5 * (z * z).sum(axis=0))
+    return scores
+
+
 def qda_predict(model: QdaModel, x):
     """(label, per-class log-posterior up to a shared constant)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    d = model.means.shape[1]
-    if x.shape[0] != d:
-        raise DimensionError(f"expected {d}-dim input, got {x.shape[0]}")
-    scores = np.empty(2)
-    for cls in (0, 1):
-        diff = x - model.means[cls]
-        z = np.linalg.solve(model.chol[cls], diff)
-        quad = float(z @ z)
-        scores[cls] = model.logprior[cls] - 0.5 * model.logdet[cls] - 0.5 * quad
+    scores = _qda_scores(model, np.ravel(x))[0]
     return int(np.argmax(scores)), scores
+
+
+def _svm_problem(features, labels, c):
+    """Checked (x, float labels) for an SVM fit with cost c."""
+    x, y = _check_features(features, labels)
+    y = y.astype(np.float64)
+    if not (set(np.unique(y)) <= {-1.0, 1.0}):
+        raise ConfigurationError("labels must be in {-1,+1}")
+    if len(np.unique(y)) < 2:
+        raise ConfigurationError("both classes required to fit an SVM")
+    if not (np.isfinite(c) and c > 0):
+        raise ConfigurationError(f"svm cost c must be finite and > 0, got {c}")
+    return x, y
 
 
 def linear_svm_fit(features, labels, c=1.0, epochs=2000, seed=0) -> SvmModel:
@@ -120,12 +145,7 @@ def linear_svm_fit(features, labels, c=1.0, epochs=2000, seed=0) -> SvmModel:
     Deterministic; the seed is kept as metadata only since no randomness is
     consumed.
     """
-    x, y = _check_features(features, labels)
-    y = y.astype(np.float64)
-    if not (set(np.unique(y)) <= {-1.0, 1.0}):
-        raise ConfigurationError("labels must be in {-1,+1}")
-    if len(np.unique(y)) < 2:
-        raise ConfigurationError("both classes required to fit an SVM")
+    x, y = _svm_problem(features, labels, c)
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
@@ -173,12 +193,7 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
     sweep finds no KKT violation beyond tol; hitting max_passes first
     returns the partial model with converged=False and a warning.
     """
-    x, y = _check_features(features, labels)
-    y = y.astype(np.float64)
-    if not (set(np.unique(y)) <= {-1.0, 1.0}):
-        raise ConfigurationError("labels must be in {-1,+1}")
-    if len(np.unique(y)) < 2:
-        raise ConfigurationError("both classes required to fit an SVM")
+    x, y = _svm_problem(features, labels, c)
     n, d = x.shape
     if n > 5000:
         raise DimensionError(f"kernel SVM supports at most 5000 samples, got {n}")
@@ -243,22 +258,17 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
                     gamma=float(gamma), iterations=passes, converged=converged)
 
 
-def svm_decision(model: SvmModel, x):
-    x = np.asarray(x, dtype=np.float64).ravel()
+def _svm_decisions(model: SvmModel, features):
+    """(n,) decision values: x @ w + b, or one kernel block against the SVs."""
     if model.kind == "linear":
-        if x.shape[0] != model.w.shape[0]:
-            raise DimensionError(
-                f"expected {model.w.shape[0]}-dim input, got {x.shape[0]}"
-            )
-        return float(model.w @ x + model.b)
-    if model.sv_x.shape[0] == 0:
-        return float(model.b)
-    if x.shape[0] != model.sv_x.shape[1]:
-        raise DimensionError(
-            f"expected {model.sv_x.shape[1]}-dim input, got {x.shape[0]}"
-        )
-    k = _rbf_kernel(model.sv_x, x[None, :], model.gamma)[:, 0]
-    return float((model.alpha * model.sv_y) @ k + model.b)
+        return _rows(features, model.w.shape[0]) @ model.w + model.b
+    x = _rows(features, model.sv_x.shape[1])
+    k = _rbf_kernel(model.sv_x, x, model.gamma)
+    return (model.alpha * model.sv_y) @ k + model.b
+
+
+def svm_decision(model: SvmModel, x):
+    return float(_svm_decisions(model, np.ravel(x))[0])
 
 
 def svm_predict(model: SvmModel, x) -> int:
@@ -266,22 +276,32 @@ def svm_predict(model: SvmModel, x) -> int:
     return 1 if svm_decision(model, x) >= 0.0 else -1
 
 
-def evaluate_accuracy(model, features, labels):
-    """(accuracy, 2x2 confusion counts[true][pred]) on 0/1 labels.
+def fit_head(kind, features, labels, lam=1e-3, c=1.0, seed=0):
+    """Fit the head `to_arrays` calls kind ("qda", "svml", "svmr") on 0/1 labels."""
+    if kind == "qda":
+        return qda_fit(features, labels, lam=lam)
+    signed = np.asarray(labels) * 2 - 1
+    if kind == "svml":
+        return linear_svm_fit(features, signed, c=c, seed=seed)
+    if kind == "svmr":
+        return rbf_svm_fit(features, signed, c=c)
+    raise ConfigurationError(f"unknown classifier kind {kind!r}")
 
-    SVM predictions in {-1,+1} are mapped to {0,1}; QDA already emits 0/1.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels).ravel()
+
+def predict(model, features):
+    """0/1 labels for every row of features, the SVMs' decision 0 giving 1."""
+    if isinstance(model, QdaModel):
+        return np.argmax(_qda_scores(model, features), axis=1)
+    return (_svm_decisions(model, features) >= 0.0).astype(np.int64)
+
+
+def evaluate_accuracy(model, features, labels):
+    """(accuracy, 2x2 confusion counts[true][pred]) on 0/1 labels."""
+    x, y = _check_features(features, labels)
     if x.shape[0] == 0:
         raise ConfigurationError("evaluation set is empty")
-    confusion = np.zeros((2, 2), dtype=np.int64)
-    for row, truth in zip(x, y):
-        if isinstance(model, QdaModel):
-            pred, _ = qda_predict(model, row)
-        else:
-            pred = (svm_predict(model, row) + 1) // 2
-        confusion[int(truth), int(pred)] += 1
+    cells = 2 * y.astype(np.int64) + predict(model, x)
+    confusion = np.bincount(cells, minlength=4).reshape(2, 2)
     acc = float(np.trace(confusion) / confusion.sum())
     return acc, confusion
 
@@ -315,34 +335,61 @@ def _field(mapping, key, what):
 def from_arrays(section):
     """Rebuild a classifier from a loaded auxiliary section.
 
-    A missing kind, meta entry or tensor raises HeaderSchemaError naming it.
+    A missing field, an unknown kind, a meta entry that is not a finite
+    number, tensor extents that disagree or a QDA covariance that is not
+    positive definite raise HeaderSchemaError naming the field.
     """
     kind = _field(section, "kind", "section")
     t = _field(section, "tensors", "section")
     meta = section.get("meta", {})
+    if not isinstance(meta, dict):
+        raise HeaderSchemaError("classifier section 'meta' is not a mapping")
 
-    def tensor(name):
-        return np.asarray(_field(t, name, "tensor"), dtype=np.float64)
+    def tensor(name, shape):
+        arr = np.asarray(_field(t, name, "tensor"), dtype=np.float64)
+        if arr.ndim != len(shape) or any(
+                want is not None and got != want
+                for got, want in zip(arr.shape, shape)):
+            want = ", ".join("n" if w is None else str(w) for w in shape)
+            raise HeaderSchemaError(f"classifier tensor {name!r} has shape "
+                                    f"{arr.shape}, expected ({want})")
+        return arr
 
-    def number(key):
-        return float(_field(meta, key, "meta"))
+    def number(key, default=None):
+        value = (_field(meta, key, "meta") if default is None
+                 else meta.get(key, default))
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not np.isfinite(value):
+            raise HeaderSchemaError(
+                f"classifier meta {key!r} must be a finite number, "
+                f"got {value!r}")
+        return value
 
     if kind == "qda":
-        cov = tensor("cov")
-        chol = np.linalg.cholesky(cov)
-        logdet = np.array([2.0 * np.log(np.diag(chol[i])).sum() for i in (0, 1)])
-        return QdaModel(means=tensor("means"), cov=cov, chol=chol, logdet=logdet,
-                        logprior=tensor("logprior"),
-                        lam=float(meta.get("lam", 0.0)))
+        means = tensor("means", (2, None))
+        d = means.shape[1]
+        cov = tensor("cov", (2, d, d))
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise HeaderSchemaError(
+                "classifier tensor 'cov' is not positive definite") from None
+        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        return QdaModel(means=means, cov=cov, chol=chol, logdet=logdet,
+                        logprior=tensor("logprior", (2,)),
+                        lam=float(number("lam", 0.0)))
     if kind == "svml":
-        return SvmModel(kind="linear", c=number("c"), w=tensor("w"),
-                        b=number("b"),
-                        iterations=int(meta.get("iterations", 0)),
-                        seed=int(meta.get("seed", 0)))
+        return SvmModel(kind="linear", c=float(number("c")),
+                        w=tensor("w", (None,)), b=float(number("b")),
+                        iterations=int(number("iterations", 0)),
+                        seed=int(number("seed", 0)))
     if kind == "svmr":
-        return SvmModel(kind="rbf", c=number("c"), b=number("b"),
-                        sv_x=tensor("sv_x"), sv_y=tensor("sv_y"),
-                        alpha=tensor("alpha"), gamma=number("gamma"),
-                        iterations=int(meta.get("iterations", 0)),
+        sv_x = tensor("sv_x", (None, None))
+        n = sv_x.shape[0]
+        return SvmModel(kind="rbf", c=float(number("c")), b=float(number("b")),
+                        sv_x=sv_x, sv_y=tensor("sv_y", (n,)),
+                        alpha=tensor("alpha", (n,)),
+                        gamma=float(number("gamma")),
+                        iterations=int(number("iterations", 0)),
                         converged=bool(meta.get("converged", True)))
-    raise ConfigurationError(f"unknown classifier kind {kind!r}")
+    raise HeaderSchemaError(f"classifier section 'kind' {kind!r} is unknown")

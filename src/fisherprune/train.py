@@ -152,6 +152,8 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     A NaN activation or a non-finite output aborts with TrainingDiverged,
     naming the sample.
     """
+    if config.epochs < 0:
+        raise ConfigurationError(f"epochs must be >= 0, got {config.epochs}")
     if len(train_labels) == 0:
         raise ConfigurationError("training set is empty")
     bad = set(int(l) for l in train_labels) - {0, 1}

@@ -212,3 +212,31 @@ def svm_lattice_search(features, labels, c, w_range, b_range, steps):
                 if obj < best:
                     best = obj
     return best
+
+
+def head_labels_loops(model, rows):
+    """0/1 labels of a fitted QDA or SVM head, one row and one class at a time.
+
+    The package's earlier per-row prediction path: QDA takes the larger of
+    log prior - logdet/2 - |L^-1 (x - mu)|^2 / 2; an SVM takes the sign of
+    w.x + b, or of sum_i alpha_i y_i exp(-gamma |sv_i - x|^2) + b, with a
+    decision of exactly 0 giving class 1. `model` is read by attribute only.
+    """
+    labels = []
+    for x in np.asarray(rows, dtype=np.float64):
+        if hasattr(model, "chol"):
+            scores = []
+            for cls in (0, 1):
+                z = np.linalg.solve(model.chol[cls], x - model.means[cls])
+                scores.append(model.logprior[cls] - 0.5 * model.logdet[cls]
+                              - 0.5 * float(z @ z))
+            labels.append(int(scores[1] > scores[0]))
+            continue
+        if model.kind == "linear":
+            decision = float(model.w @ x) + model.b
+        else:
+            decision = model.b
+            for sv, y, a in zip(model.sv_x, model.sv_y, model.alpha):
+                decision += a * y * np.exp(-model.gamma * ((sv - x) ** 2).sum())
+        labels.append(1 if decision >= 0.0 else 0)
+    return labels

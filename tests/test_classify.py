@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fisherprune.classify import (
-    evaluate_accuracy, from_arrays, linear_svm_fit, qda_fit, qda_predict,
-    rbf_svm_fit, svm_decision, svm_objective, svm_predict, to_arrays,
+    evaluate_accuracy, fit_head, from_arrays, linear_svm_fit, predict, qda_fit,
+    qda_predict, rbf_svm_fit, svm_decision, svm_objective, svm_predict,
+    to_arrays,
 )
 from fisherprune.errors import ConfigurationError, DimensionError, HeaderSchemaError
 
@@ -108,6 +109,14 @@ class TestLinearSvm:
             linear_svm_fit(x, np.array([1, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("fit", [linear_svm_fit, rbf_svm_fit])
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+def test_svm_cost_must_be_finite_and_positive(fit, c):
+    x, _, ypm = blobs(n=5)
+    with pytest.raises(ConfigurationError, match="cost c"):
+        fit(x, ypm, c=c)
+
+
 class TestRbfSvm:
     def test_solves_xor_exactly(self):
         x = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
@@ -173,6 +182,46 @@ class TestEvaluation:
         assert acc == pytest.approx(20 / 21)
 
 
+class TestHeads:
+    @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
+    def test_predict_matches_per_row_predictions(self, kind):
+        """Batched labels equal the per-row wrappers' and the loop oracle's.
+
+        Overlapping blobs, so rows fall on both sides of the boundary."""
+        x, y01, _ = blobs(n=40, gap=1.5, seed=11)
+        model = fit_head(kind, x, y01, lam=1e-3, c=0.5, seed=3)
+        assert to_arrays(model)["kind"] == kind
+        probes = np.random.default_rng(12).normal(0, 2, (200, 2))
+        if kind == "qda":
+            want = [qda_predict(model, row)[0] for row in probes]
+        else:
+            want = [(svm_predict(model, row) + 1) // 2 for row in probes]
+        got = predict(model, probes)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, oracles.head_labels_loops(model,
+                                                                     probes))
+        assert set(got.tolist()) == {0, 1}
+
+    @pytest.mark.parametrize("section", [
+        {"kind": "svml", "meta": {"c": 1.0, "b": 0.0},
+         "tensors": {"w": np.array([1.0, -1.0])}},
+        {"kind": "svmr", "meta": {"c": 1.0, "b": 0.0, "gamma": 0.5},
+         "tensors": {"sv_x": np.zeros((0, 2)), "sv_y": np.zeros(0),
+                     "alpha": np.zeros(0)}},
+    ], ids=["svml", "svmr_without_svs"])
+    def test_decision_of_exactly_zero_is_class_one(self, section):
+        model = from_arrays(section)
+        probes = np.array([[1.0, 1.0], [-2.5, -2.5]])
+        assert [svm_decision(model, row) for row in probes] == [0.0, 0.0]
+        assert [svm_predict(model, row) for row in probes] == [1, 1]
+        np.testing.assert_array_equal(predict(model, probes), [1, 1])
+
+    def test_unknown_kind_rejected(self):
+        x, y01, _ = blobs(n=5)
+        with pytest.raises(ConfigurationError, match="unknown classifier"):
+            fit_head("fc", x, y01)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
     def test_round_trip_preserves_predictions(self, kind):
@@ -225,4 +274,46 @@ class TestSerialization:
         section = to_arrays(model)
         del section["tensors"][drop]
         with pytest.raises(HeaderSchemaError, match=f"tensor '{drop}'"):
+            from_arrays(section)
+
+    @pytest.mark.parametrize("kind,mutate,field", [
+        ("svml", lambda s: s["meta"].update(c=None), "meta 'c'"),
+        ("svml", lambda s: s["meta"].update(b=True), "meta 'b'"),
+        ("svml", lambda s: s["meta"].update(iterations="3"),
+         "meta 'iterations'"),
+        ("svmr", lambda s: s["meta"].update(gamma=[0.5]), "meta 'gamma'"),
+        ("svmr", lambda s: s["meta"].update(c={}), "meta 'c'"),
+        ("svmr", lambda s: s["meta"].update(b=float("nan")), "meta 'b'"),
+        ("qda", lambda s: s["meta"].update(lam=None), "meta 'lam'"),
+        ("qda", lambda s: s.update(meta=[1.0]), "section 'meta'"),
+        ("qda", lambda s: s.update(kind="svmx"), "section 'kind'"),
+        ("svml", lambda s: s.update(kind=None), "section 'kind'"),
+        ("qda", lambda s: s["tensors"].update(means=np.ones((2, 3))),
+         "tensor 'cov'"),
+        ("qda", lambda s: s["tensors"].update(means=np.ones(2)),
+         "tensor 'means'"),
+        ("qda", lambda s: s["tensors"].update(cov=np.ones(0)), "tensor 'cov'"),
+        ("qda", lambda s: s["tensors"].update(cov=np.zeros((2, 2, 2))),
+         "tensor 'cov' is not positive definite"),
+        ("qda", lambda s: s["tensors"].update(logprior=np.zeros(3)),
+         "tensor 'logprior'"),
+        ("svml", lambda s: s["tensors"].update(w=np.ones((1, 2))),
+         "tensor 'w'"),
+        ("svmr", lambda s: s["tensors"].update(sv_x=np.ones(4)),
+         "tensor 'sv_x'"),
+        ("svmr", lambda s: s["tensors"].update(
+            sv_y=np.ones(len(s["tensors"]["sv_y"]) + 1)), "tensor 'sv_y'"),
+        ("svmr", lambda s: s["tensors"].update(alpha=s["tensors"]["alpha"][1:]),
+         "tensor 'alpha'"),
+    ], ids=["svml_c_null", "svml_b_bool", "svml_iterations_str",
+            "svmr_gamma_list", "svmr_c_dict", "svmr_b_nan", "qda_lam_null",
+            "qda_meta_list", "kind_unknown", "kind_null", "qda_means_wider_than_cov", "qda_means_1d",
+            "qda_cov_empty", "qda_cov_not_pd", "qda_logprior_3",
+            "svml_w_2d", "svmr_sv_x_1d", "svmr_sv_y_longer",
+            "svmr_alpha_shorter"])
+    def test_malformed_field_is_a_schema_error(self, kind, mutate, field):
+        x, y01, _ = blobs(seed=6)
+        section = to_arrays(fit_head(kind, x, y01))
+        mutate(section)
+        with pytest.raises(HeaderSchemaError, match=field):
             from_arrays(section)

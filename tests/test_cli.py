@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fisherprune.bench import blas_pinned
-from fisherprune.cli import main
+from fisherprune import cli
+from fisherprune.cli import build_parser, main
 from fisherprune.modelio import load_model, save_model
 from fisherprune.network import build_cnn
 
@@ -223,7 +224,24 @@ class TestFailureExits:
           "tensors": {"sv_x": np.ones((1, 3)), "sv_y": np.ones(1),
                       "alpha": np.ones(1)}},
          "meta 'gamma'"),
-    ], ids=["qda_without_cov", "svml_without_c", "svmr_without_gamma"])
+        ({"kind": "svml", "meta": {"c": None, "b": 0.0},
+          "tensors": {"w": np.ones(3)}},
+         "meta 'c'"),
+        ({"kind": "qda", "meta": {"lam": 0.001},
+          "tensors": {"means": np.ones((2, 3)), "cov": np.stack([np.eye(2)] * 2),
+                      "logprior": np.zeros(2)}},
+         "tensor 'cov'"),
+        ({"kind": "qda", "meta": {"lam": 0.001},
+          "tensors": {"means": np.ones((2, 2)), "cov": np.zeros((2, 2, 2)),
+                      "logprior": np.zeros(2)}},
+         "not positive definite"),
+        ({"kind": "svmr", "meta": {"c": 1.0, "b": 0.0, "gamma": 0.5},
+          "tensors": {"sv_x": np.ones((2, 3)), "sv_y": np.ones(1),
+                      "alpha": np.ones(2)}},
+         "tensor 'sv_y'"),
+    ], ids=["qda_without_cov", "svml_without_c", "svmr_without_gamma",
+            "svml_null_c", "qda_cov_narrower_than_means", "qda_cov_not_pd",
+            "svmr_short_sv_y"])
     def test_eval_rejects_a_malformed_stored_head(self, tmp_path, capsys,
                                                   head, field):
         model = tmp_path / "broken.ldap1"
@@ -243,3 +261,121 @@ class TestFailureExits:
                    "--grid", "backwards"] + TINY)
         assert rc == 2
         assert "lo:hi:step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:1e-8",
+                                      "0:1000:1", "-1e308:1e308:1"])
+    def test_grid_out_of_bounds(self, piperun, tmp_path, capsys, monkeypatch,
+                                grid):
+        def bounded_range(n, *rest):
+            # the point count is checked before the list of points is built
+            assert not rest and n <= 1000, "grid list built before the check"
+            return range(n)
+
+        monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+        model = os.path.join(piperun, "model.ldap1")
+        rc = main(["prune", "--out", str(tmp_path), "--model", model,
+                   f"--grid={grid}"] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError:")
+        assert err.count("\n") == 1
+
+    def test_grid_of_1000_points_is_accepted(self):
+        grid = cli._parse_grid("0:999:1")
+        assert len(grid) == 1000
+        assert grid[-1] == 999.0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--epochs", "-1"], "epochs must be >= 0"),
+        (["prune", "--threshold", "0.3", "--epochs", "-1",
+          "--dep-images", "2"], "epochs must be >= 0"),
+        (["prune", "--threshold", "0.3", "--dep-images", "-1"],
+         "--dep-images must be >= 0"),
+        (["sweep", "--grid", "0:0.1:0.1", "--dep-images", "-1"],
+         "--dep-images must be >= 0"),
+    ], ids=["train_epochs", "prune_epochs", "prune_dep_images",
+            "sweep_dep_images"])
+    def test_negative_counts(self, piperun, tmp_path, capsys, argv, message):
+        model = ["--model", os.path.join(piperun, "model.ldap1")]
+        rc = main(argv + ["--out", str(tmp_path)]
+                  + (model if argv[0] != "train" else []) + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError:")
+        assert message in err
+        assert err.count("\n") == 1
+
+
+class TestManifest:
+    def test_entries_are_the_parsed_flags(self, piperun):
+        """Each command's entries are its flags as parsed, with model paths
+        as basenames, and nothing else."""
+        model = os.path.join(piperun, "model.ldap1")
+        pruned = os.path.join(piperun, "pruned.ldap1")
+        argvs = {
+            "train": ["train", "--epochs", "1"],
+            "extract": ["extract", "--model", model],
+            "analyze": ["analyze", "--model", model, "--k", "2"],
+            "prune": ["prune", "--model", model, "--k", "2", "--threshold",
+                      "0.3", "--epochs", "1", "--dep-images", "2"],
+            "eval": ["eval", "--model", pruned, "--classifier", "qda"],
+            "bench": ["bench", "--model", model, "--pruned", pruned],
+        }
+        with open(os.path.join(piperun, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert set(manifest) == set(argvs)
+        for command, argv in argvs.items():
+            flags = vars(build_parser().parse_args(
+                argv + ["--out", piperun] + TINY))
+            entries = manifest[command]
+            assert set(entries) == set(flags) - {"func", "command", "out"}
+            for key, value in entries.items():
+                if key in ("model", "pruned"):
+                    assert value == os.path.basename(flags[key])
+                else:
+                    assert value == flags[key], (command, key)
+
+    def test_eval_records_lam_and_c(self, piperun):
+        with open(os.path.join(piperun, "manifest.json")) as fh:
+            entries = json.load(fh)["eval"]
+        assert entries["lam"] == 1e-3
+        assert entries["c"] == 1.0
+        assert entries["classifier"] == "qda"
+
+    def test_grid_mode_records_the_flags_and_keeps_t0(self, piperun,
+                                                       tmp_path):
+        out = str(tmp_path)
+        rc = main(["prune", "--out", out, "--model",
+                   os.path.join(piperun, "model.ldap1"), "--k", "2",
+                   "--grid", "0:0.1:0.1", "--epochs", "0",
+                   "--dep-images", "2"] + TINY)
+        assert rc == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            entries = json.load(fh)["prune"]
+        assert entries["threshold"] is None
+        assert entries["grid"] == "0:0.1:0.1"
+        _, info = load_model(os.path.join(out, "pruned.ldap1"))
+        t_0 = info["provenance"]["threshold"]
+        assert t_0 in (0.0, 0.1)
+        assert info["provenance"]["grid"] == "0:0.1:0.1"
+        text = open(os.path.join(out, "report.txt")).read()
+        assert f"plateau threshold t0={t_0:.6g}" in text
+
+
+class TestEvalHeads:
+    @pytest.mark.parametrize("kind", ["svml", "svmr"])
+    def test_svm_head(self, piperun, tmp_path, kind):
+        out = str(tmp_path)
+        rc = main(["eval", "--out", out, "--model",
+                   os.path.join(piperun, "pruned.ldap1"), "--classifier", kind,
+                   "--c", "0.5"] + TINY)
+        assert rc == 0
+        header, rows = read_csv(os.path.join(out, "eval.csv"))
+        assert header == ["id", "true", "pred"]
+        assert len(rows) == 4
+        assert all(r[2] in ("0", "1") for r in rows)
+        _, info = load_model(os.path.join(out, "model_with_head.ldap1"))
+        assert info["classifier"]["kind"] == kind
+        assert info["classifier"]["meta"]["c"] == 0.5
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert json.load(fh)["eval"]["c"] == 0.5

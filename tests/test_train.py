@@ -160,6 +160,13 @@ class TestTrainLoop:
             train(net, [], np.array([], dtype=np.int64), [], [],
                   TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("fit", [train, retrain])
+    def test_negative_epochs_rejected(self, fit):
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        with pytest.raises(ConfigurationError, match="epochs must be >= 0"):
+            fit(net, images, labels, images, labels, TrainConfig(epochs=-1))
+
     def test_out_of_range_labels_rejected(self):
         images, labels = toy_split(n=2)
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
