@@ -7,13 +7,13 @@ use -1/+1 internally). Decision ties at exactly 0 go to +1.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, HeaderSchemaError
+from .modelio import _require
 
 
 @dataclass
@@ -306,90 +306,66 @@ def evaluate_accuracy(model, features, labels):
     return acc, confusion
 
 
+# Per head kind: its tensors with their extents (a named extent binds on
+# first use and must agree after), written to the blob in this order; then
+# its meta fields, name -> (type, default), a None default marking a
+# required field.
+_HEADS = {
+    "qda": ({"means": (2, "d"), "cov": (2, "d", "d"), "logprior": (2,)},
+            {"lam": (float, 0.0)}),
+    "svml": ({"w": ("d",)},
+             {"c": (float, None), "b": (float, None), "iterations": (int, 0),
+              "seed": (int, 0)}),
+    "svmr": ({"sv_x": ("n", "d"), "sv_y": ("n",), "alpha": ("n",)},
+             {"c": (float, None), "b": (float, None), "gamma": (float, None),
+              "iterations": (int, 0), "converged": (bool, True)}),
+}
+
+
 def to_arrays(model):
     """Flatten a classifier into the container's auxiliary-section form."""
-    if isinstance(model, QdaModel):
-        return {"kind": "qda", "meta": {"lam": model.lam},
-                "tensors": {"means": model.means, "cov": model.cov,
-                            "logprior": model.logprior}}
-    if model.kind == "linear":
-        return {"kind": "svml", "meta": {"c": model.c, "b": model.b,
-                                         "iterations": model.iterations,
-                                         "seed": model.seed},
-                "tensors": {"w": model.w}}
-    return {"kind": "svmr",
-            "meta": {"c": model.c, "b": model.b, "gamma": model.gamma,
-                     "iterations": model.iterations,
-                     "converged": model.converged},
-            "tensors": {"sv_x": model.sv_x, "sv_y": model.sv_y,
-                        "alpha": model.alpha}}
-
-
-def _field(mapping, key, what):
-    """mapping[key]; HeaderSchemaError naming the field when it is absent."""
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise HeaderSchemaError(f"classifier {what} {key!r} is missing")
-    return mapping[key]
+    kind = "qda" if isinstance(model, QdaModel) else (
+        "svml" if model.kind == "linear" else "svmr")
+    tensors, meta = _HEADS[kind]
+    return {"kind": kind, "meta": {key: getattr(model, key) for key in meta},
+            "tensors": {name: getattr(model, name) for name in tensors}}
 
 
 def from_arrays(section):
     """Rebuild a classifier from a loaded auxiliary section.
 
-    A missing field, an unknown kind, a meta entry that is not a finite
-    number, tensor extents that disagree or a QDA covariance that is not
-    positive definite raise HeaderSchemaError naming the field.
+    A missing field, an unknown kind, a meta entry of the wrong type (a
+    number that is not finite, a `converged` that is not a bool), tensor
+    extents that disagree or a QDA covariance that is not positive definite
+    raise HeaderSchemaError naming the field.
     """
-    kind = _field(section, "kind", "section")
-    t = _field(section, "tensors", "section")
-    meta = section.get("meta", {})
-    if not isinstance(meta, dict):
-        raise HeaderSchemaError("classifier section 'meta' is not a mapping")
-
-    def tensor(name, shape):
-        arr = np.asarray(_field(t, name, "tensor"), dtype=np.float64)
-        if arr.ndim != len(shape) or any(
-                want is not None and got != want
-                for got, want in zip(arr.shape, shape)):
-            want = ", ".join("n" if w is None else str(w) for w in shape)
+    _require(section, dict, "classifier section")
+    kind = _require(section.get("kind"), str, "classifier section 'kind'")
+    if kind not in _HEADS:
+        raise HeaderSchemaError(f"classifier section 'kind' {kind!r} is unknown")
+    tensors = _require(section.get("tensors"), dict, "classifier section 'tensors'")
+    meta = _require(section.get("meta", {}), dict, "classifier section 'meta'")
+    shapes, fields = _HEADS[kind]
+    extents, values = {}, {}
+    for name, dims in shapes.items():
+        arr = np.asarray(_require(tensors.get(name), np.ndarray,
+                                  f"classifier tensor {name!r}"), dtype=np.float64)
+        want = tuple(extents.setdefault(d, n) if isinstance(d, str) else d
+                     for d, n in zip(dims, arr.shape))
+        if arr.ndim != len(dims) or arr.shape != want:
+            expected = ", ".join(map(str, dims))
             raise HeaderSchemaError(f"classifier tensor {name!r} has shape "
-                                    f"{arr.shape}, expected ({want})")
-        return arr
-
-    def number(key, default=None):
-        value = (_field(meta, key, "meta") if default is None
-                 else meta.get(key, default))
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not np.isfinite(value):
-            raise HeaderSchemaError(
-                f"classifier meta {key!r} must be a finite number, "
-                f"got {value!r}")
-        return value
-
-    if kind == "qda":
-        means = tensor("means", (2, None))
-        d = means.shape[1]
-        cov = tensor("cov", (2, d, d))
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise HeaderSchemaError(
-                "classifier tensor 'cov' is not positive definite") from None
-        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        return QdaModel(means=means, cov=cov, chol=chol, logdet=logdet,
-                        logprior=tensor("logprior", (2,)),
-                        lam=float(number("lam", 0.0)))
-    if kind == "svml":
-        return SvmModel(kind="linear", c=float(number("c")),
-                        w=tensor("w", (None,)), b=float(number("b")),
-                        iterations=int(number("iterations", 0)),
-                        seed=int(number("seed", 0)))
-    if kind == "svmr":
-        sv_x = tensor("sv_x", (None, None))
-        n = sv_x.shape[0]
-        return SvmModel(kind="rbf", c=float(number("c")), b=float(number("b")),
-                        sv_x=sv_x, sv_y=tensor("sv_y", (n,)),
-                        alpha=tensor("alpha", (n,)),
-                        gamma=float(number("gamma")),
-                        iterations=int(number("iterations", 0)),
-                        converged=bool(meta.get("converged", True)))
-    raise HeaderSchemaError(f"classifier section 'kind' {kind!r} is unknown")
+                                    f"{arr.shape}, expected ({expected})")
+        values[name] = arr
+    for key, (kind_of, default) in fields.items():
+        values[key] = _require(meta[key] if key in meta else default, kind_of,
+                               f"classifier meta {key!r}")
+    if kind != "qda":
+        return SvmModel(kind="linear" if kind == "svml" else "rbf", **values)
+    try:
+        chol = np.linalg.cholesky(values["cov"])
+    except np.linalg.LinAlgError:
+        raise HeaderSchemaError(
+            "classifier tensor 'cov' is not positive definite") from None
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return QdaModel(chol=chol, logdet=logdet, **values)

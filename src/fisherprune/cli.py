@@ -130,6 +130,7 @@ def _dependency_search(args, split):
 
     Returns (net, base_acc, ranking, table, cfg, (t_0, reports) or None).
     """
+    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.dep_images < 0:
         raise ConfigurationError(
             f"--dep-images must be >= 0 (0 means all), got {args.dep_images}")
@@ -144,7 +145,6 @@ def _dependency_search(args, split):
                ["layer", "filter", "score"],
                [[li, f, f"{s:.8g}"] for li in sorted(table.scores)
                 for f, s in enumerate(table.scores[li])])
-    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     search = None if grid is None else prune.plateau_threshold_search(
         net, table, ranking.selected, split, grid,
         eps_acc=args.eps_acc, retrain_config=cfg,
@@ -280,8 +280,13 @@ def _add_common(p):
     p.add_argument("--out", default="out", help="artifact directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as one line and exits 2
+        raise ConfigurationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fisherprune",
         description="Discriminative filter pruning for small CNNs",
     )
@@ -354,8 +359,8 @@ def main(argv=None):
     The command gets the loaded dataset and returns its report.txt lines;
     manifest.json gains the command's parsed flags under its name.
     """
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         os.makedirs(args.out, exist_ok=True)
         split = _load_dataset(args.dataset, args.seed, args.n_per_class)
         lines = args.func(args, split)
@@ -371,7 +376,7 @@ def main(argv=None):
         with open(os.path.join(args.out, "report.txt"), "a") as fh:
             fh.writelines(line + "\n" for line in lines)
     except (ConfigurationError, ModelFormatError, TrainingDiverged,
-            ValueError, FileNotFoundError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

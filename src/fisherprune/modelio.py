@@ -9,26 +9,42 @@ Layout on disk:
                   optional classifier section (kind tag + its own tensors)
     blob          all tensors back to back, little-endian float32
 
-Load failures are told apart: a wrong magic, a blob shorter than the
-directory demands, a header field that is missing or mistyped, a tensor
-holding NaN or infinity, and a layer chain whose shapes do not compose
-each raise their own error type.
+Every header field is checked by `_require` as it is read: a bool is not an
+int or a number, numbers must be finite, and flags such as the classifier's
+`converged` must be JSON bools. Load failures are told apart: a wrong
+magic, a blob shorter than the directory demands, a header field that is
+missing or mistyped, a tensor holding NaN or infinity, and a layer chain
+whose shapes do not compose each raise their own error type.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 
 import numpy as np
 
 from .errors import (
-    BadMagicError, HeaderSchemaError, NonFiniteWeightsError, ShapeChainError,
-    TruncatedBlobError,
+    BadMagicError, DimensionError, HeaderSchemaError, NonFiniteWeightsError,
+    ShapeChainError, TruncatedBlobError,
 )
 from .network import LayerSpec, Network
 
 MAGIC = b"LDAP1"
+
+
+# Header fields of each layer kind besides "kind": name -> default, None
+# when the field is required. "weights" and "bias" name tensors in the
+# directory; every other field is an int.
+_LAYER_FIELDS = {
+    "conv": {"weights": None, "bias": None, "stride": 1, "pad": 0},
+    "dense": {"weights": None, "bias": None},
+    "maxpool": {"window": None, "stride": None},
+    "relu": {}, "flatten": {}, "softmax": {},
+}
+_TENSOR_FIELDS = ("weights", "bias")
 
 
 def _collect_tensors(net: Network, classifier=None):
@@ -48,25 +64,15 @@ def _collect_tensors(net: Network, classifier=None):
 
     for i, layer in enumerate(net.layers):
         entry = {"kind": layer.kind}
-        if layer.kind == "conv":
-            entry["stride"] = layer.stride
-            entry["pad"] = layer.pad
-            entry["weights"] = put(f"layer{i}.weights", layer.weights)
-            entry["bias"] = put(f"layer{i}.bias", layer.bias)
-        elif layer.kind == "dense":
-            entry["weights"] = put(f"layer{i}.weights", layer.weights)
-            entry["bias"] = put(f"layer{i}.bias", layer.bias)
-        elif layer.kind == "maxpool":
-            entry["window"] = layer.window
-            entry["stride"] = layer.stride
+        for key in _LAYER_FIELDS[layer.kind]:
+            entry[key] = (put(f"layer{i}.{key}", getattr(layer, key))
+                          if key in _TENSOR_FIELDS else getattr(layer, key))
         layers.append(entry)
 
-    clf_section = None
-    if classifier is not None:
-        clf_section = {"kind": classifier["kind"], "meta": classifier.get("meta", {}),
-                       "tensors": {}}
-        for name, arr in classifier["tensors"].items():
-            clf_section["tensors"][name] = put(f"classifier.{name}", arr)
+    clf_section = None if classifier is None else {
+        "kind": classifier["kind"], "meta": classifier.get("meta", {}),
+        "tensors": {name: put(f"classifier.{name}", arr)
+                    for name, arr in classifier["tensors"].items()}}
 
     return layers, directory, blobs, clf_section
 
@@ -89,19 +95,18 @@ def save_model(net: Network, path, provenance=None, classifier=None):
         header["classifier"] = clf
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(raw)))
-        fh.write(raw)
-        for b in blobs:
-            fh.write(b)
+        fh.writelines([MAGIC, struct.pack("<Q", len(raw)), raw, *blobs])
 
 
 def _require(value, kind, what):
-    """value itself when it is a kind; HeaderSchemaError naming what otherwise."""
-    if not isinstance(value, kind):
-        got = "missing" if value is None else f"a {type(value).__name__}"
+    """value as a kind, else HeaderSchemaError naming what. A bool is not an
+    int or a float, an int is read as a float, and a float must be finite."""
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or (isinstance(value, bool) and kind is not bool)
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        got = "missing" if value is None else f"{type(value).__name__} {value!r:.20}"
         raise HeaderSchemaError(f"{what}: expected {kind.__name__}, got {got}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _read_tensor(blob, directory, name):
@@ -110,11 +115,11 @@ def _read_tensor(blob, directory, name):
     meta = _require(directory[name], dict, f"tensor {name!r}")
     what = f"tensor {name!r} 'shape'"
     shape = tuple(_require(s, int, what) for s in _require(meta.get("shape"), list, what))
-    count = int(np.prod(shape)) if shape else 1
     start = _require(meta.get("offset"), int, f"tensor {name!r} 'offset'")
     if start < 0 or min(shape, default=0) < 0:
         raise HeaderSchemaError(
             f"tensor {name!r} has a negative offset or extent ({start}, {shape})")
+    count = math.prod(shape)
     end = start + count * 4
     if end > len(blob):
         raise TruncatedBlobError(
@@ -123,15 +128,7 @@ def _read_tensor(blob, directory, name):
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
     if not np.isfinite(arr).all():
         raise NonFiniteWeightsError(f"tensor {name!r} holds NaN or infinity")
-    return arr.reshape(a if (a := shape) else ()).copy()
-
-
-def _layer_params(blob, directory, entry, where):
-    """(weights, bias) arrays that a conv or dense header entry names."""
-    return tuple(
-        _read_tensor(blob, directory, _require(entry.get(key), str, f"{where} {key!r}"))
-        for key in ("weights", "bias")
-    )
+    return arr.reshape(shape).copy()
 
 
 def load_model(path):
@@ -152,7 +149,7 @@ def load_model(path):
         raise TruncatedBlobError(f"{path}: header length {hlen} overruns file")
     try:
         header = json.loads(data[hstart:hstart + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, an int past the digit limit
         raise BadMagicError(f"{path}: header is not valid JSON ({exc})") from None
     blob = data[hstart + hlen:]
 
@@ -162,27 +159,20 @@ def load_model(path):
     layers = []
     for i, entry in enumerate(entries):
         where = f"{path}: layer {i}"
-        kind = _require(entry, dict, where).get("kind")
-        if kind == "conv":
-            w, b = _layer_params(blob, directory, entry, where)
-            if w.ndim != 4:
-                raise ShapeChainError(f"layer {i}: conv weights rank {w.ndim}")
-            stride = _require(entry.get("stride", 1), int, f"{where} 'stride'")
-            pad = _require(entry.get("pad", 0), int, f"{where} 'pad'")
-            layers.append(LayerSpec.conv(w, b, stride=stride, pad=pad))
-        elif kind == "dense":
-            w, b = _layer_params(blob, directory, entry, where)
-            if w.ndim != 2:
-                raise ShapeChainError(f"layer {i}: dense weights rank {w.ndim}")
-            layers.append(LayerSpec.dense(w, b))
-        elif kind == "maxpool":
-            window = _require(entry.get("window"), int, f"{where} 'window'")
-            stride = _require(entry.get("stride"), int, f"{where} 'stride'")
-            layers.append(LayerSpec.maxpool(window, stride))
-        elif kind in ("relu", "flatten", "softmax"):
-            layers.append(LayerSpec(kind))
-        else:
+        kind = _require(_require(entry, dict, where).get("kind"), str,
+                        f"{where} 'kind'")
+        if kind not in _LAYER_FIELDS:
             raise ShapeChainError(f"layer {i}: unknown kind {kind!r}")
+        fields = {}
+        for key, default in _LAYER_FIELDS[kind].items():
+            value = entry.get(key, default)
+            fields[key] = (
+                _read_tensor(blob, directory, _require(value, str, f"{where} {key!r}"))
+                if key in _TENSOR_FIELDS else _require(value, int, f"{where} {key!r}"))
+        try:
+            layers.append(getattr(LayerSpec, kind)(**fields))
+        except DimensionError as exc:
+            raise ShapeChainError(f"layer {i}: {exc}") from None
 
     what = f"{path}: 'input_shape'"
     input_shape = _require(header.get("input_shape", []), list, what)
@@ -197,10 +187,9 @@ def load_model(path):
         sec = _require(header["classifier"], dict, f"{path}: 'classifier'")
         refs = _require(sec.get("tensors", {}), dict,
                         f"{path}: classifier 'tensors'")
-        tensors = {}
-        for name, ref in refs.items():
-            ref = _require(ref, str, f"{path}: classifier tensor {name!r}")
-            tensors[name] = _read_tensor(blob, directory, ref)
+        what = f"{path}: classifier tensor"
+        tensors = {k: _read_tensor(blob, directory, _require(ref, str, f"{what} {k!r}"))
+                   for k, ref in refs.items()}
         info["classifier"] = {"kind": sec.get("kind"), "meta": sec.get("meta", {}),
                               "tensors": tensors}
     return net, info

@@ -60,7 +60,6 @@ class PruneReport:
     acc_before: float
     acc_after: float
     flagged: bool = False
-    timings: dict | None = None
 
 
 def build_prune_plan(table, selected, threshold) -> PrunePlan:

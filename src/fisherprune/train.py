@@ -78,6 +78,10 @@ class TrainConfig:
     seed: int = 0
     log_path: str | None = None
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+
 
 @dataclass
 class TrainResult:
@@ -152,8 +156,6 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     A NaN activation or a non-finite output aborts with TrainingDiverged,
     naming the sample.
     """
-    if config.epochs < 0:
-        raise ConfigurationError(f"epochs must be >= 0, got {config.epochs}")
     if len(train_labels) == 0:
         raise ConfigurationError("training set is empty")
     bad = set(int(l) for l in train_labels) - {0, 1}

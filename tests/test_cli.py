@@ -165,6 +165,29 @@ class TestFailureExits:
         assert rc == 2
         assert "FileNotFoundError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out,model,error", [
+        ("out", ".", "IsADirectoryError"),
+        ("taken", "m.ldap1", "FileExistsError"),
+    ], ids=["model_is_a_directory", "out_is_a_file"])
+    def test_os_errors(self, tmp_path, capsys, out, model, error):
+        (tmp_path / "taken").touch()
+        rc = main(["extract", "--out", str(tmp_path / out),
+                   "--model", str(tmp_path / model)] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}:")
+        assert err.count("\n") == 1
+
+    def test_usage_error_is_one_line(self, piperun, tmp_path, capsys):
+        model = os.path.join(piperun, "model.ldap1")
+        rc = main(["prune", "--out", str(tmp_path), "--model", model,
+                   "--grid", "-1:1:0.5"] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError:")
+        assert "--grid" in err
+        assert err.count("\n") == 1
+
     def test_prune_needs_a_threshold_or_grid(self, piperun, tmp_path, capsys):
         model = os.path.join(piperun, "model.ldap1")
         rc = main(["prune", "--out", str(tmp_path), "--model", model] + TINY)
@@ -304,6 +327,8 @@ class TestFailureExits:
         assert err.startswith("error: ConfigurationError:")
         assert message in err
         assert err.count("\n") == 1
+        # refused before the dependency walk, so no partial artifact is left
+        assert not (tmp_path / "dependencies.csv").exists()
 
 
 class TestManifest:
