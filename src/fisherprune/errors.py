@@ -14,7 +14,12 @@ class NonFiniteError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during training; carries diagnostics in the message."""
+    """Training went non-finite; epoch and sample say where (None if unknown)."""
+
+    def __init__(self, message, epoch=None, sample=None):
+        super().__init__(message)
+        self.epoch = epoch
+        self.sample = sample
 
 
 class ModelFormatError(Exception):

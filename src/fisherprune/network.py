@@ -5,7 +5,8 @@ input. Parameters live on the specs themselves (conv/dense only).
 forward() is the package's one forward layer walk: it takes and returns a
 Tensor but runs every layer on plain arrays. It can record every
 intermediate activation plus pooling switches, which the dependency tracer
-and the backward pass both consume, and a per-layer hook lets callers
+and the backward pass both consume; a pass that does not record computes
+no switches. A per-layer hook lets callers
 replace each layer's output (masked passes) or observe it (timing).
 """
 
@@ -143,15 +144,19 @@ class ForwardRecord:
     switches: dict  # layer index -> flat-index switch array for maxpool
 
 
-def _step(layer, x):
-    """Apply one layer to a raw array: (output, pool switches or None)."""
+def _step(layer, x, record):
+    """Apply one layer to a raw array: (output, pool switches or None).
+
+    Pools compute switches only when the walk records.
+    """
     if layer.kind == "conv":
         return ops.conv2d_forward(x, layer.weights, layer.bias,
                                   stride=layer.stride, pad=layer.pad), None
     if layer.kind == "relu":
         return ops.relu_forward(x), None
     if layer.kind == "maxpool":
-        return ops.maxpool_forward(x, layer.window, layer.stride)
+        return ops.maxpool_forward(x, layer.window, layer.stride,
+                                   switches=record)
     if layer.kind == "flatten":
         return x.reshape(-1), None
     if layer.kind == "dense":
@@ -165,8 +170,9 @@ def forward(net: Network, x: Tensor, record=False, hook=None):
     hook(i, out), when given, is called with each layer's output and returns
     the array that is carried forward (and recorded) in its place; masking
     and per-layer timing ride on it. Returns the output Tensor, or
-    (output, ForwardRecord) when record=True. Layer failures are re-raised
-    with the layer index prepended.
+    (output, ForwardRecord) when record=True. Max-pool switches are computed
+    only when record=True; the output is bitwise the same either way. Layer
+    failures are re-raised with the layer index prepended.
     """
     if tuple(x.shape) != tuple(net.input_shape):
         raise DimensionError(
@@ -176,7 +182,7 @@ def forward(net: Network, x: Tensor, record=False, hook=None):
     rec = ForwardRecord(input=cur.copy(), activations=[], switches={}) if record else None
     for i, layer in enumerate(net.layers):
         try:
-            cur, switches = _step(layer, cur)
+            cur, switches = _step(layer, cur, record)
         except (DimensionError, ConfigurationError, ValueError) as exc:
             raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
         if hook is not None:
@@ -212,6 +218,10 @@ def _layer_out_shape(layer, shape):
         o, kc, kh, kw = layer.weights.shape
         if kc != c:
             raise DimensionError(f"kernel expects {kc} channels, input has {c}")
+        if layer.pad >= kh or layer.pad >= kw:
+            # such a pad only adds all-zero border outputs
+            raise ConfigurationError(
+                f"pad {layer.pad} must be below the {kh}x{kw} kernel's extents")
         oh, ow = ops.conv_output_hw(h, w, kh, kw, layer.stride, layer.pad)
         if oh < 1 or ow < 1:
             raise ConfigurationError("conv output is empty")

@@ -19,11 +19,16 @@ columns. The adjoint is a stride-1 correlation of the flipped,
 channel-transposed kernel with the output gradient, spread onto the stride
 grid behind kh-1 and kw-1 zeros: one GEMM with inner dimension O*kh*kw.
 
-Max-pooling returns the winning flat input index per output cell
-("switches"). The winner is the first cell in window scan order (row-major)
-that holds the window maximum, and a window containing NaN pools to NaN
-with its first NaN as the winner; this is exactly numpy argmax over the
-flattened window.
+Max-pooling takes a running max over the window's strided tap views in
+scan order, so a plain pass costs one copy and window*window - 1 maximum
+calls. Only when asked does it also return the winning flat input index per
+output cell ("switches"), which the backward pass and the deconv walk read.
+The winner is the first cell in window scan order (row-major) that holds
+the window maximum, and a window containing NaN pools to NaN with its first
+NaN as the winner; this is exactly numpy argmax over the flattened window.
+The values are the input read at the switches bit for bit (signed zeros
+included); only a window holding NaNs of different payloads may pool to a
+later one.
 """
 
 from __future__ import annotations
@@ -195,12 +200,14 @@ def _pool_index(c, h, w, window, stride):
     return weight, end
 
 
-def maxpool_forward(input, window, stride):
+def maxpool_forward(input, window, stride, switches=True):
     """Max-pool each channel; also return the winning flat input indices.
 
-    Switches are flat indices into the full (C,H,W) input; ties break to the
-    first tap in window scan order, and a window holding NaN pools to NaN
-    with its first NaN as the switch (numpy argmax semantics).
+    Values are a running max over the window's taps in scan order. Switches
+    are flat indices into the full (C,H,W) input; ties break to the first
+    tap in window scan order, and a window holding NaN pools to NaN with its
+    first NaN as the switch (numpy argmax semantics). With switches=False
+    the switches are not computed and (values, None) is returned.
     """
     if input.ndim != 3:
         raise DimensionError(f"pool input must be (C,H,W), got {input.shape}")
@@ -217,15 +224,24 @@ def maxpool_forward(input, window, stride):
     taps = np.ndarray(
         (window, window, c, oh, ow), x.dtype, x, 0,
         (w * item, item, h * w * item, stride * w * item, stride * item),
-    ).reshape(window * window, c, oh, ow)
+    )
+    if switches:  # one contiguous tap stack, read by the max and the hits
+        taps = taps.reshape(window * window, c, oh, ow)
+    else:  # strided views of x, no copy
+        taps = [taps[i, j] for i in range(window) for j in range(window)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        # on a tie np.maximum returns its second argument, so the earlier
+        # tap wins (+0 before -0 stays +0) and out is x.take(switches)
+        np.maximum(tap, out, out=out)
+    if not switches:
+        return out, None
     weight, end = _pool_index(c, h, w, window, stride)
-    top = taps.max(axis=0)  # the max propagates NaN
-    hit = taps == top
-    peak = top.max()
+    hit = taps == out
+    peak = out.max()  # the running max propagates NaN
     if peak != peak:  # a NaN tap is a hit exactly in NaN windows
         hit |= taps != taps
-    switches = end - (hit * weight).max(axis=0)
-    return x.take(switches), switches
+    return out, end - (hit * weight).max(axis=0)
 
 
 def dense_forward(input, weights, bias):

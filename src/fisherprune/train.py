@@ -100,23 +100,24 @@ def accuracy(net, images, labels):
 
 
 def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
-              velocity, grad_mask=None):
-    """One pass over the data in the given order; returns (mean loss, acc)."""
+              velocity, grad_mask=None, epoch=None):
+    """One pass over the data in the given order; returns (mean loss, acc).
+
+    epoch only labels a TrainingDiverged raised here.
+    """
     total, hit = 0.0, 0
+    of_epoch = "" if epoch is None else f" of epoch {epoch}"
     for idx in order:
         x = Tensor(images[idx])
         try:
             probs, rec = forward(net, x, record=True)
+            bad = None if np.isfinite(probs.data).all() else "output became non-finite"
         except NonFiniteError as exc:
+            bad = f"activations went NaN ({exc})"
+        if bad:
             raise TrainingDiverged(
-                f"activations went NaN on sample {idx} ({exc}; "
-                f"lr={lr}, momentum={momentum}); reduce the learning rate"
-            ) from None
-        if not np.isfinite(probs.data).all():
-            raise TrainingDiverged(
-                f"output became non-finite on sample {idx} "
-                f"(lr={lr}, momentum={momentum}); reduce the learning rate"
-            )
+                f"{bad} on sample {idx}{of_epoch} (lr={lr}, momentum={momentum}); "
+                "reduce the learning rate", epoch=epoch, sample=int(idx))
         loss = cross_entropy(probs.data, int(labels[idx]))
         total += loss
         if int(np.argmax(probs.data)) == int(labels[idx]):
@@ -154,7 +155,7 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     layer's weights; masked weights are zeroed after every update and their
     gradient contribution dropped, so they stay pruned for the whole run.
     A NaN activation or a non-finite output aborts with TrainingDiverged,
-    naming the sample.
+    naming the epoch and sample in its message and its attributes.
     """
     if len(train_labels) == 0:
         raise ConfigurationError("training set is empty")
@@ -172,13 +173,14 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
         loss, tr_acc = sgd_epoch(
             net, train_images, train_labels, order,
             config.lr, config.momentum, config.weight_decay,
-            velocity, grad_mask=weight_mask,
+            velocity, grad_mask=weight_mask, epoch=epoch,
         )
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"loss became {loss} at epoch {epoch} "
                 f"(lr={config.lr}, momentum={config.momentum}); "
-                "reduce the learning rate"
+                "reduce the learning rate",
+                epoch=epoch,
             )
         ev_acc = accuracy(net, eval_images, eval_labels)
         result.epoch_log.append((epoch, float(loss), float(tr_acc), float(ev_acc)))

@@ -212,10 +212,12 @@ class TestFailureExits:
     @pytest.mark.parametrize("mutate,message", [
         (lambda h: h["layers"][2].update(window=0), "pool window must be >= 1"),
         (lambda h: h["layers"][0].update(stride=0), "stride must be >= 1"),
-    ], ids=["pool_window_0", "conv_stride_0"])
+        (lambda h: h["layers"][0].update(pad=10**12, stride=4 * 10**11),
+         "layer 0 (conv): pad 1000000000000 must be below"),
+    ], ids=["pool_window_0", "conv_stride_0", "conv_pad_huge"])
     def test_invalid_geometry(self, tmp_path, capsys, mutate, message):
         model = tmp_path / "broken.ldap1"
-        save_model(build_cnn((1, 8, 8), [(2, 3, 1, True)], [], 2), str(model))
+        save_model(build_cnn((1, 6, 6), [(2, 3, 1, True)], [], 2), str(model))
         rewrite_header(model, mutate)
         rc = main(["extract", "--out", str(tmp_path), "--model", str(model)]
                   + TINY)

@@ -121,11 +121,30 @@ class TestDefects:
          r"layer 2 \(maxpool\): pool window must be >= 1"),
         (lambda h: h["layers"][0].update(stride=0),
          r"layer 0 \(conv\): stride must be >= 1"),
-    ], ids=["pool_window_0", "conv_stride_0"])
+        (lambda h: h["layers"][0].update(pad=3),
+         r"layer 0 \(conv\): pad 3 must be below the 3x3 kernel"),
+    ], ids=["pool_window_0", "conv_stride_0", "conv_pad_kh"])
     def test_invalid_geometry(self, saved, mutate, message):
         rewrite_header(saved, mutate)
         with pytest.raises(ShapeChainError, match=message):
             load_model(str(saved))
+
+    def test_unaffordable_pad_fails_at_load(self, tmp_path):
+        # shapes chain ((2, 6, 6) out of the conv), but a forward would pad
+        # the input to about 2*10**12 cells per side; no forward is run here
+        path = tmp_path / "huge_pad.ldap1"
+        save_model(build_cnn((1, 6, 6), [(2, 3, 1, True)], [], 2), str(path))
+        rewrite_header(path, lambda h: h["layers"][0].update(
+            pad=10**12, stride=4 * 10**11))
+        with pytest.raises(ShapeChainError,
+                           match=r"layer 0 \(conv\): pad 1000000000000 must be below"):
+            load_model(str(path))
+
+    def test_pad_one_below_the_kernel_loads(self, tmp_path):
+        path = tmp_path / "pad.ldap1"
+        save_model(build_cnn((1, 6, 6), [(2, 3, 2, True)], [], 2), str(path))
+        net, _ = load_model(str(path))
+        assert net.layers[0].pad == 2
 
     def test_unknown_layer_kind(self, saved):
         rewrite_header(saved, lambda h: h["layers"][0].update(kind="mystery"))

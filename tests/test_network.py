@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from fisherprune import ops
 from fisherprune.bench import time_network
 from fisherprune.errors import ConfigurationError, DimensionError
 from fisherprune.network import (
     LayerSpec, Network, build_cnn, forward, logits, reference_cnn,
 )
+from fisherprune.prune import PrunePlan, apply_prune
 from fisherprune.tensor import Tensor
+from fisherprune.train import accuracy
 
 
 def tiny_net(seed=3):
@@ -49,11 +52,20 @@ class TestShapeInference:
         (2, "stride", 0, r"layer 2 \(maxpool\): stride must be >= 1"),
         (0, "stride", 0, r"layer 0 \(conv\): stride must be >= 1"),
         (0, "pad", -1, r"layer 0 \(conv\): pad must be >= 0"),
+        (0, "pad", 3, r"layer 0 \(conv\): pad 3 must be below the 3x3 kernel"),
     ])
     def test_invalid_geometry_names_the_layer(self, layer, field, value, message):
         net = tiny_net()
         setattr(net.layers[layer], field, value)
         with pytest.raises(ConfigurationError, match=message):
+            net.infer_shapes()
+
+    @pytest.mark.parametrize("kernel,pad", [((3, 5), 3), ((5, 2), 2)])
+    def test_pad_must_be_below_both_kernel_extents(self, kernel, pad):
+        w = np.zeros((2, 1) + kernel, dtype=np.float32)
+        net = Network((1, 6, 6), [LayerSpec.conv(w, np.zeros(2), pad=pad)])
+        with pytest.raises(ConfigurationError,
+                           match=rf"layer 0 \(conv\): pad {pad} must be below"):
             net.infer_shapes()
 
     def test_last_conv_requires_a_conv(self):
@@ -166,3 +178,76 @@ class TestBuilders:
         dup = net.copy()
         dup.layers[0].weights[:] = 0
         assert net.layers[0].weights.any()
+
+
+def overlapping_pool_net(seed=5):
+    """Two conv blocks pooled by 3x3 windows at strides 2 and 1."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        LayerSpec.conv(rng.standard_normal((3, 1, 3, 3)), np.zeros(3), pad=1),
+        LayerSpec.relu(),
+        LayerSpec.maxpool(3, 2),  # 9x9 -> 4x4
+        LayerSpec.conv(rng.standard_normal((4, 3, 3, 3)),
+                       rng.standard_normal(4), pad=1),
+        LayerSpec.relu(),
+        LayerSpec.maxpool(3, 1),  # 4x4 -> 2x2
+        LayerSpec.flatten(),
+        LayerSpec.dense(rng.standard_normal((2, 16)), np.zeros(2)),
+        LayerSpec.softmax(),
+    ]
+    net = Network((1, 9, 9), layers)
+    net.infer_shapes()
+    return net
+
+
+def pruned_reference_cnn():
+    """reference_cnn sliced to the 5/1/11/9/22/4 widths the pipeline delivers."""
+    net = reference_cnn(seed=0)
+    rng = np.random.default_rng(6)
+    keep = {i: np.sort(rng.choice(net.layers[i].weights.shape[0], n,
+                                  replace=False)).astype(np.int64)
+            for i, n in zip(net.conv_indices(), (5, 1, 11, 9, 22, 4))}
+    return apply_prune(net, PrunePlan(keep=keep, threshold=0.0))
+
+
+class TestSwitchFreeForward:
+    @pytest.mark.parametrize("make", [lambda: reference_cnn(seed=0),
+                                      pruned_reference_cnn, overlapping_pool_net],
+                             ids=["reference_cnn", "pruned", "overlapping_pools"])
+    def test_plain_forward_is_the_recording_forward_bit_for_bit(self, make):
+        net = make()
+        rng = np.random.default_rng(8)
+        images = [rng.random(net.input_shape).astype(np.float32)
+                  for _ in range(4)]
+        images.append(np.zeros(net.input_shape, dtype=np.float32))  # all ties
+        for image in images:
+            x = Tensor(image)
+            want, rec = forward(net, x, record=True)
+            got = forward(net, x)
+            assert rec.switches  # the recording pass did build switches
+            assert got.data.dtype == want.data.dtype
+            np.testing.assert_array_equal(got.data.view(np.uint32),
+                                          want.data.view(np.uint32))
+            np.testing.assert_array_equal(logits(net, x).data.view(np.uint32),
+                                          rec.activations[-2].view(np.uint32))
+
+    def test_passes_that_do_not_record_build_no_switches(self, monkeypatch):
+        net = tiny_net()
+        x = Tensor(np.random.default_rng(9).random((1, 8, 8)).astype(np.float32))
+        seen = []
+        pool = ops.maxpool_forward
+
+        def spy(*args, **kwargs):
+            out = pool(*args, **kwargs)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(ops, "maxpool_forward", spy)
+        forward(net, x)
+        logits(net, x)
+        accuracy(net, [x.data], [0])
+        time_network(net, x, runs=1, warmup=0)
+        assert len(seen) >= 4 and all(s is None for s in seen)
+        del seen[:]
+        forward(net, x, record=True)
+        assert len(seen) == 1 and seen[0] is not None

@@ -302,6 +302,55 @@ class TestPooling:
         np.testing.assert_array_equal(sw, widx)
 
 
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestSwitchFreePool:
+    """switches=False must pool to the same bits as reading the switches."""
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (3, 1), (2, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_are_the_switch_reads_bit_for_bit(self, rng, window, stride,
+                                                      dtype):
+        # signed zeros tie often; a running max that let the later tap win a
+        # tie would flip -0.0/+0.0 here
+        values = np.array([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf], dtype=dtype)
+        base = rng.choice(values, size=(5, 11, 9),
+                          p=[0.3, 0.3, 0.15, 0.05, 0.1, 0.1])
+        views = [base,
+                 base.transpose(1, 0, 2),  # (11, 5, 9), channel axis not outermost
+                 base[::2, ::-1, 1:],  # (3, 11, 8), reversed rows
+                 np.asfortranarray(base)]
+        for x in views:
+            want, sw = ops.maxpool_forward(x, window=window, stride=stride)
+            got, none = ops.maxpool_forward(x, window=window, stride=stride,
+                                            switches=False)
+            assert none is None
+            assert got.dtype == x.dtype and got.shape == sw.shape
+            read = np.ascontiguousarray(x).take(sw)
+            nan = np.isnan(read)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            np.testing.assert_array_equal(_bits(got)[~nan], _bits(read)[~nan])
+            np.testing.assert_array_equal(_bits(want)[~nan], _bits(read)[~nan])
+
+    def test_first_signed_zero_wins(self):
+        x = np.array([[[0.0, -0.0], [-0.0, -0.0]]], dtype=np.float32)
+        for switches in (True, False):
+            got, _ = ops.maxpool_forward(x, 1, 1, switches=switches)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(x))
+            got, _ = ops.maxpool_forward(x, 2, 1, switches=switches)
+            assert not np.signbit(got[0, 0, 0])
+            got, _ = ops.maxpool_forward(-x, 2, 1, switches=switches)
+            assert np.signbit(got[0, 0, 0])  # -0.0 comes first here
+
+    def test_input_is_not_written(self, rng):
+        x = rng.standard_normal((2, 6, 6)).astype(np.float32)
+        keep = x.copy()
+        ops.maxpool_forward(x, 2, 2, switches=False)
+        np.testing.assert_array_equal(x, keep)
+
+
 class TestPointwise:
     def test_relu_clamps_negatives(self, rng):
         x = rng.standard_normal((2, 4, 4)).astype(np.float32)

@@ -150,9 +150,11 @@ class TestTrainLoop:
         images, labels = toy_split()
         images[5][0, 3, 3] = np.nan
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
-        with pytest.raises(TrainingDiverged, match=r"sample 5\b"):
+        with pytest.raises(TrainingDiverged, match=r"sample 5\b") as info:
             train(net, images, labels, images, labels,
                   TrainConfig(epochs=1, seed=0))
+        assert info.value.sample == 5
+        assert info.value.epoch == 0
 
     def test_empty_train_set_rejected(self):
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
