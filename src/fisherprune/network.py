@@ -219,7 +219,7 @@ def _layer_out_shape(layer, shape):
         if kc != c:
             raise DimensionError(f"kernel expects {kc} channels, input has {c}")
         if layer.pad >= kh or layer.pad >= kw:
-            # such a pad only adds all-zero border outputs
+            # such a pad only adds constant (bias-valued) border outputs
             raise ConfigurationError(
                 f"pad {layer.pad} must be below the {kh}x{kw} kernel's extents")
         oh, ow = ops.conv_output_hw(h, w, kh, kw, layer.stride, layer.pad)

@@ -12,7 +12,8 @@ change side is this checkout as it stands. For each workload, pair k runs
 the parent first in even pairs and the change first in odd ones, so a slow
 phase of the host lands on both sides alike. Then one `--trace 1` run per
 side gives the per-layer medians, and the Tier-1 suite runs once per side
-for its wall time (skip it with --no-tier1).
+for its wall time. All three workloads run at full scale, and the file is
+BENCH_<pr>.json at the repository root.
 
 The file holds every output line of every run (env, detail and result),
 per gated metric the parent and change medians, quartiles and the number
@@ -50,11 +51,11 @@ NOTES = [
 ]
 
 
-def run_perfbench(root, workload, seed, seconds, trace, scale):
+def run_perfbench(root, workload, seed, seconds, trace):
     """One perfbench run in `root`: (wall seconds, {env, detail, result})."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds),
-            "--trace", str(trace), "--scale", scale]
+            "--trace", str(trace)]
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -154,14 +155,10 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--seed", type=int, default=8001, help="seed of pair 0")
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
-    p.add_argument("--scale", default="full", help="perfbench --scale")
-    p.add_argument("--no-tier1", action="store_true")
-    p.add_argument("--out", help="output path (default BENCH_<pr>.json here)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
-    out_path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         gated = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
 
@@ -175,7 +172,7 @@ def main(argv=None):
                                 + (argv if argv is not None else sys.argv[1:])),
             "parent": git("rev-parse", args.parent),
             "change": "working tree on " + git("rev-parse", "HEAD"),
-            "pairs": args.pairs, "seconds": args.seconds, "scale": args.scale,
+            "pairs": args.pairs, "seconds": args.seconds,
             "notes": NOTES, "env": {}, "runs": [], "workloads": {},
             "traced": {}, "src_lines": {s: src_lines(r) for s, r in sides.items()},
             "tier1": {},
@@ -188,7 +185,7 @@ def main(argv=None):
 
         def record(side, workload, seed, trace, order):
             wall, lines = run_perfbench(sides[side], workload, seed,
-                                        args.seconds, trace, args.scale)
+                                        args.seconds, trace)
             doc["env"].setdefault(side, lines.get("env"))
             doc["runs"].append({"side": side, "workload": workload, "seed": seed,
                                 "trace": trace, "order": order, "wall_s": wall,
@@ -201,7 +198,7 @@ def main(argv=None):
             save()
             return lines
 
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             runs = {"parent": [], "change": []}
             for k in range(args.pairs):
                 seed = args.seed + k
@@ -232,11 +229,10 @@ def main(argv=None):
                 name: {s: metrics[s].get(name, {}).get("value") for s in metrics}
                 for name in sorted(set(metrics["parent"]) | set(metrics["change"]))}
             save()
-        if not args.no_tier1:
-            for side, root in sides.items():
-                doc["tier1"][side] = tier1(root)
-                print(f"tier-1 {side}: {doc['tier1'][side]['summary']}",
-                      file=sys.stderr, flush=True)
+        for side, root in sides.items():
+            doc["tier1"][side] = tier1(root)
+            print(f"tier-1 {side}: {doc['tier1'][side]['summary']}",
+                  file=sys.stderr, flush=True)
         doc["complete"] = True
         save()
     finally:
