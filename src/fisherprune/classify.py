@@ -2,7 +2,14 @@
 
 These replace the dense head once the firing matrix has been cut down to a
 few selected neurons. All of them are binary: classes 0 and 1 (the SVMs
-use -1/+1 internally). Decision ties at exactly 0 go to +1.
+use -1/+1 internally). Decision ties at exactly 0 go to +1. Features
+must be finite: a NaN or infinity in a fit or evaluation input raises
+NonFiniteError.
+
+The RBF kernel is built in place: the Gram product is scaled and turned
+into squared distances one block of rows at a time, then clipped and
+exponentiated where it lies. An n x m kernel costs one n x m float64
+matrix plus one block (about 200 MB for the largest fit, 5000 rows).
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, HeaderSchemaError
+from .errors import (
+    ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
+)
 from .modelio import _require
 
 
@@ -46,10 +55,12 @@ class SvmModel:
 def _check_features(features, labels):
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels).ravel()
-    if x.ndim != 2:
-        raise DimensionError(f"features must be (n,d), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise DimensionError(f"features must be (n,d) with d >= 1, got {x.shape}")
     if x.shape[0] != y.shape[0]:
         raise DimensionError("one label per feature row required")
+    if not np.isfinite(x).all():
+        raise NonFiniteError("features hold NaN or infinity")
     return x, y
 
 
@@ -177,18 +188,39 @@ def svm_objective(w, b, features, labels, c=1.0) -> float:
     return float(0.5 * (w @ w) + c * hinge.sum())
 
 
+_KERNEL_BLOCK = 64  # rows per squared-distance block in _rbf_kernel
+
+
 def _rbf_kernel(a, b, gamma):
+    """exp(-gamma * max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0)), built in place.
+
+    Bitwise the one-expression form: the same Gram product and the same
+    sums in the same order, but one (n, m) matrix and one reused block of
+    _KERNEL_BLOCK rows live instead of three (n, m) matrices.
+    """
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    k = a @ b.T
+    k *= 2.0
+    buf = np.empty((min(_KERNEL_BLOCK, k.shape[0]), k.shape[1]))
+    for r in range(0, k.shape[0], _KERNEL_BLOCK):
+        rows = k[r:r + _KERNEL_BLOCK]
+        blk = buf[:rows.shape[0]]
+        np.add(aa[r:r + _KERNEL_BLOCK], bb, out=blk)
+        blk -= rows
+        rows[...] = blk
+    np.maximum(k, 0.0, out=k)
+    k *= -gamma
+    np.exp(k, out=k)
+    return k
 
 
 def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
                 max_passes=200) -> SvmModel:
     """Pairwise dual (SMO-style) optimization of the RBF-kernel SVM.
 
-    gamma defaults to 1/d. Sweeps all samples; the partner index is the one
+    gamma defaults to 1/d; it must be finite and > 0, tol finite and >= 0
+    and max_passes >= 1. Sweeps all samples; the partner index is the one
     with the largest error gap, so runs are deterministic. Stops when a full
     sweep finds no KKT violation beyond tol; hitting max_passes first
     returns the partial model with converged=False and a warning.
@@ -199,6 +231,12 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
         raise DimensionError(f"kernel SVM supports at most 5000 samples, got {n}")
     if gamma is None:
         gamma = 1.0 / d
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ConfigurationError(f"rbf gamma must be finite and > 0, got {gamma}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ConfigurationError(f"SMO tol must be finite and >= 0, got {tol}")
+    if not max_passes >= 1:
+        raise ConfigurationError(f"max_passes must be >= 1, got {max_passes}")
     kmat = _rbf_kernel(x, x, gamma)
     alpha = np.zeros(n)
     b = 0.0
@@ -309,7 +347,7 @@ def evaluate_accuracy(model, features, labels):
 # Per head kind: its tensors with their extents (a named extent binds on
 # first use and must agree after), written to the blob in this order; then
 # its meta fields, name -> (type, default), a None default marking a
-# required field.
+# required field. The SVM cost and the RBF width must also be > 0.
 _HEADS = {
     "qda": ({"means": (2, "d"), "cov": (2, "d", "d"), "logprior": (2,)},
             {"lam": (float, 0.0)}),
@@ -320,6 +358,7 @@ _HEADS = {
              {"c": (float, None), "b": (float, None), "gamma": (float, None),
               "iterations": (int, 0), "converged": (bool, True)}),
 }
+_POSITIVE = ("c", "gamma")
 
 
 def to_arrays(model):
@@ -336,8 +375,9 @@ def from_arrays(section):
 
     A missing field, an unknown kind, a meta entry of the wrong type (a
     number that is not finite, a `converged` that is not a bool), tensor
-    extents that disagree or a QDA covariance that is not positive definite
-    raise HeaderSchemaError naming the field.
+    extents that disagree, an SVM `c` or RBF `gamma` that is not > 0 or a
+    QDA covariance that is not positive definite raise HeaderSchemaError
+    naming the field.
     """
     _require(section, dict, "classifier section")
     kind = _require(section.get("kind"), str, "classifier section 'kind'")
@@ -360,6 +400,9 @@ def from_arrays(section):
     for key, (kind_of, default) in fields.items():
         values[key] = _require(meta[key] if key in meta else default, kind_of,
                                f"classifier meta {key!r}")
+        if key in _POSITIVE and not values[key] > 0:
+            raise HeaderSchemaError(
+                f"classifier meta {key!r} must be > 0, got {values[key]}")
     if kind != "qda":
         return SvmModel(kind="linear" if kind == "svml" else "rbf", **values)
     try:

@@ -40,7 +40,7 @@ class DeconvMap:
 
     maps[i] has the shape of layer i's forward output; pixel is the final
     input-shaped reconstruction. A dead neuron (max activation 0) produces
-    all-zero maps and sets dead.
+    all-zero maps without walking and sets dead.
     """
 
     neuron: int
@@ -76,7 +76,9 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     """Walk one last-conv neuron's max activation down to the pixels.
 
     The start tensor is zero except at the neuron's spatial argmax (ties to
-    the smallest flat index), holding the post-relu max value.
+    the smallest flat index), holding the post-relu max value. A dead
+    neuron's walk would carry zeros all the way down, so its maps are
+    allocated as zeros and no mirror stage runs.
     """
     last = net.last_conv_index()
     n_filters = rec.activations[last].shape[0]
@@ -88,15 +90,18 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     chan = act[neuron]
     peak = float(chan.max())
     cur = np.zeros_like(rec.activations[last])
-    dead = peak <= 0.0
-    if not dead:
-        cur[neuron].ravel()[int(chan.argmax())] = peak
     maps = {last: cur}
+    if peak <= 0.0:
+        maps.update((i, np.zeros(rec.activations[i].shape, cur.dtype))
+                    for i in range(last - 1, -1, -1))
+        return DeconvMap(neuron=neuron, maps=maps, dead=True,
+                         pixel=np.zeros(rec.input.shape, cur.dtype))
+    cur[neuron].ravel()[int(chan.argmax())] = peak
     for i in range(last, -1, -1):
         cur = _mirror_step(net.layers[i], cur, rec, i)
         if i > 0:
             maps[i - 1] = cur
-    return DeconvMap(neuron=neuron, maps=maps, pixel=cur, dead=dead)
+    return DeconvMap(neuron=neuron, maps=maps, pixel=cur, dead=False)
 
 
 def _layer_contrib(dmap, conv_layers):

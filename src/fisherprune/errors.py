@@ -10,16 +10,18 @@ class ConfigurationError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """An activation holds NaN where a layer needs finite input."""
+    """An activation or a feature holds NaN (or infinity) where it must not."""
 
 
 class TrainingDiverged(RuntimeError):
-    """Training went non-finite; epoch and sample say where (None if unknown)."""
+    """Training went non-finite; epoch, sample and the first non-finite
+    layer's index say where (None if unknown)."""
 
-    def __init__(self, message, epoch=None, sample=None):
+    def __init__(self, message, epoch=None, sample=None, layer=None):
         super().__init__(message)
         self.epoch = epoch
         self.sample = sample
+        self.layer = layer
 
 
 class ModelFormatError(Exception):

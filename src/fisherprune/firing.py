@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, NonFiniteError
 from .network import Network, forward
 
 
@@ -39,8 +39,8 @@ class FiringMatrix:
             raise DimensionError(f"firing matrix must be 2-D, got {self.values.shape}")
         if self.values.shape[0] != self.labels.shape[0]:
             raise DimensionError("one label per firing row required")
-        if np.isnan(self.values).any():
-            raise ValueError("firing matrix contains NaN")
+        if not np.isfinite(self.values).all():
+            raise NonFiniteError("firing matrix holds NaN or infinity")
 
 
 @dataclass

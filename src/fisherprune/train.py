@@ -99,6 +99,26 @@ def accuracy(net, images, labels):
     return hit / max(len(labels), 1)
 
 
+def _first_non_finite_layer(net, x):
+    """Index of the first layer whose output holds NaN or infinity, or None.
+
+    Re-runs the forward pass with a checking hook; training calls it only
+    once a sample has already diverged, so the normal path pays nothing.
+    """
+    found = []
+
+    def check(i, out):
+        if not found and not np.isfinite(out).all():
+            found.append(i)
+        return out
+
+    try:
+        forward(net, x, hook=check)
+    except NonFiniteError:
+        pass  # softmax refuses NaN after an earlier layer already produced it
+    return found[0] if found else None
+
+
 def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
               velocity, grad_mask=None, epoch=None):
     """One pass over the data in the given order; returns (mean loss, acc).
@@ -115,9 +135,11 @@ def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
         except NonFiniteError as exc:
             bad = f"activations went NaN ({exc})"
         if bad:
+            layer = _first_non_finite_layer(net, x)
             raise TrainingDiverged(
-                f"{bad} on sample {idx}{of_epoch} (lr={lr}, momentum={momentum}); "
-                "reduce the learning rate", epoch=epoch, sample=int(idx))
+                f"{bad} on sample {idx}{of_epoch}, first at layer {layer} "
+                f"(lr={lr}, momentum={momentum}); reduce the learning rate",
+                epoch=epoch, sample=int(idx), layer=layer)
         loss = cross_entropy(probs.data, int(labels[idx]))
         total += loss
         if int(np.argmax(probs.data)) == int(labels[idx]):
@@ -155,7 +177,8 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     layer's weights; masked weights are zeroed after every update and their
     gradient contribution dropped, so they stay pruned for the whole run.
     A NaN activation or a non-finite output aborts with TrainingDiverged,
-    naming the epoch and sample in its message and its attributes.
+    naming the epoch, the sample and the first layer whose output went
+    non-finite in its message and its attributes.
     """
     if len(train_labels) == 0:
         raise ConfigurationError("training set is empty")

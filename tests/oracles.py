@@ -240,3 +240,38 @@ def head_labels_loops(model, rows):
                 decision += a * y * np.exp(-model.gamma * ((sv - x) ** 2).sum())
         labels.append(1 if decision >= 0.0 else 0)
     return labels
+
+
+def rbf_kernel_expression(a, b, gamma):
+    """The RBF kernel as the package's earlier one-line expression: three
+    (n, m) float64 arrays live at once."""
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
+    d2 = aa + bb - 2.0 * (a @ b.T)
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+def deconv_walk_every_layer(net, rec, neuron, mirror_step):
+    """The package's earlier neuron walk: (maps, pixel, dead).
+
+    Every mirror stage runs, also for a dead neuron, whose all-zero start
+    tensor is carried down the whole stack. `mirror_step(layer, cur, rec,
+    i)` is the one-layer mirror stage under test; `net` and `rec` are read
+    by attribute only.
+    """
+    last = max(i for i, layer in enumerate(net.layers) if layer.kind == "conv")
+    act = rec.activations[last + 1] if (
+        last + 1 < len(net.layers) and net.layers[last + 1].kind == "relu"
+    ) else np.maximum(rec.activations[last], 0)
+    chan = act[neuron]
+    peak = float(chan.max())
+    cur = np.zeros_like(rec.activations[last])
+    dead = peak <= 0.0
+    if not dead:
+        cur[neuron].ravel()[int(chan.argmax())] = peak
+    maps = {last: cur}
+    for i in range(last, -1, -1):
+        cur = mirror_step(net.layers[i], cur, rec, i)
+        if i > 0:
+            maps[i - 1] = cur
+    return maps, cur, dead

@@ -1,14 +1,19 @@
 """Classifier heads: QDA, linear SVM, RBF SVM, and their serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fisherprune import classify
 from fisherprune.classify import (
     evaluate_accuracy, fit_head, from_arrays, linear_svm_fit, predict, qda_fit,
     qda_predict, rbf_svm_fit, svm_decision, svm_objective, svm_predict,
     to_arrays,
 )
-from fisherprune.errors import ConfigurationError, DimensionError, HeaderSchemaError
+from fisherprune.errors import (
+    ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
+)
 
 import oracles
 
@@ -164,6 +169,99 @@ class TestRbfSvm:
         assert svm_predict(model, np.array([1.0, 2.0])) == -1
 
 
+class TestRbfKernel:
+    """The in-place kernel against the earlier one-expression form."""
+
+    @pytest.mark.parametrize("n,m,d,same", [
+        (1, 1, 3, True), (1, 1, 2, False), (1, 7, 2, False), (9, 1, 4, False),
+        (64, 64, 3, True), (65, 30, 2, False), (130, 130, 5, True),
+        (200, 3, 8, False), (3, 200, 1, False),
+    ])
+    def test_bytes_equal_the_expression(self, n, m, d, same):
+        rng = np.random.default_rng(n * 1000 + m * 10 + d)
+        a = rng.normal(0, 2, (n, d))
+        b = a if same else rng.normal(0, 2, (m, d))
+        gamma = 1.0 / d
+        got = classify._rbf_kernel(a, b, gamma)
+        want = oracles.rbf_kernel_expression(a, b, gamma)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_shapes_bytes_equal(self):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            n, m, d = rng.integers(1, 300), rng.integers(1, 300), rng.integers(1, 9)
+            a = rng.normal(0, 1.5, (n, d))
+            b = a if trial % 3 == 0 else rng.normal(0, 1.5, (m, d))
+            gamma = float(rng.uniform(0.05, 3.0))
+            assert (classify._rbf_kernel(a, b, gamma).tobytes()
+                    == oracles.rbf_kernel_expression(a, b, gamma).tobytes())
+
+    def test_fit_and_decisions_unchanged(self, monkeypatch):
+        x, _, ypm = blobs(n=150, gap=1.0, seed=17)  # 300 rows, 5 blocks
+        probes = np.random.default_rng(18).normal(0, 2, (90, 2))
+        model = rbf_svm_fit(x, ypm, c=1.0)
+        decisions = classify._svm_decisions(model, probes)
+        monkeypatch.setattr(classify, "_rbf_kernel", oracles.rbf_kernel_expression)
+        want = rbf_svm_fit(x, ypm, c=1.0)
+        assert model.alpha.tobytes() == want.alpha.tobytes()
+        assert model.sv_x.tobytes() == want.sv_x.tobytes()
+        assert model.b == want.b
+        assert model.iterations == want.iterations
+        assert (decisions.tobytes()
+                == classify._svm_decisions(want, probes).tobytes())
+
+    def test_kernel_build_holds_one_matrix(self):
+        n = 1000
+        x = np.random.default_rng(5).normal(0, 1, (n, 4))
+        peaks = []
+        for build in (classify._rbf_kernel, oracles.rbf_kernel_expression):
+            tracemalloc.start()
+            try:
+                build(x, x, 0.25)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.2 * 8 * n * n
+        assert peaks[1] > 2.0 * 8 * n * n  # the measurement sees the old form
+
+
+class TestHeadInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
+    def test_fit_refuses_non_finite_features(self, kind, bad):
+        x, y01, _ = blobs(n=10)
+        x[3, 1] = bad
+        with pytest.raises(NonFiniteError, match="features"):
+            fit_head(kind, x, y01)
+
+    def test_evaluation_and_objective_refuse_non_finite_features(self):
+        x, y01, ypm = blobs(n=10)
+        model = qda_fit(x, y01)
+        x[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            evaluate_accuracy(model, x, y01)
+        with pytest.raises(NonFiniteError):
+            svm_objective(np.ones(2), 0.0, x, ypm)
+
+    @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
+    def test_zero_width_features_rejected(self, kind):
+        with pytest.raises(DimensionError, match="d >= 1"):
+            fit_head(kind, np.zeros((10, 0)), np.repeat([0, 1], 5))
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"),
+        ({"gamma": float("nan")}, "gamma"), ({"gamma": float("inf")}, "gamma"),
+        ({"tol": -1e-3}, "tol"), ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"), ({"max_passes": 0}, "max_passes"),
+        ({"max_passes": -2}, "max_passes"),
+    ])
+    def test_rbf_hyper_parameters_checked(self, kwargs, match):
+        x, _, ypm = blobs(n=5)
+        with pytest.raises(ConfigurationError, match=match):
+            rbf_svm_fit(x, ypm, **kwargs)
+
+
 class TestEvaluation:
     def test_empty_set_rejected(self):
         x, y01, _ = blobs(n=5)
@@ -316,4 +414,16 @@ class TestSerialization:
         section = to_arrays(fit_head(kind, x, y01))
         mutate(section)
         with pytest.raises(HeaderSchemaError, match=field):
+            from_arrays(section)
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("svmr", "gamma", 0.0), ("svmr", "gamma", -0.5), ("svmr", "c", 0.0),
+        ("svmr", "c", -1.0), ("svml", "c", 0.0), ("svml", "c", -2.0),
+    ])
+    def test_non_positive_width_or_cost_is_a_schema_error(self, kind, key,
+                                                           value):
+        x, y01, _ = blobs(seed=6)
+        section = to_arrays(fit_head(kind, x, y01))
+        section["meta"][key] = value
+        with pytest.raises(HeaderSchemaError, match=f"meta '{key}' must be > 0"):
             from_arrays(section)

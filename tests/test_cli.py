@@ -264,9 +264,16 @@ class TestFailureExits:
           "tensors": {"sv_x": np.ones((2, 3)), "sv_y": np.ones(1),
                       "alpha": np.ones(2)}},
          "tensor 'sv_y'"),
+        ({"kind": "svmr", "meta": {"c": 1.0, "b": 0.0, "gamma": 0.0},
+          "tensors": {"sv_x": np.ones((1, 3)), "sv_y": np.ones(1),
+                      "alpha": np.ones(1)}},
+         "meta 'gamma' must be > 0"),
+        ({"kind": "svml", "meta": {"c": -1.0, "b": 0.0},
+          "tensors": {"w": np.ones(3)}},
+         "meta 'c' must be > 0"),
     ], ids=["qda_without_cov", "svml_without_c", "svmr_without_gamma",
             "svml_null_c", "qda_cov_narrower_than_means", "qda_cov_not_pd",
-            "svmr_short_sv_y"])
+            "svmr_short_sv_y", "svmr_gamma_0", "svml_c_negative"])
     def test_eval_rejects_a_malformed_stored_head(self, tmp_path, capsys,
                                                   head, field):
         model = tmp_path / "broken.ldap1"
@@ -278,6 +285,21 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert err.startswith("error: HeaderSchemaError:")
         assert field in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("head", ["qda", "svml", "svmr"])
+    def test_eval_refuses_non_finite_features(self, tmp_path, capsys, head):
+        model = tmp_path / "overflowing.ldap1"
+        net = build_cnn((1, 32, 32), [(2, 3, 1, True)], [], 2)
+        net.layers[0].weights[:] = 3e38  # the firing overflows float32
+        save_model(net, str(model))
+        with np.errstate(over="ignore"):
+            rc = main(["eval", "--out", str(tmp_path), "--model", str(model),
+                       "--classifier", head] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteError:")
+        assert "NaN or infinity" in err
         assert err.count("\n") == 1
 
     def test_bad_grid_spec(self, piperun, tmp_path, capsys):

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
-from fisherprune import ops
-from fisherprune.data import LabeledImage
-from fisherprune.deconv import deconv_from_neuron, dependency_scores, unpool
+from fisherprune import deconv, ops
+from fisherprune.data import LabeledImage, generate_synthetic
+from fisherprune.deconv import (
+    DeconvMap, deconv_from_neuron, dependency_scores, unpool,
+)
 from fisherprune.errors import ConfigurationError, DimensionError
-from fisherprune.network import LayerSpec, Network, build_cnn, forward
+from fisherprune.network import (
+    LayerSpec, Network, build_cnn, forward, reference_cnn,
+)
 from fisherprune.tensor import Tensor
+
+import oracles
 
 
 def labeled(img, label=0, id="x"):
@@ -87,6 +93,33 @@ class TestNeuronWalk:
         assert not dmap.pixel.any()
         assert all(not m.any() for m in dmap.maps.values())
 
+    def test_dead_walk_equals_the_full_walk(self, monkeypatch):
+        net = reference_cnn(seed=0)
+        last = net.last_conv_index()
+        net.layers[last].weights[5] = 0.0
+        net.layers[last].bias[5] = -1.0  # filter 5 can never fire
+        image = generate_synthetic(2, seed=1).train[0].image
+        _, rec = forward(net, image, record=True)
+        steps = []
+        real_step = deconv._mirror_step
+
+        def counted(*args):
+            steps.append(args[-1])
+            return real_step(*args)
+
+        monkeypatch.setattr(deconv, "_mirror_step", counted)
+        dmap = deconv_from_neuron(net, rec, 5)
+        assert dmap.dead and not steps  # no mirror stage ran
+        maps, pixel, dead = oracles.deconv_walk_every_layer(
+            net, rec, 5, real_step)
+        assert dead
+        assert list(dmap.maps) == list(maps)
+        for i, m in maps.items():
+            assert dmap.maps[i].shape == m.shape and dmap.maps[i].dtype == m.dtype
+            np.testing.assert_array_equal(dmap.maps[i], m)
+        assert dmap.pixel.shape == pixel.shape and dmap.pixel.dtype == pixel.dtype
+        np.testing.assert_array_equal(dmap.pixel, pixel)
+
     def test_neuron_index_checked(self):
         net = passthrough_net()
         x = Tensor(np.zeros((1, 4, 4), dtype=np.float32))
@@ -136,6 +169,36 @@ class TestDependencyScores:
                 per_neuron.append(acc / len(images))
             want = np.max(per_neuron, axis=0)
             np.testing.assert_allclose(table.scores[li], want, atol=1e-12)
+
+    def test_scores_bytes_equal_the_full_walk(self, monkeypatch):
+        """reference_cnn, every last-conv neuron: dead walks are skipped,
+        and the table is the one every walk running every stage gives."""
+        net = reference_cnn(seed=0)
+        images = generate_synthetic(4, seed=3).train
+        selected = list(range(32))
+        deads = []
+        real_walk = deconv.deconv_from_neuron
+
+        def counting(net, rec, n):
+            dmap = real_walk(net, rec, n)
+            deads.append(dmap.dead)
+            return dmap
+
+        monkeypatch.setattr(deconv, "deconv_from_neuron", counting)
+        table = dependency_scores(net, images, selected)
+        assert any(deads) and not all(deads)  # both paths ran
+
+        def full_walk(net, rec, n):
+            maps, pixel, dead = oracles.deconv_walk_every_layer(
+                net, rec, n, deconv._mirror_step)
+            return DeconvMap(neuron=n, maps=maps, pixel=pixel, dead=dead)
+
+        monkeypatch.setattr(deconv, "deconv_from_neuron", full_walk)
+        want = dependency_scores(net, images, selected)
+        assert list(table.scores) == list(want.scores)
+        for li, vals in want.scores.items():
+            assert table.scores[li].tobytes() == vals.tobytes()
+        assert table.dead_layers == want.dead_layers
 
     def test_empty_inputs_rejected(self, setup):
         net, images = setup

@@ -5,7 +5,7 @@ import pytest
 
 from fisherprune import firing
 from fisherprune.data import generate_synthetic
-from fisherprune.errors import ConfigurationError, DimensionError
+from fisherprune.errors import ConfigurationError, DimensionError, NonFiniteError
 from fisherprune.firing import (
     FiringMatrix, diagonal_dominance, extract_firing_matrix,
     full_lda_directions, icc_scores, rank_and_select,
@@ -55,6 +55,11 @@ class TestExtraction:
     def test_nan_rows_rejected(self):
         with pytest.raises(ValueError):
             FiringMatrix(np.array([[1.0, np.nan]]), np.array([0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_a_non_finite_error(self, bad):
+        with pytest.raises(NonFiniteError, match="NaN or infinity"):
+            FiringMatrix(np.array([[1.0, bad]]), np.array([0]))
 
 
 class TestStandardize:

@@ -1,12 +1,13 @@
 """Backprop gradients, the SGD loop, masking, and failure modes."""
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
 from fisherprune.errors import ConfigurationError, TrainingDiverged
-from fisherprune.network import build_cnn, forward
+from fisherprune.network import build_cnn, forward, reference_cnn
 from fisherprune.tensor import Tensor
 from fisherprune.train import (
     TrainConfig, accuracy, backward, cross_entropy, retrain, sgd_epoch, train,
@@ -14,6 +15,9 @@ from fisherprune.train import (
 )
 
 import oracles
+
+# the package re-exports the function `train`, which hides the module
+train_module = importlib.import_module("fisherprune.train")
 
 
 def widen_to_float64(net):
@@ -155,6 +159,39 @@ class TestTrainLoop:
                   TrainConfig(epochs=1, seed=0))
         assert info.value.sample == 5
         assert info.value.epoch == 0
+        assert info.value.layer == 0  # the first conv already outputs NaN
+
+    def test_inf_dense_weight_names_the_dense_layer(self):
+        images, labels = toy_split(n=2, size=32)
+        net = reference_cnn(seed=0)
+        assert net.layers[16].kind == "dense"
+        net.layers[16].weights[0, 0] = np.inf
+        with pytest.raises(TrainingDiverged, match="first at layer 16") as info, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0 is NaN
+            train(net, images, labels, images, labels,
+                  TrainConfig(epochs=1, seed=0))
+        assert info.value.layer == 16
+        assert info.value.epoch == 0
+
+    def test_layer_is_searched_only_after_divergence(self, monkeypatch):
+        def refuse(net, x):
+            raise AssertionError("layer search on a finite sample")
+
+        monkeypatch.setattr(train_module, "_first_non_finite_layer", refuse)
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        train(net, images, labels, images, labels, TrainConfig(epochs=1))
+
+    def test_epoch_loss_check_leaves_the_layer_unknown(self, monkeypatch):
+        monkeypatch.setattr(train_module, "sgd_epoch",
+                            lambda *args, **kwargs: (float("nan"), 0.0))
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        with pytest.raises(TrainingDiverged, match="loss became nan") as info:
+            train(net, images, labels, images, labels, TrainConfig(epochs=1))
+        assert info.value.epoch == 0
+        assert info.value.layer is None and info.value.sample is None
 
     def test_empty_train_set_rejected(self):
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
