@@ -1,9 +1,9 @@
 """Trace selected neurons down the stack and prune everything they ignore."""
 
 from fisherprune import (
-    TrainConfig, accuracy, apply_prune, build_prune_plan, dependency_scores,
-    equivalence_check, extract_firing_matrix, generate_synthetic, icc_scores,
-    plateau_threshold_search, rank_and_select, reference_cnn, retrain,
+    TrainConfig, accuracy, dependency_scores, equivalence_check,
+    extract_firing_matrix, generate_synthetic, icc_scores,
+    plateau_threshold_search, rank_and_select, reference_cnn,
     scatter_matrices, standardize, train,
 )
 from fisherprune.data import images_labels
@@ -41,11 +41,9 @@ for rep in reports:
     print(f"{rep.threshold:9.1f}  {rep.conv_rate:9.3f}  {rep.acc_after:.3f}")
 print(f"plateau edge t0 = {t0}")
 
-plan = build_prune_plan(table, ranking.selected, t0)
-dev = equivalence_check(net, plan, split.test[:50])
+# the search already pruned and retrained every point: take t0's plan and net
+chosen = next(rep for rep in reports if rep.threshold == t0)
+dev = equivalence_check(net, chosen.plan, split.test[:50])
 print(f"pruned-vs-masked max logit deviation: {dev:.2e}")
-
-pruned = apply_prune(net, plan)
-retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels, retrain_cfg)
-print(f"pruned: {sum(pruned.param_count())} params, "
-      f"test acc {accuracy(pruned, te_imgs, te_labels):.3f}")
+print(f"pruned: {sum(chosen.net.param_count())} params, "
+      f"test acc {chosen.acc_after:.3f}")

@@ -3,8 +3,8 @@
 These replace the dense head once the firing matrix has been cut down to a
 few selected neurons. All of them are binary: classes 0 and 1 (the SVMs
 use -1/+1 internally). Decision ties at exactly 0 go to +1. Features
-must be finite: a NaN or infinity in a fit or evaluation input raises
-NonFiniteError.
+must be finite: a NaN or infinity in a fit, prediction or evaluation input
+raises NonFiniteError.
 
 The RBF kernel is built in place: the Gram product is scaled and turned
 into squared distances one block of rows at a time, then clipped and
@@ -52,7 +52,7 @@ class SvmModel:
     converged: bool = True
 
 
-def _check_features(features, labels):
+def _check_features(features, labels, classes=None):
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels).ravel()
     if x.ndim != 2 or x.shape[1] == 0:
@@ -61,6 +61,8 @@ def _check_features(features, labels):
         raise DimensionError("one label per feature row required")
     if not np.isfinite(x).all():
         raise NonFiniteError("features hold NaN or infinity")
+    if classes is not None and not set(np.unique(y)) <= set(classes):
+        raise ConfigurationError(f"labels must be in {sorted(classes)}")
     return x, y
 
 
@@ -71,7 +73,7 @@ def qda_fit(features, labels, lam=1e-3) -> QdaModel:
     covariance estimate is rank-deficient, so the fit is refused with a
     pointer at the cure (fewer selected neurons, or a larger lam).
     """
-    x, y = _check_features(features, labels)
+    x, y = _check_features(features, labels, (0, 1))
     n, d = x.shape
     if lam < 0:
         raise ConfigurationError(f"lam must be >= 0, got {lam}")
@@ -114,6 +116,8 @@ def _rows(features, d):
     x = x.reshape(1, -1) if x.ndim < 2 else x
     if x.ndim != 2 or x.shape[1] != d:
         raise DimensionError(f"expected {d}-dim input, got {x.shape[-1]}")
+    if not np.isfinite(x).all():
+        raise NonFiniteError("features hold NaN or infinity")
     return x
 
 
@@ -136,10 +140,8 @@ def qda_predict(model: QdaModel, x):
 
 def _svm_problem(features, labels, c):
     """Checked (x, float labels) for an SVM fit with cost c."""
-    x, y = _check_features(features, labels)
+    x, y = _check_features(features, labels, (-1, 1))
     y = y.astype(np.float64)
-    if not (set(np.unique(y)) <= {-1.0, 1.0}):
-        raise ConfigurationError("labels must be in {-1,+1}")
     if len(np.unique(y)) < 2:
         raise ConfigurationError("both classes required to fit an SVM")
     if not (np.isfinite(c) and c > 0):

@@ -22,7 +22,7 @@ from .bench import blas_pinned, time_network
 from .data import generate_synthetic, images_labels, load_pgm_dir
 from .errors import ConfigurationError, ModelFormatError, TrainingDiverged
 from .network import forward, reference_cnn
-from .train import TrainConfig, accuracy, retrain, train
+from .train import TrainConfig, accuracy, train
 
 
 def _load_dataset(spec, seed, n_per_class, size=32):
@@ -125,16 +125,20 @@ def cmd_analyze(args, split):
 
 
 def _dependency_search(args, split):
-    """prune and sweep's shared head: load, base accuracy, rank, dependency
-    walk into dependencies.csv and, given --grid, the plateau search.
-
-    Returns (net, base_acc, ranking, table, cfg, (t_0, reports) or None).
-    """
+    """prune and sweep's shared head: check every flag, then load, base
+    accuracy, rank, dependency walk into dependencies.csv and the plateau
+    search over --grid (or over the one point --threshold). Returns
+    (net, base_acc, ranking, cfg, (t_0, reports))."""
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.dep_images < 0:
         raise ConfigurationError(
             f"--dep-images must be >= 0 (0 means all), got {args.dep_images}")
-    grid = _parse_grid(args.grid) if args.grid is not None else None
+    grid = _parse_grid(args.grid) if args.grid is not None else [args.threshold]
+    if not 0.0 <= grid[0] <= grid[-1] <= 1.0:  # grid points ascend
+        raise ConfigurationError(
+            f"thresholds must be in [0,1], got {args.grid or args.threshold}")
+    if not (math.isfinite(args.eps_acc) and args.eps_acc > 0):
+        raise ConfigurationError(f"--eps-acc must be finite and > 0, got {args.eps_acc}")
     net, _ = modelio.load_model(args.model)
     te_imgs, te_labels = images_labels(split.test)
     base_acc = accuracy(net, te_imgs, te_labels)
@@ -145,48 +149,41 @@ def _dependency_search(args, split):
                ["layer", "filter", "score"],
                [[li, f, f"{s:.8g}"] for li in sorted(table.scores)
                 for f, s in enumerate(table.scores[li])])
-    search = None if grid is None else prune.plateau_threshold_search(
+    search = prune.plateau_threshold_search(
         net, table, ranking.selected, split, grid,
         eps_acc=args.eps_acc, retrain_config=cfg,
     )
-    return net, base_acc, ranking, table, cfg, search
+    return net, base_acc, ranking, cfg, search
 
 
 def cmd_prune(args, split):
     if args.threshold is None and args.grid is None:
         raise ConfigurationError("prune needs --threshold or --grid")
-    net, base_acc, ranking, table, cfg, search = _dependency_search(args, split)
+    net, base_acc, ranking, _, (t_0, reports) = _dependency_search(args, split)
     lines = []
-    threshold = args.threshold
-    if search is not None:
-        threshold, reports = search
+    if args.grid is not None:
         rows = [[f"{r.threshold:.6g}", f"{r.conv_rate:.6f}",
                  f"{r.acc_before:.6f}", f"{r.acc_after:.6f}", int(r.flagged)]
                 for r in reports]
         _write_csv(os.path.join(args.out, "threshold_search.csv"),
                    ["threshold", "conv_rate", "acc_before", "acc_after",
                     "forced"], rows)
-        lines.append(f"prune: plateau threshold t0={threshold:.6g} "
+        lines.append(f"prune: plateau threshold t0={t_0:.6g} "
                      f"(eps_acc={args.eps_acc})")
-    plan = prune.build_prune_plan(table, ranking.selected, threshold)
-    pruned = prune.apply_prune(net, plan)
+    chosen = next(r for r in reports if r.threshold == t_0)
+    plan, rate, final_acc = chosen.plan, chosen.conv_rate, chosen.acc_after
     dev = prune.equivalence_check(net, plan, split.test[:20] or split.train[:20])
-    tr_imgs, tr_labels = images_labels(split.train)
-    te_imgs, te_labels = images_labels(split.test)
-    retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels, cfg)
-    final_acc = accuracy(pruned, te_imgs, te_labels)
-    rate = plan.conv_rate(net)
     sel = [int(n) for n in ranking.selected]
-    modelio.save_model(pruned, os.path.join(args.out, "pruned.ldap1"),
+    modelio.save_model(chosen.net, os.path.join(args.out, "pruned.ldap1"),
                        provenance={"command": "prune", **_manifest(args),
-                                   "threshold": threshold, "selected": sel,
+                                   "threshold": t_0, "selected": sel,
                                    "conv_rate": round(rate, 6)})
     counts = plan.param_counts(net)
     rows = [[li, b, a, f"{1 - a / b:.6f}"] for li, (b, a) in sorted(counts.items())]
     _write_csv(os.path.join(args.out, "prune_report.csv"),
                ["layer", "params_before", "params_after", "reduction"], rows)
     lines += [
-        f"prune: selected={sel} threshold={threshold:.6g}",
+        f"prune: selected={sel} threshold={t_0:.6g}",
         f"prune: conv parameter reduction {rate:.4f}",
         f"prune: pruned-vs-masked max relative deviation {dev:.3g}",
         f"prune: accuracy unpruned={base_acc:.4f} retrained={final_acc:.4f}",
@@ -194,13 +191,13 @@ def cmd_prune(args, split):
     if plan.forced_layers:
         lines.append(f"prune: empty-layer guard kept top filter in layers "
                      f"{sorted(plan.forced_layers)}")
-    print(f"pruned at t={threshold:.4g}: conv reduction {rate:.2%}, "
+    print(f"pruned at t={t_0:.4g}: conv reduction {rate:.2%}, "
           f"accuracy {base_acc:.4f} -> {final_acc:.4f}")
     return lines
 
 
 def cmd_sweep(args, split):
-    net, base_acc, _, _, cfg, (_, reports) = _dependency_search(args, split)
+    net, base_acc, _, cfg, (_, reports) = _dependency_search(args, split)
     rows = [[f"{r.conv_rate:.6f}", f"{r.acc_after - base_acc:.6f}", "lda"]
             for r in reports]
     for r in reports:
@@ -280,6 +277,17 @@ def _add_common(p):
     p.add_argument("--out", default="out", help="artifact directory")
 
 
+def _add_pruning(p):
+    p.add_argument("--model", required=True)
+    p.add_argument("--k", type=int, default=4, help="last-conv neurons kept")
+    p.add_argument("--eps-acc", type=float, default=0.02, help="plateau slack")
+    p.add_argument("--epochs", type=int, default=10, help="retrain budget")
+    p.add_argument("--lr", type=float, default=0.005,
+                   help="base rate; retraining runs at a tenth of it")
+    p.add_argument("--dep-images", type=int, default=60,
+                   help="training images used for dependency pooling")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # main prints it as one line and exits 2
         raise ConfigurationError(message)
@@ -311,27 +319,15 @@ def build_parser():
 
     p = sub.add_parser("prune", help="prune by dependency threshold and retrain")
     _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--threshold", type=float, default=None)
+    _add_pruning(p)
+    p.add_argument("--threshold", type=float, default=None, help="one-point grid")
     p.add_argument("--grid", default=None, help="lo:hi:step plateau search")
-    p.add_argument("--eps-acc", type=float, default=0.02)
-    p.add_argument("--epochs", type=int, default=10, help="retrain budget")
-    p.add_argument("--lr", type=float, default=0.005,
-                   help="base rate; retraining runs at a tenth of it")
-    p.add_argument("--dep-images", type=int, default=60,
-                   help="training images used for dependency pooling")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("sweep", help="rate-vs-accuracy curves for both methods")
     _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--eps-acc", type=float, default=0.02)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--dep-images", type=int, default=60)
+    _add_pruning(p)
+    p.add_argument("--grid", required=True, help="lo:hi:step thresholds")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a model or classifier head")

@@ -60,6 +60,8 @@ class PruneReport:
     acc_before: float
     acc_after: float
     flagged: bool = False
+    plan: PrunePlan = field(default=None, compare=False, repr=False)
+    net: Network = field(default=None, compare=False, repr=False)
 
 
 def build_prune_plan(table, selected, threshold) -> PrunePlan:
@@ -183,16 +185,16 @@ def plateau_threshold_search(net: Network, table, selected, split, grid,
     """Prune+retrain at every grid threshold; pick the plateau edge t_0.
 
     t_0 is the largest threshold whose retrained accuracy is within eps_acc
-    of the best accuracy on the grid. Returns (t_0, [PruneReport per point]).
-    Each grid point retrains a fresh copy on a small fixed budget.
+    of the best on the grid. Returns (t_0, [PruneReport per point]), each
+    with its plan and its fresh copy, retrained once on a small fixed budget.
     """
     grid = [float(t) for t in grid]
     if not grid:
         raise ConfigurationError("threshold grid is empty")
     if sorted(grid) != grid:
         raise ConfigurationError("threshold grid must be sorted ascending")
-    if eps_acc <= 0:
-        raise ConfigurationError(f"eps_acc must be > 0, got {eps_acc}")
+    if not (math.isfinite(eps_acc) and eps_acc > 0):
+        raise ConfigurationError(f"eps_acc must be finite and > 0, got {eps_acc}")
     cfg = retrain_config or TrainConfig(epochs=10)
     tr_imgs, tr_labels = images_labels(split.train)
     te_imgs, te_labels = images_labels(split.test)
@@ -208,7 +210,7 @@ def plateau_threshold_search(net: Network, table, selected, split, grid,
         reports.append(PruneReport(
             threshold=t, conv_rate=plan.conv_rate(net), per_layer_rates=rates,
             acc_before=float(before), acc_after=float(after),
-            flagged=bool(plan.forced_layers),
+            flagged=bool(plan.forced_layers), plan=plan, net=pruned,
         ))
     best = max(r.acc_after for r in reports)
     t_0 = max(r.threshold for r in reports if r.acc_after >= best - eps_acc)

@@ -80,6 +80,15 @@ class TestQda:
         with pytest.raises(ConfigurationError):
             qda_fit(x, y01, lam=-1.0)
 
+    @pytest.mark.parametrize("extra", [2, -1, 0.5])
+    def test_labels_outside_zero_one_rejected(self, extra):
+        """A third label is refused, not dropped with priors short of 1."""
+        x, y01, _ = blobs(n=20)
+        y = y01.astype(np.float64)
+        y[[1, 7, 22, 30, 38]] = extra
+        with pytest.raises(ConfigurationError, match=r"labels must be in \[0, 1\]"):
+            qda_fit(x, y)
+
 
 class TestLinearSvm:
     def test_separates_blobs(self):
@@ -243,6 +252,21 @@ class TestHeadInputs:
             evaluate_accuracy(model, x, y01)
         with pytest.raises(NonFiniteError):
             svm_objective(np.ones(2), 0.0, x, ypm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
+    def test_prediction_refuses_non_finite_rows(self, kind, bad):
+        """Batched and per-row predictions refuse such a row, even when
+        every other row is finite."""
+        x, y01, _ = blobs(n=20)
+        model = fit_head(kind, x, y01)
+        rows = np.array([[0.5, 0.0], [bad, 0.0], [1.0, 1.0]])
+        with pytest.raises(NonFiniteError, match="features"):
+            predict(model, rows)
+        one = qda_predict if kind == "qda" else svm_predict
+        with pytest.raises(NonFiniteError, match="features"):
+            one(model, rows[1])
+        predict(model, rows[[0, 2]])  # the finite rows still predict
 
     @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
     def test_zero_width_features_rejected(self, kind):

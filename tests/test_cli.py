@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from fisherprune.bench import blas_pinned
-from fisherprune import cli
+from fisherprune import cli, prune
 from fisherprune.cli import build_parser, main
+from fisherprune.data import images_labels
+from fisherprune.deconv import dependency_scores
 from fisherprune.modelio import load_model, save_model
 from fisherprune.network import build_cnn
+from fisherprune.train import TrainConfig, retrain
 
 from test_modelio import poke_tensor, rewrite_header
 
@@ -20,6 +23,15 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def assert_same_weights(got, want):
+    assert len(got.layers) == len(want.layers)
+    for a, b in zip(got.layers, want.layers):
+        assert a.kind == b.kind
+        if b.weights is not None:
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
 
 
 TINY = ["--n-per-class", "6", "--seed", "0"]
@@ -150,6 +162,43 @@ class TestGridSearch:
         assert [r[0] for r in rows] == ["0", "0.1", "0.2"]
         with open(os.path.join(out, "manifest.json")) as fh:
             assert json.load(fh)["prune"]["grid"] == "0:0.2:0.1"
+
+    def test_each_grid_point_retrains_once(self, piperun, tmp_path,
+                                           monkeypatch):
+        """The plateau search's retrain of t0 is the one saved; the command
+        retrains nothing itself."""
+        real, nets = prune.retrain, []
+
+        def spy(net, *args, **kwargs):
+            nets.append(net)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(prune, "retrain", spy)
+        monkeypatch.setattr(cli, "retrain", spy, raising=False)
+        out = str(tmp_path)
+        rc = main(["prune", "--out", out, "--model",
+                   os.path.join(piperun, "model.ldap1"), "--k", "2",
+                   "--grid", "0.1:0.3:0.1", "--epochs", "1",
+                   "--dep-images", "2"] + TINY)
+        assert rc == 0
+        assert len(nets) == 3
+        saved, info = load_model(os.path.join(out, "pruned.ldap1"))
+        t_0 = info["provenance"]["threshold"]
+        assert_same_weights(saved, nets[[0.1, 0.2, 0.3].index(t_0)])
+
+    def test_threshold_run_saves_the_plans_retrained_net(self, piperun):
+        """prune --threshold 0.3 saves apply_prune + retrain at 0.3."""
+        split = cli._load_dataset("synthetic", 0, 6)
+        net, _ = load_model(os.path.join(piperun, "model.ldap1"))
+        _, ranking = cli._rank(net, split, 2)
+        table = dependency_scores(net, split.train[:2], ranking.selected)
+        want = prune.apply_prune(
+            net, prune.build_prune_plan(table, ranking.selected, 0.3))
+        retrain(want, *images_labels(split.train), *images_labels(split.test),
+                TrainConfig(epochs=1, lr=0.005, seed=0))
+        got, info = load_model(os.path.join(piperun, "pruned.ldap1"))
+        assert info["provenance"]["threshold"] == 0.3
+        assert_same_weights(got, want)
 
 
 class TestFailureExits:
@@ -340,8 +389,23 @@ class TestFailureExits:
          "--dep-images must be >= 0"),
         (["sweep", "--grid", "0:0.1:0.1", "--dep-images", "-1"],
          "--dep-images must be >= 0"),
+        (["prune", "--threshold", "1.5"], "thresholds must be in [0,1]"),
+        (["prune", "--threshold", "-0.1"], "thresholds must be in [0,1]"),
+        (["prune", "--threshold", "nan"], "thresholds must be in [0,1]"),
+        (["prune", "--grid", "0.5:1.5:0.5", "--epochs", "1",
+          "--dep-images", "2"], "thresholds must be in [0,1]"),
+        (["sweep", "--grid", "0.5:1.5:0.5"], "thresholds must be in [0,1]"),
+        (["prune", "--grid", "0:0.1:0.1", "--eps-acc", "0", "--epochs", "1",
+          "--dep-images", "2"], "--eps-acc must be finite and > 0"),
+        (["prune", "--threshold", "0.3", "--eps-acc", "-1"],
+         "--eps-acc must be finite and > 0"),
+        (["sweep", "--grid", "0:0.1:0.1", "--eps-acc", "nan"],
+         "--eps-acc must be finite and > 0"),
     ], ids=["train_epochs", "prune_epochs", "prune_dep_images",
-            "sweep_dep_images"])
+            "sweep_dep_images", "prune_threshold_above_one",
+            "prune_threshold_below_zero", "prune_threshold_nan",
+            "prune_grid_past_one", "sweep_grid_past_one", "prune_eps_acc_zero",
+            "prune_eps_acc_negative", "sweep_eps_acc_nan"])
     def test_negative_counts(self, piperun, tmp_path, capsys, argv, message):
         model = ["--model", os.path.join(piperun, "model.ldap1")]
         rc = main(argv + ["--out", str(tmp_path)]

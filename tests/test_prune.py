@@ -11,12 +11,12 @@ from fisherprune.errors import ConfigurationError, DimensionError
 from fisherprune import ops
 from fisherprune.network import build_cnn, forward, logits
 from fisherprune.prune import (
-    PrunePlan, apply_prune, build_prune_plan, equivalence_check,
+    PrunePlan, PruneReport, apply_prune, build_prune_plan, equivalence_check,
     identity_plan, magnitude_baseline, magnitude_mask, masked_forward,
     plateau_threshold_search,
 )
 from fisherprune.tensor import Tensor
-from fisherprune.train import TrainConfig, accuracy
+from fisherprune.train import TrainConfig, accuracy, retrain
 
 
 def toy_table():
@@ -239,8 +239,44 @@ class TestPlateauSearch:
             plateau_threshold_search(net, table, [0], split, [])
         with pytest.raises(ConfigurationError):
             plateau_threshold_search(net, table, [0], split, [0.5, 0.1])
-        with pytest.raises(ConfigurationError):
-            plateau_threshold_search(net, table, [0], split, [0.1], eps_acc=0)
+        for eps in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="eps_acc"):
+                plateau_threshold_search(net, table, [0], split, [0.1],
+                                         eps_acc=eps)
+
+    def test_reports_carry_each_points_plan_and_retrained_net(self, setup):
+        """Each report's plan is the grid point's plan, and its net is that
+        plan applied and retrained once, bit for bit."""
+        net, table, split = setup
+        cfg = TrainConfig(epochs=1, seed=0)
+        _, reports = plateau_threshold_search(
+            net, table, [0, 2], split, [0.0, 0.4, 0.8], retrain_config=cfg)
+        tr_imgs, tr_labels = images_labels(split.train)
+        te_imgs, te_labels = images_labels(split.test)
+        for r in reports:
+            plan = build_prune_plan(table, [0, 2], r.threshold)
+            assert sorted(r.plan.keep) == sorted(plan.keep)
+            for li in plan.keep:
+                np.testing.assert_array_equal(r.plan.keep[li], plan.keep[li])
+            want = apply_prune(net, plan)
+            retrain(want, tr_imgs, tr_labels, te_imgs, te_labels, cfg)
+            for got_layer, want_layer in zip(r.net.layers, want.layers):
+                if want_layer.weights is not None:
+                    assert got_layer.weights.tobytes() == want_layer.weights.tobytes()
+                    assert got_layer.bias.tobytes() == want_layer.bias.tobytes()
+            assert r.acc_after == accuracy(r.net, te_imgs, te_labels)
+
+    def test_reports_compare_by_their_numbers(self, setup):
+        net, table, split = setup
+        plan = build_prune_plan(table, [0, 2], 0.4)
+        numbers = dict(threshold=0.4, conv_rate=0.5, per_layer_rates={0: 0.5},
+                       acc_before=0.6, acc_after=0.7)
+        a = PruneReport(**numbers, plan=plan, net=apply_prune(net, plan))
+        b = PruneReport(**numbers, plan=identity_plan(net), net=net.copy())
+        assert a == b
+        assert a != PruneReport(**{**numbers, "acc_after": 0.8}, plan=plan,
+                                net=a.net)
+        assert "net=" not in repr(a) and "plan=" not in repr(a)
 
 
 class TestMagnitude:
