@@ -1,33 +1,17 @@
 """Timing harness: per-layer and total per-image forward cost.
 
 Medians over repeated runs (after warmups) to resist scheduler noise.
-BLAS thread pools are pinned to one worker while timing only when
-threadpoolctl is importable; otherwise timings run with whatever BLAS
-thread count the process started with. blas_pinned() says which.
+Timings run with the BLAS thread count the process started with, which
+OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set; `fisherprune bench` prints both.
 """
 
 from __future__ import annotations
 
-import contextlib
-import importlib.util
 import statistics
 import time
 
 from .network import Network, forward
 from .tensor import Tensor
-
-
-def blas_pinned():
-    """Whether time_network pins BLAS to one thread (needs threadpoolctl)."""
-    return importlib.util.find_spec("threadpoolctl") is not None
-
-
-def _single_thread():
-    if not blas_pinned():
-        return contextlib.nullcontext()
-    from threadpoolctl import threadpool_limits
-
-    return threadpool_limits(limits=1)
 
 
 def _median_ms(fn, runs, warmup):
@@ -62,10 +46,9 @@ def time_network(net: Network, image: Tensor, runs=30, warmup=5):
         last = now
         return out
 
-    with _single_thread():
-        for _ in range(warmup + runs):
-            last = time.perf_counter_ns()
-            forward(net, image, hook=lap)
-        total = _median_ms(lambda: forward(net, image), runs, warmup)
+    for _ in range(warmup + runs):
+        last = time.perf_counter_ns()
+        forward(net, image, hook=lap)
+    total = _median_ms(lambda: forward(net, image), runs, warmup)
     return [(i, layer.kind, statistics.median(laps[i][warmup:]))
             for i, layer in enumerate(net.layers)], total

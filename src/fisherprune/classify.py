@@ -182,14 +182,6 @@ def linear_svm_fit(features, labels, c=1.0, epochs=2000, seed=0) -> SvmModel:
                     iterations=epochs, seed=seed)
 
 
-def svm_objective(w, b, features, labels, c=1.0) -> float:
-    """0.5*|w|^2 + c * sum of hinge losses; the quantity the fit minimizes."""
-    x, y = _check_features(features, labels)
-    w = np.asarray(w, dtype=np.float64).ravel()
-    hinge = np.maximum(0.0, 1.0 - y * (x @ w + float(b)))
-    return float(0.5 * (w @ w) + c * hinge.sum())
-
-
 _KERNEL_BLOCK = 64  # rows per squared-distance block in _rbf_kernel
 
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import classify, deconv, firing, modelio, prune
-from .bench import blas_pinned, time_network
+from .bench import time_network
 from .data import generate_synthetic, images_labels, load_pgm_dir
 from .errors import ConfigurationError, ModelFormatError, TrainingDiverged
 from .network import forward, reference_cnn
@@ -242,6 +242,8 @@ def cmd_eval(args, split):
 
 
 def cmd_bench(args, split):
+    if not 1 <= args.runs <= 10000:
+        raise ConfigurationError(f"--runs must be in [1, 10000], got {args.runs}")
     paths = {"original": args.model, "pruned": args.pruned}
     nets = {name: modelio.load_model(path)[0]
             for name, path in paths.items() if path}
@@ -261,8 +263,9 @@ def cmd_bench(args, split):
         rows.append(["speedup", "", "", f"{speedup:.6f}"])
         summary = (f"speedup {speedup:.2f}x; file size ratio "
                    f"{size_o / size_p:.2f} vs param ratio {n_o / n_p:.2f}")
-    pinned = "yes" if blas_pinned() else "no (threadpoolctl not installed)"
-    print(f"{summary}; BLAS threads pinned: {pinned}")
+    threads = ", ".join(f"{k}={os.environ.get(k, 'unset')}"
+                        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    print(f"{summary}; BLAS threads: {threads}")
     _write_csv(os.path.join(args.out, "bench.csv"),
                ["model", "layer", "kind", "median_ms"], rows)
     return ["bench: wrote bench.csv"]

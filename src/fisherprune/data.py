@@ -91,8 +91,9 @@ def generate_synthetic(n_per_class, size=32, seed=0):
     Per class, ids run c{label}-0000 upward; the first 80% of each class
     (at least two) form the train split, the rest the test split.
     """
-    if n_per_class < 2:
-        raise ConfigurationError(f"need n_per_class >= 2, got {n_per_class}")
+    if not 2 <= n_per_class <= 100000:
+        raise ConfigurationError(
+            f"need 2 <= n_per_class <= 100000, got {n_per_class}")
     if size < 16:
         raise ConfigurationError(
             f"size {size} too small: two pool stages need at least 16"

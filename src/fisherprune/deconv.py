@@ -1,10 +1,9 @@
 """Deconvolution walk: project a neuron's max activation back to pixels.
 
-Mirrors the forward stack in reverse on plain arrays, reading each layer's
-shape from the ForwardRecord. Each forward layer has a mirror stage:
-max-pool -> unpool through the stored switches, relu -> relu (rectify),
-conv -> transposed conv (ops.conv2d_adjoint) with the same kernel. Walking
-a one-hot start tensor (the neuron's spatial argmax holding its max value)
+The walk is network.reverse in its mirror mode (the deconvnet of Zeiler &
+Fergus, 2014): max-pool -> unpool through the stored switches, relu ->
+relu (rectify), conv -> transposed conv with the same kernel. Walking a
+one-hot start tensor (the neuron's spatial argmax holding its max value)
 down the stack yields a reconstruction per layer; the L1 channel energy of
 those reconstructions says how much each lower filter participates.
 """
@@ -15,23 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
-from .errors import ConfigurationError, DimensionError
-from .network import ForwardRecord, Network, forward
-
-
-def unpool(pooled, switches, target_shape):
-    """Place each pooled value at its recorded flat index; zeros elsewhere."""
-    out = np.zeros(int(np.prod(target_shape)), dtype=pooled.dtype)
-    idx = np.asarray(switches).ravel()
-    if idx.size != pooled.size:
-        raise DimensionError(
-            f"switch count {idx.size} != pooled size {pooled.size}"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= out.size):
-        raise DimensionError("pool switch out of target bounds")
-    out[idx] = pooled.ravel()
-    return out.reshape(target_shape)
+from .errors import ConfigurationError
+from .network import ForwardRecord, Network, forward, reverse
+from .ops import unpool  # noqa: F401  (still importable from here)
 
 
 @dataclass
@@ -59,26 +44,13 @@ class DependencyTable:
     dead_layers: set = field(default_factory=set)
 
 
-def _mirror_step(layer, cur, rec, i):
-    """One layer's mirror stage; always returns a fresh array."""
-    below = (rec.activations[i - 1] if i > 0 else rec.input).shape
-    if layer.kind == "conv":
-        return ops.conv2d_adjoint(cur, layer.weights, layer.stride, layer.pad,
-                                  out_hw=below[1:])
-    if layer.kind == "relu":
-        return ops.relu_forward(cur)
-    if layer.kind == "maxpool":
-        return unpool(cur, rec.switches[i], below)
-    raise ConfigurationError(f"no mirror stage for layer kind {layer.kind!r}")
-
-
 def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvMap:
     """Walk one last-conv neuron's max activation down to the pixels.
 
     The start tensor is zero except at the neuron's spatial argmax (ties to
     the smallest flat index), holding the post-relu max value. A dead
     neuron's walk would carry zeros all the way down, so its maps are
-    allocated as zeros and no mirror stage runs.
+    allocated as zeros and the reverse walk does not run.
     """
     last = net.last_conv_index()
     n_filters = rec.activations[last].shape[0]
@@ -89,19 +61,16 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     ) else np.maximum(rec.activations[last], 0)
     chan = act[neuron]
     peak = float(chan.max())
-    cur = np.zeros_like(rec.activations[last])
-    maps = {last: cur}
+    start = np.zeros_like(rec.activations[last])
     if peak <= 0.0:
-        maps.update((i, np.zeros(rec.activations[i].shape, cur.dtype))
-                    for i in range(last - 1, -1, -1))
+        maps = {i: np.zeros(rec.activations[i].shape, start.dtype)
+                for i in range(last, -1, -1)}
         return DeconvMap(neuron=neuron, maps=maps, dead=True,
-                         pixel=np.zeros(rec.input.shape, cur.dtype))
-    cur[neuron].ravel()[int(chan.argmax())] = peak
-    for i in range(last, -1, -1):
-        cur = _mirror_step(net.layers[i], cur, rec, i)
-        if i > 0:
-            maps[i - 1] = cur
-    return DeconvMap(neuron=neuron, maps=maps, pixel=cur, dead=False)
+                         pixel=np.zeros(rec.input.shape, start.dtype))
+    start[neuron].ravel()[int(chan.argmax())] = peak
+    maps = dict(reverse(net, rec, last, start, mirror=True))
+    pixel = maps.pop(-1)
+    return DeconvMap(neuron=neuron, maps=maps, pixel=pixel, dead=False)
 
 
 def _layer_contrib(dmap, conv_layers):

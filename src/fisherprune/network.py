@@ -1,13 +1,17 @@
-"""Sequential CNN container: layer descriptors, shape inference, forward pass.
+"""Sequential CNN container: layer descriptors, shape inference, layer walks.
 
 A network is a list of LayerSpec entries applied in order to a (C,H,W)
 input. Parameters live on the specs themselves (conv/dense only).
 forward() is the package's one forward layer walk: it takes and returns a
 Tensor but runs every layer on plain arrays. It can record every
-intermediate activation plus pooling switches, which the dependency tracer
-and the backward pass both consume; a pass that does not record computes
-no switches. A per-layer hook lets callers
-replace each layer's output (masked passes) or observe it (timing).
+intermediate activation plus pooling switches; a pass that does not record
+computes no switches. A per-layer hook lets callers replace each layer's
+output (masked passes) or observe it (timing).
+
+reverse() is the one reverse walk over such a record, shared by backprop
+(train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
+It yields the signal at each layer's output in turn; the two walks differ
+only in their relu and max-pool rules.
 """
 
 from __future__ import annotations
@@ -193,6 +197,45 @@ def forward(net: Network, x: Tensor, record=False, hook=None):
                 rec.switches[i] = switches
     out = Tensor(cur)
     return (out, rec) if record else out
+
+
+def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
+    """Carry a signal from layer start's output down to the input.
+
+    The mirror of forward: yields (i, signal at layer i's output) for
+    i = start..0, then (-1, signal at the input). Each layer's rule runs
+    only when the next signal is asked for, so a caller that stops after
+    layer 0 runs none of layer 0's rule. Conv applies its transposed conv,
+    dense W^T in float64, flatten a reshape. With mirror=False the walk is
+    backprop: relu gates by the sign of its recorded output and max-pool
+    scatter-adds through its switches, so overlapping windows sum. With
+    mirror=True it is the deconvnet projection (Zeiler & Fergus, 2014):
+    relu rectifies and max-pool unpools through its switches.
+    """
+    for i in range(start, -1, -1):
+        yield i, signal
+        layer = net.layers[i]
+        below = (rec.activations[i - 1] if i > 0 else rec.input).shape
+        if layer.kind == "conv":
+            signal = ops.conv2d_adjoint(signal, layer.weights, layer.stride,
+                                        layer.pad, out_hw=below[1:])
+        elif layer.kind == "dense":
+            signal = layer.weights.astype(np.float64).T @ signal
+        elif layer.kind == "flatten":
+            signal = signal.reshape(below)
+        elif layer.kind == "relu":
+            signal = (ops.relu_forward(signal) if mirror
+                      else signal * (rec.activations[i] > 0))
+        elif layer.kind == "maxpool" and mirror:
+            signal = ops.unpool(signal, rec.switches[i], below)
+        elif layer.kind == "maxpool":
+            scattered = np.zeros(below)
+            np.add.at(scattered.reshape(-1), rec.switches[i].ravel(),
+                      signal.ravel())
+            signal = scattered
+        else:
+            raise ConfigurationError(f"no reverse rule for layer {i} ({layer.kind})")
+    yield -1, signal
 
 
 def logits(net: Network, x: Tensor):

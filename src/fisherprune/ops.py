@@ -28,7 +28,8 @@ the window maximum, and a window containing NaN pools to NaN with its first
 NaN as the winner; this is exactly numpy argmax over the flattened window.
 The values are the input read at the switches bit for bit (signed zeros
 included); only a window holding NaNs of different payloads may pool to a
-later one.
+later one. unpool writes pooled values back at their switches, zeros
+elsewhere: the deconv walk's pool rule.
 """
 
 from __future__ import annotations
@@ -248,6 +249,20 @@ def maxpool_forward(input, window, stride, switches=True):
     if peak != peak:  # a NaN tap is a hit exactly in NaN windows
         hit |= taps != taps
     return out, end - (hit * weight).max(axis=0)
+
+
+def unpool(pooled, switches, target_shape):
+    """Place each pooled value at its recorded flat index; zeros elsewhere."""
+    out = np.zeros(int(np.prod(target_shape)), dtype=pooled.dtype)
+    idx = np.asarray(switches).ravel()
+    if idx.size != pooled.size:
+        raise DimensionError(
+            f"switch count {idx.size} != pooled size {pooled.size}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= out.size):
+        raise DimensionError("pool switch out of target bounds")
+    out[idx] = pooled.ravel()
+    return out.reshape(target_shape)
 
 
 def dense_forward(input, weights, bias):

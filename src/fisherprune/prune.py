@@ -93,12 +93,6 @@ def build_prune_plan(table, selected, threshold) -> PrunePlan:
     return PrunePlan(keep=keep, threshold=float(threshold), forced_layers=forced)
 
 
-def identity_plan(net: Network) -> PrunePlan:
-    keep = {i: np.arange(net.layers[i].weights.shape[0], dtype=np.int64)
-            for i in net.conv_indices()}
-    return PrunePlan(keep=keep, threshold=0.0)
-
-
 def _check_plan(net: Network, plan: PrunePlan):
     """DimensionError unless the plan keeps 1..O valid filters of every conv."""
     conv_idx = net.conv_indices()
@@ -203,8 +197,9 @@ def plateau_threshold_search(net: Network, table, selected, split, grid,
         plan = build_prune_plan(table, selected, t)
         pruned = apply_prune(net, plan)
         before = accuracy(pruned, te_imgs, te_labels)
-        retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels, cfg)
-        after = accuracy(pruned, te_imgs, te_labels)
+        fit = retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels, cfg)
+        # the last epoch already measured this net on this split
+        after = fit.final_eval_acc if cfg.epochs else before
         counts = plan.param_counts(net)
         rates = {li: 1.0 - a / b for li, (b, a) in counts.items()}
         reports.append(PruneReport(
@@ -254,6 +249,7 @@ def magnitude_baseline(net: Network, rate: float, split, retrain_config=None):
     masks = magnitude_mask(work, rate)
     tr_imgs, tr_labels = images_labels(split.train)
     te_imgs, te_labels = images_labels(split.test)
-    retrain(work, tr_imgs, tr_labels, te_imgs, te_labels, cfg, weight_mask=masks)
-    acc = accuracy(work, te_imgs, te_labels)
+    fit = retrain(work, tr_imgs, tr_labels, te_imgs, te_labels, cfg,
+                  weight_mask=masks)
+    acc = fit.final_eval_acc if cfg.epochs else accuracy(work, te_imgs, te_labels)
     return float(acc), masks

@@ -1,9 +1,9 @@
 """Training: backprop through the sequential network, SGD with momentum.
 
 Gradients flow backwards through the ForwardRecord kept by the forward
-pass. The softmax layer is fused with cross-entropy (gradient p - onehot),
-relu gates by the sign of its recorded output, and max-pool scatter-adds
-through its stored switches.
+pass, along network.reverse. The softmax layer is fused with cross-entropy
+(gradient p - onehot), relu gates by the sign of its recorded output, and
+max-pool scatter-adds through its stored switches.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigurationError, NonFiniteError, TrainingDiverged
-from .network import ForwardRecord, Network, forward
+from .network import ForwardRecord, Network, forward, reverse
 from .tensor import Tensor
 
 
@@ -33,39 +33,20 @@ def backward(net: Network, rec: ForwardRecord, label: int):
     if not net.layers or net.layers[-1].kind != "softmax":
         raise ConfigurationError("backward expects a softmax-terminated network")
     grads = {}
-    probs = rec.activations[-1]
-    g = probs.astype(np.float64).copy()
+    g = rec.activations[-1].astype(np.float64)
     g[label] -= 1.0  # softmax+CE fused
-    # walk the remaining layers in reverse, skipping the softmax itself
-    for i in range(len(net.layers) - 2, -1, -1):
+    for i, g in reverse(net, rec, len(net.layers) - 2, g):
         layer = net.layers[i]
         x = rec.activations[i - 1] if i > 0 else rec.input
-        y = rec.activations[i]
         if layer.kind == "dense":
-            dw = np.outer(g, x.astype(np.float64))
-            db = g.copy()
-            grads[i] = (dw.astype(np.float32), db.astype(np.float32))
-            g = layer.weights.astype(np.float64).T @ g
-        elif layer.kind == "relu":
-            g = g * (y > 0)
-        elif layer.kind == "flatten":
-            g = g.reshape(x.shape)
-        elif layer.kind == "maxpool":
-            gin = np.zeros(x.size, dtype=np.float64)
-            np.add.at(gin, rec.switches[i].ravel(), g.ravel())
-            g = gin.reshape(x.shape)
+            grads[i] = (np.outer(g, x.astype(np.float64)).astype(np.float32),
+                        g.astype(np.float32))
         elif layer.kind == "conv":
-            o, _, kh, kw = layer.weights.shape
-            dw, db = ops.conv2d_param_grads(
-                x, g, kh, kw, layer.stride, layer.pad
-            )
+            _, _, kh, kw = layer.weights.shape
+            dw, db = ops.conv2d_param_grads(x, g, kh, kw, layer.stride, layer.pad)
             grads[i] = (dw.astype(np.float32), db.astype(np.float32))
-            if i > 0:  # nothing reads the gradient w.r.t. the network input
-                g = ops.conv2d_adjoint(
-                    g, layer.weights, layer.stride, layer.pad, out_hw=x.shape[1:]
-                )
-        else:
-            raise ConfigurationError(f"no backward rule for {layer.kind}")
+        if i == 0:  # nothing reads the gradient w.r.t. the network input
+            break
     return grads
 
 
@@ -81,6 +62,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("momentum", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass

@@ -251,13 +251,13 @@ def rbf_kernel_expression(a, b, gamma):
     return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
-def deconv_walk_every_layer(net, rec, neuron, mirror_step):
+def deconv_walk_every_layer(net, rec, neuron, reverse):
     """The package's earlier neuron walk: (maps, pixel, dead).
 
-    Every mirror stage runs, also for a dead neuron, whose all-zero start
-    tensor is carried down the whole stack. `mirror_step(layer, cur, rec,
-    i)` is the one-layer mirror stage under test; `net` and `rec` are read
-    by attribute only.
+    The reverse walk runs also for a dead neuron, whose all-zero start
+    tensor is carried down the whole stack. `reverse(net, rec, start,
+    signal, mirror=True)` is the reverse layer walk under test; `net` and
+    `rec` are read by attribute only.
     """
     last = max(i for i, layer in enumerate(net.layers) if layer.kind == "conv")
     act = rec.activations[last + 1] if (
@@ -269,9 +269,49 @@ def deconv_walk_every_layer(net, rec, neuron, mirror_step):
     dead = peak <= 0.0
     if not dead:
         cur[neuron].ravel()[int(chan.argmax())] = peak
-    maps = {last: cur}
+    maps = dict(reverse(net, rec, last, cur, mirror=True))
+    pixel = maps.pop(-1)
+    return maps, pixel, dead
+
+
+def deconv_walk_loops(net, rec, neuron):
+    """A neuron's deconvnet walk, one layer and one cell at a time: (maps, pixel).
+
+    The start map is zero except the neuron's largest rectified activation
+    at its first (row-major) position. Conv scatters back through its kernel
+    (conv2d_adjoint_loops), relu rectifies, and max-pool unpools by
+    overwriting: each pooled cell, in row-major order, is written to its
+    window's first argmax (maxpool_loops), so where overlapping windows
+    share a winner the last of them stays. `net` and `rec` are read by
+    attribute only.
+    """
+    last = max(i for i, layer in enumerate(net.layers) if layer.kind == "conv")
+    chan = np.maximum(rec.activations[last][neuron], 0)
+    cur = np.zeros(rec.activations[last].shape)
+    cur[neuron].flat[int(chan.argmax())] = chan.max()
+    maps = {}
     for i in range(last, -1, -1):
-        cur = mirror_step(net.layers[i], cur, rec, i)
-        if i > 0:
-            maps[i - 1] = cur
-    return maps, cur, dead
+        maps[i] = cur
+        layer = net.layers[i]
+        below = rec.activations[i - 1] if i > 0 else rec.input
+        if layer.kind == "conv":
+            cur = conv2d_adjoint_loops(cur, layer.weights, *below.shape[1:],
+                                       stride=layer.stride, pad=layer.pad)
+        elif layer.kind == "relu":
+            cur = np.maximum(cur, 0.0)
+        else:
+            _, switches = maxpool_loops(below, layer.window, layer.stride)
+            up = np.zeros(below.size)
+            for value, at in zip(cur.ravel(), switches.ravel()):
+                up[at] = value
+            cur = up.reshape(below.shape)
+    return maps, cur
+
+
+def svm_objective(w, b, features, labels, c=1.0):
+    """0.5*|w|^2 + c * sum of hinge losses: the linear SVM's primal objective."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64).ravel()
+    hinge = np.maximum(0.0, 1.0 - y * (x @ w + float(b)))
+    return float(0.5 * (w @ w) + c * hinge.sum())

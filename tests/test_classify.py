@@ -8,8 +8,7 @@ import pytest
 from fisherprune import classify
 from fisherprune.classify import (
     evaluate_accuracy, fit_head, from_arrays, linear_svm_fit, predict, qda_fit,
-    qda_predict, rbf_svm_fit, svm_decision, svm_objective, svm_predict,
-    to_arrays,
+    qda_predict, rbf_svm_fit, svm_decision, svm_predict, to_arrays,
 )
 from fisherprune.errors import (
     ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
@@ -103,7 +102,7 @@ class TestLinearSvm:
         """The fitted primal objective must beat a coarse exhaustive grid."""
         x, _, ypm = blobs(n=8, gap=3.0, seed=5)
         model = linear_svm_fit(x, ypm, c=1.0)
-        j_fit = svm_objective(model.w, model.b, x, ypm, c=1.0)
+        j_fit = oracles.svm_objective(model.w, model.b, x, ypm, c=1.0)
         j_grid = oracles.svm_lattice_search(x, ypm.astype(np.float64), 1.0,
                                             w_range=3.0, b_range=3.0, steps=41)
         assert j_fit <= 1.05 * j_grid
@@ -244,14 +243,12 @@ class TestHeadInputs:
         with pytest.raises(NonFiniteError, match="features"):
             fit_head(kind, x, y01)
 
-    def test_evaluation_and_objective_refuse_non_finite_features(self):
-        x, y01, ypm = blobs(n=10)
+    def test_evaluation_refuses_non_finite_features(self):
+        x, y01, _ = blobs(n=10)
         model = qda_fit(x, y01)
         x[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             evaluate_accuracy(model, x, y01)
-        with pytest.raises(NonFiniteError):
-            svm_objective(np.ones(2), 0.0, x, ypm)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])

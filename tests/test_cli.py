@@ -7,8 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fisherprune.bench import blas_pinned
-from fisherprune import cli, prune
+from fisherprune import cli, data, prune
 from fisherprune.cli import build_parser, main
 from fisherprune.data import images_labels
 from fisherprune.deconv import dependency_scores
@@ -123,12 +122,14 @@ class TestArtifacts:
                 assert float(r[3]) >= 0.0
 
     def test_bench_says_whether_threads_were_pinned(self, piperun, tmp_path,
-                                                      capsys):
+                                                      capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         model = os.path.join(piperun, "model.ldap1")
         assert main(["bench", "--out", str(tmp_path), "--model", model,
                      "--runs", "1"] + TINY) == 0
-        said = "yes" if blas_pinned() else "no"
-        assert f"BLAS threads pinned: {said}" in capsys.readouterr().out
+        assert ("BLAS threads: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=unset"
+                in capsys.readouterr().out)
         text = open(os.path.join(str(tmp_path), "report.txt")).read()
         assert "pinned" not in text
 
@@ -401,11 +402,22 @@ class TestFailureExits:
          "--eps-acc must be finite and > 0"),
         (["sweep", "--grid", "0:0.1:0.1", "--eps-acc", "nan"],
          "--eps-acc must be finite and > 0"),
+        (["train", "--lr", "-1"], "lr must be finite and > 0"),
+        (["train", "--lr", "nan"], "lr must be finite and > 0"),
+        (["prune", "--threshold", "0.3", "--lr", "0"],
+         "lr must be finite and > 0"),
+        (["sweep", "--grid", "0:0.1:0.1", "--lr", "inf"],
+         "lr must be finite and > 0"),
+        (["bench", "--runs", "0"], "--runs must be in [1, 10000]"),
+        (["bench", "--runs", "-5"], "--runs must be in [1, 10000]"),
+        (["bench", "--runs", "10001"], "--runs must be in [1, 10000]"),
     ], ids=["train_epochs", "prune_epochs", "prune_dep_images",
             "sweep_dep_images", "prune_threshold_above_one",
             "prune_threshold_below_zero", "prune_threshold_nan",
             "prune_grid_past_one", "sweep_grid_past_one", "prune_eps_acc_zero",
-            "prune_eps_acc_negative", "sweep_eps_acc_nan"])
+            "prune_eps_acc_negative", "sweep_eps_acc_nan", "train_lr_negative",
+            "train_lr_nan", "prune_lr_zero", "sweep_lr_inf", "bench_runs_zero",
+            "bench_runs_negative", "bench_runs_too_many"])
     def test_negative_counts(self, piperun, tmp_path, capsys, argv, message):
         model = ["--model", os.path.join(piperun, "model.ldap1")]
         rc = main(argv + ["--out", str(tmp_path)]
@@ -417,6 +429,18 @@ class TestFailureExits:
         assert err.count("\n") == 1
         # refused before the dependency walk, so no partial artifact is left
         assert not (tmp_path / "dependencies.csv").exists()
+
+    def test_n_per_class_cap(self, tmp_path, capsys, monkeypatch):
+        def no_images(*args):
+            raise AssertionError("an image was built before the check")
+
+        monkeypatch.setattr(data, "_synthesize", no_images)
+        rc = main(["train", "--out", str(tmp_path), "--n-per-class", "100001"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError:")
+        assert "n_per_class <= 100000, got 100001" in err
+        assert err.count("\n") == 1
 
 
 class TestManifest:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fisherprune import deconv, ops
+from fisherprune import deconv, network, ops
 from fisherprune.data import LabeledImage, generate_synthetic
 from fisherprune.deconv import (
     DeconvMap, deconv_from_neuron, dependency_scores, unpool,
@@ -15,6 +15,8 @@ from fisherprune.network import (
 from fisherprune.tensor import Tensor
 
 import oracles
+from test_network import overlapping_pool_net
+from test_train import widen_to_float64
 
 
 def labeled(img, label=0, id="x"):
@@ -100,18 +102,20 @@ class TestNeuronWalk:
         net.layers[last].bias[5] = -1.0  # filter 5 can never fire
         image = generate_synthetic(2, seed=1).train[0].image
         _, rec = forward(net, image, record=True)
-        steps = []
-        real_step = deconv._mirror_step
+        starts = []
 
-        def counted(*args):
-            steps.append(args[-1])
-            return real_step(*args)
+        def spy(net, rec, start, signal, mirror=False):
+            starts.append(start)
+            return network.reverse(net, rec, start, signal, mirror)
 
-        monkeypatch.setattr(deconv, "_mirror_step", counted)
+        monkeypatch.setattr(deconv, "reverse", spy)
         dmap = deconv_from_neuron(net, rec, 5)
-        assert dmap.dead and not steps  # no mirror stage ran
+        assert dmap.dead and not starts  # the reverse walk did not run
+        live = int(np.argmax(rec.activations[last + 1].max(axis=(1, 2))))
+        assert not deconv_from_neuron(net, rec, live).dead
+        assert starts == [last]  # the spy sees the walks that do run
         maps, pixel, dead = oracles.deconv_walk_every_layer(
-            net, rec, 5, real_step)
+            net, rec, 5, network.reverse)
         assert dead
         assert list(dmap.maps) == list(maps)
         for i, m in maps.items():
@@ -119,6 +123,26 @@ class TestNeuronWalk:
             np.testing.assert_array_equal(dmap.maps[i], m)
         assert dmap.pixel.shape == pixel.shape and dmap.pixel.dtype == pixel.dtype
         np.testing.assert_array_equal(dmap.pixel, pixel)
+
+    def test_overlapping_pools_unpool_by_overwriting(self):
+        """3x3 pools at strides 2 and 1 share winners between windows; the
+        walk writes one pooled value there, as the per-cell walk does,
+        where backprop would add them."""
+        net = widen_to_float64(overlapping_pool_net())
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            _, rec = forward(net, Tensor(rng.random((1, 9, 9))), record=True)
+            assert all(np.unique(sw).size < sw.size
+                       for sw in rec.switches.values())
+            for neuron in range(4):
+                dmap = deconv_from_neuron(net, rec, neuron)
+                maps, pixel = oracles.deconv_walk_loops(net, rec, neuron)
+                assert list(dmap.maps) == list(maps)
+                for i, m in maps.items():
+                    np.testing.assert_allclose(dmap.maps[i], m,
+                                               rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(dmap.pixel, pixel,
+                                           rtol=1e-12, atol=1e-12)
 
     def test_neuron_index_checked(self):
         net = passthrough_net()
@@ -190,7 +214,7 @@ class TestDependencyScores:
 
         def full_walk(net, rec, n):
             maps, pixel, dead = oracles.deconv_walk_every_layer(
-                net, rec, n, deconv._mirror_step)
+                net, rec, n, network.reverse)
             return DeconvMap(neuron=n, maps=maps, pixel=pixel, dead=dead)
 
         monkeypatch.setattr(deconv, "deconv_from_neuron", full_walk)

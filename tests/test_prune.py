@@ -12,11 +12,17 @@ from fisherprune import ops
 from fisherprune.network import build_cnn, forward, logits
 from fisherprune.prune import (
     PrunePlan, PruneReport, apply_prune, build_prune_plan, equivalence_check,
-    identity_plan, magnitude_baseline, magnitude_mask, masked_forward,
-    plateau_threshold_search,
+    magnitude_baseline, magnitude_mask, masked_forward, plateau_threshold_search,
 )
 from fisherprune.tensor import Tensor
 from fisherprune.train import TrainConfig, accuracy, retrain
+
+
+def identity_plan(net):
+    """A plan that keeps every filter of every conv layer."""
+    keep = {i: np.arange(net.layers[i].weights.shape[0], dtype=np.int64)
+            for i in net.conv_indices()}
+    return PrunePlan(keep=keep, threshold=0.0)
 
 
 def toy_table():
@@ -266,6 +272,16 @@ class TestPlateauSearch:
                     assert got_layer.bias.tobytes() == want_layer.bias.tobytes()
             assert r.acc_after == accuracy(r.net, te_imgs, te_labels)
 
+    def test_no_retrain_keeps_the_accuracy_before(self, setup):
+        net, table, split = setup
+        _, reports = plateau_threshold_search(
+            net, table, [0, 2], split, [0.0, 0.4],
+            retrain_config=TrainConfig(epochs=0, seed=0))
+        te_imgs, te_labels = images_labels(split.test)
+        for r in reports:
+            assert r.acc_after == r.acc_before == accuracy(
+                apply_prune(net, r.plan), te_imgs, te_labels)
+
     def test_reports_compare_by_their_numbers(self, setup):
         net, table, split = setup
         plan = build_prune_plan(table, [0, 2], 0.4)
@@ -312,3 +328,16 @@ class TestMagnitude:
         np.testing.assert_array_equal(net.layers[0].weights, before)
         assert 0.0 <= acc <= 1.0
         assert set(masks) == set(net.conv_indices())
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_baseline_accuracy_is_the_masked_retrained_net(self, epochs):
+        split = generate_synthetic(4, size=16, seed=2)
+        net = build_cnn((1, 16, 16), [(3, 3, 1, True)], [4], 2, seed=3)
+        cfg = TrainConfig(epochs=epochs, seed=0)
+        acc, masks = magnitude_baseline(net, 0.5, split, retrain_config=cfg)
+        work = net.copy()
+        tr_imgs, tr_labels = images_labels(split.train)
+        te_imgs, te_labels = images_labels(split.test)
+        retrain(work, tr_imgs, tr_labels, te_imgs, te_labels, cfg,
+                weight_mask=masks)
+        assert acc == accuracy(work, te_imgs, te_labels)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fisherprune import ops
 from fisherprune.errors import ConfigurationError, TrainingDiverged
 from fisherprune.network import build_cnn, forward, reference_cnn
 from fisherprune.tensor import Tensor
@@ -15,6 +16,7 @@ from fisherprune.train import (
 )
 
 import oracles
+from test_network import overlapping_pool_net
 
 # the package re-exports the function `train`, which hides the module
 train_module = importlib.import_module("fisherprune.train")
@@ -43,27 +45,57 @@ def toy_split(n=8, size=16, seed=2):
     return images, np.array(labels, dtype=np.int64)
 
 
+def assert_grads_match_central_differences(net, x, label):
+    """backward's grads of every parametric layer vs finite differences."""
+    _, rec = forward(net, Tensor(x), record=True)
+    grads = backward(net, rec, label)
+
+    def loss():
+        return cross_entropy(forward(net, Tensor(x)).data, label)
+
+    assert set(grads) == {i for i, l in enumerate(net.layers)
+                          if l.weights is not None}
+    for li, (dw, db) in grads.items():
+        for analytic, params in ((dw, net.layers[li].weights),
+                                 (db, net.layers[li].bias)):
+            fd = oracles.central_difference_grads(loss, params)
+            scale = np.abs(fd).max() + 1e-8
+            assert np.abs(analytic - fd).max() <= 1e-4 * scale
+    return rec
+
+
 class TestGradients:
     def test_matches_central_differences_everywhere(self):
         """Analytic grads vs finite differences on every parametric layer."""
         net = widen_to_float64(
             build_cnn((1, 6, 6), [(2, 3, 1, True)], [4], 2, seed=11))
         x = np.random.default_rng(4).random((1, 6, 6))
-        label = 1
+        assert_grads_match_central_differences(net, x, 1)
 
-        _, rec = forward(net, Tensor(x), record=True)
-        grads = backward(net, rec, label)
+    def test_overlapping_pools_add_where_windows_share_a_winner(self):
+        """3x3 pools at strides 2 and 1: an input cell that wins several
+        windows gets the sum of their gradients."""
+        net = widen_to_float64(overlapping_pool_net())
+        x = np.random.default_rng(7).random((1, 9, 9))
+        rec = assert_grads_match_central_differences(net, x, 0)
+        assert all(np.unique(sw).size < sw.size for sw in rec.switches.values())
 
-        def loss():
-            return cross_entropy(forward(net, Tensor(x)).data, label)
+    def test_no_adjoint_runs_below_the_first_layer(self, monkeypatch):
+        net = reference_cnn(seed=0)
+        x = Tensor(np.random.default_rng(1).random((1, 32, 32), dtype=np.float32))
+        _, rec = forward(net, x, record=True)
+        calls = []
+        adjoint = ops.conv2d_adjoint
 
-        assert set(grads) == {0, 4, 6}
-        for li, (dw, db) in grads.items():
-            for analytic, params in ((dw, net.layers[li].weights),
-                                     (db, net.layers[li].bias)):
-                fd = oracles.central_difference_grads(loss, params)
-                scale = np.abs(fd).max() + 1e-8
-                assert np.abs(analytic - fd).max() <= 1e-4 * scale
+        def spy(gout, *args, **kwargs):
+            calls.append(gout.shape)
+            return adjoint(gout, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d_adjoint", spy)
+        backward(net, rec, 0)
+        # one adjoint per conv above layer 0, from the top down
+        convs = net.conv_indices()[1:][::-1]
+        assert calls == [rec.activations[i].shape for i in convs]
 
     def test_backward_needs_softmax_tail(self):
         net = build_cnn((1, 6, 6), [(2, 3, 1, False)], [], 2, seed=0)
@@ -198,6 +230,18 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             train(net, [], np.array([], dtype=np.int64), [], [],
                   TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("lr", -1.0, "lr must be finite and > 0"),
+        ("lr", 0.0, "lr must be finite and > 0"),
+        ("lr", float("nan"), "lr must be finite and > 0"),
+        ("lr", float("inf"), "lr must be finite and > 0"),
+        ("momentum", float("nan"), "momentum must be finite"),
+        ("weight_decay", float("-inf"), "weight_decay must be finite"),
+    ])
+    def test_bad_rates_rejected(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("fit", [train, retrain])
     def test_negative_epochs_rejected(self, fit):
