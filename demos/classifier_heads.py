@@ -1,7 +1,5 @@
 """Swap the dense head for a QDA or SVM on the reduced firing features."""
 
-import numpy as np
-
 from fisherprune import (
     TrainConfig, accuracy, apply_prune, build_prune_plan, dependency_scores,
     extract_firing_matrix, generate_synthetic, icc_scores, rank_and_select,
@@ -11,6 +9,7 @@ from fisherprune.classify import (
     evaluate_accuracy, linear_svm_fit, qda_fit, rbf_svm_fit,
 )
 from fisherprune.data import images_labels
+from fisherprune.firing import zscore
 
 split = generate_synthetic(n_per_class=150, seed=0)
 tr_imgs, tr_labels = images_labels(split.train)
@@ -36,8 +35,7 @@ print(f"pruned net test acc (dense head): "
 ptr = standardize(extract_firing_matrix(pruned, split.train,
                                         pruned.last_conv_index()))
 pte = extract_firing_matrix(pruned, split.test, pruned.last_conv_index())
-scale = np.where(ptr.col_std < 1e-8, 1.0, ptr.col_std)
-te_vals = (pte.values - ptr.col_mean) / scale
+te_vals, _ = zscore(pte.values, ptr.col_mean, ptr.col_std)
 print(f"feature dimension: {ptr.values.shape[1]}")
 
 qda = qda_fit(ptr.values, ptr.labels)

@@ -13,9 +13,11 @@ import time
 from .network import Network, forward
 from .tensor import Tensor
 
+WARMUP = 5  # untimed passes before each timing loop
 
-def _median_ms(fn, runs, warmup):
-    for _ in range(warmup):
+
+def _median_ms(fn, runs):
+    for _ in range(WARMUP):
         fn()
     times = []
     for _ in range(runs):
@@ -25,17 +27,15 @@ def _median_ms(fn, runs, warmup):
     return statistics.median(times)
 
 
-def time_network(net: Network, image: Tensor, runs=30, warmup=5):
+def time_network(net: Network, image: Tensor, runs=30):
     """Median per-layer and total forward time in milliseconds.
 
     Returns (per_layer, total_ms) where per_layer is a list of
     (layer_index, kind, median_ms). Layer times are laps between the
     outputs of whole forward passes, taken by a forward hook; the total is
-    timed on passes without the hook. runs is clamped to at least 30 and
-    warmup to at least 5.
+    timed on passes without the hook. Each of the two loops runs WARMUP
+    untimed passes, then `runs` timed ones.
     """
-    runs = max(int(runs), 30)
-    warmup = max(int(warmup), 5)
     laps = [[] for _ in net.layers]
     last = 0
 
@@ -46,9 +46,9 @@ def time_network(net: Network, image: Tensor, runs=30, warmup=5):
         last = now
         return out
 
-    for _ in range(warmup + runs):
+    for _ in range(WARMUP + runs):
         last = time.perf_counter_ns()
         forward(net, image, hook=lap)
-    total = _median_ms(lambda: forward(net, image), runs, warmup)
-    return [(i, layer.kind, statistics.median(laps[i][warmup:]))
+    total = _median_ms(lambda: forward(net, image), runs)
+    return [(i, layer.kind, statistics.median(laps[i][WARMUP:]))
             for i, layer in enumerate(net.layers)], total

@@ -78,9 +78,12 @@ def cmd_train(args, split):
     net = reference_cnn(seed=args.seed)
     tr_imgs, tr_labels = images_labels(split.train)
     te_imgs, te_labels = images_labels(split.test)
-    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
-                      log_path=os.path.join(args.out, "train_log.csv"))
-    result = train(net, tr_imgs, tr_labels, te_imgs, te_labels, cfg)
+    result = train(net, tr_imgs, tr_labels, te_imgs, te_labels,
+                   TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed))
+    _write_csv(os.path.join(args.out, "train_log.csv"),
+               ["epoch", "loss", "train_acc", "eval_acc"],
+               [[e, f"{loss:.6f}", f"{tr:.6f}", f"{ev:.6f}"]
+                for e, loss, tr, ev in result.epoch_log])
     modelio.save_model(net, os.path.join(args.out, "model.ldap1"),
                        provenance={"command": "train", **_manifest(args)})
     accs = (f"train_acc={result.final_train_acc:.4f} "

@@ -37,9 +37,8 @@ class DatasetSplit:
         if ids & {s.id for s in self.test}:
             raise ConfigurationError("train and test share sample ids")
         train_labels = {s.label for s in self.train}
-        if not {0, 1} <= train_labels and len(self.train) > 0:
-            if train_labels != {0, 1}:
-                raise ConfigurationError("train split must contain both classes")
+        if self.train and not {0, 1} <= train_labels:
+            raise ConfigurationError("train split must contain both classes")
 
 
 def images_labels(samples):

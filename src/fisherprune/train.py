@@ -3,13 +3,16 @@
 Gradients flow backwards through the ForwardRecord kept by the forward
 pass, along network.reverse. The softmax layer is fused with cross-entropy
 (gradient p - onehot), relu gates by the sign of its recorded output, and
-max-pool scatter-adds through its stored switches.
+max-pool scatter-adds through its stored switches. Every run uses the one
+SGD recipe, momentum MOMENTUM and weight decay WEIGHT_DECAY; TrainConfig
+holds what callers vary (epochs, a finite positive lr, seed). Divergence is
+caught per sample in sgd_epoch; train returns the epoch log and writes no
+file.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,6 +20,9 @@ from . import ops
 from .errors import ConfigurationError, NonFiniteError, TrainingDiverged
 from .network import ForwardRecord, Network, forward, reverse
 from .tensor import Tensor
+
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
 
 
 def cross_entropy(probs, label):
@@ -54,20 +60,13 @@ def backward(net: Network, rec: ForwardRecord, label: int):
 class TrainConfig:
     epochs: int = 20
     lr: float = 0.005
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     seed: int = 0
-    log_path: str | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("momentum", "weight_decay"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -106,8 +105,8 @@ def _first_non_finite_layer(net, x):
     return found[0] if found else None
 
 
-def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
-              velocity, grad_mask=None, epoch=None):
+def sgd_epoch(net, images, labels, order, lr, velocity, grad_mask=None,
+              epoch=None):
     """One pass over the data in the given order; returns (mean loss, acc).
 
     epoch only labels a TrainingDiverged raised here.
@@ -125,7 +124,7 @@ def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
             layer = _first_non_finite_layer(net, x)
             raise TrainingDiverged(
                 f"{bad} on sample {idx}{of_epoch}, first at layer {layer} "
-                f"(lr={lr}, momentum={momentum}); reduce the learning rate",
+                f"(lr={lr}); reduce the learning rate",
                 epoch=epoch, sample=int(idx), layer=layer)
         loss = cross_entropy(probs.data, int(labels[idx]))
         total += loss
@@ -141,12 +140,12 @@ def sgd_epoch(net, images, labels, order, lr, momentum, weight_decay,
                                 np.zeros_like(layer.bias))
             vw, vb = velocity[li]
             # v = m*v - lr*(dw + wd*w), in place and in the same float32 order
-            step = weight_decay * layer.weights
+            step = WEIGHT_DECAY * layer.weights
             step += dw
             step *= lr
-            vw *= momentum
+            vw *= MOMENTUM
             vw -= step
-            vb *= momentum
+            vb *= MOMENTUM
             vb -= lr * db
             layer.weights += vw
             layer.bias += vb
@@ -180,23 +179,12 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     result = TrainResult()
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_labels))
-        loss, tr_acc = sgd_epoch(
-            net, train_images, train_labels, order,
-            config.lr, config.momentum, config.weight_decay,
-            velocity, grad_mask=weight_mask, epoch=epoch,
-        )
-        if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"loss became {loss} at epoch {epoch} "
-                f"(lr={config.lr}, momentum={config.momentum}); "
-                "reduce the learning rate",
-                epoch=epoch,
-            )
+        loss, tr_acc = sgd_epoch(net, train_images, train_labels, order,
+                                 config.lr, velocity, grad_mask=weight_mask,
+                                 epoch=epoch)
         ev_acc = accuracy(net, eval_images, eval_labels)
         result.epoch_log.append((epoch, float(loss), float(tr_acc), float(ev_acc)))
         result.final_train_acc, result.final_eval_acc = float(tr_acc), float(ev_acc)
-    if config.log_path:
-        write_log(config.log_path, result.epoch_log)
     return result
 
 
@@ -207,18 +195,5 @@ def retrain(net, train_images, train_labels, eval_images, eval_labels,
     No re-initialization happens; the network trains from whatever weights
     it currently holds.
     """
-    cfg = TrainConfig(
-        epochs=config.epochs, lr=config.lr * 0.1, momentum=config.momentum,
-        weight_decay=config.weight_decay, seed=config.seed,
-        log_path=config.log_path,
-    )
     return train(net, train_images, train_labels, eval_images, eval_labels,
-                 cfg, weight_mask=weight_mask)
-
-
-def write_log(path, epoch_log):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss", "train_acc", "eval_acc"])
-        for row in epoch_log:
-            w.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"])
+                 replace(config, lr=config.lr * 0.1), weight_mask=weight_mask)

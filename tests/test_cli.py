@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fisherprune import cli, data, prune
+from fisherprune import bench, cli, data, prune
 from fisherprune.cli import build_parser, main
 from fisherprune.data import images_labels
 from fisherprune.deconv import dependency_scores
@@ -67,6 +67,13 @@ class TestArtifacts:
         ]
         for name in names:
             assert os.path.exists(os.path.join(piperun, name)), name
+
+    def test_train_log_has_one_row_per_epoch(self, piperun):
+        header, rows = read_csv(os.path.join(piperun, "train_log.csv"))
+        assert header == ["epoch", "loss", "train_acc", "eval_acc"]
+        assert len(rows) == 1 and rows[0][0] == "0"
+        for value in rows[0][1:]:
+            assert value == f"{float(value):.6f}"
 
     def test_firing_matrix_layout(self, piperun):
         header, rows = read_csv(os.path.join(piperun, "firing.csv"))
@@ -132,6 +139,23 @@ class TestArtifacts:
                 in capsys.readouterr().out)
         text = open(os.path.join(str(tmp_path), "report.txt")).read()
         assert "pinned" not in text
+
+    def test_bench_runs_what_runs_asks_for(self, piperun, tmp_path,
+                                          monkeypatch):
+        calls = []
+        timed = bench.forward
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return timed(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "forward", spy)
+        assert main(["bench", "--out", str(tmp_path), "--runs", "1",
+                     "--model", os.path.join(piperun, "model.ldap1"),
+                     "--pruned", os.path.join(piperun, "pruned.ldap1")]
+                    + TINY) == 0
+        # per model: the lap loop and the total loop, warmup plus one run each
+        assert len(calls) == 2 * 2 * (bench.WARMUP + 1)
 
     def test_manifest_records_every_command(self, piperun):
         with open(os.path.join(piperun, "manifest.json")) as fh:

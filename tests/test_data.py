@@ -71,6 +71,12 @@ class TestSynthetic:
         with pytest.raises(ConfigurationError):
             DatasetSplit(train=split.train, test=[split.train[0]], n0=3, n1=3)
 
+    def test_one_class_train_split_rejected(self):
+        split = generate_synthetic(3, seed=0)
+        ones = [s for s in split.train if s.label == 1]
+        with pytest.raises(ConfigurationError, match="both classes"):
+            DatasetSplit(train=ones, test=split.test, n0=0, n1=len(ones))
+
 
 class TestPgm:
     @pytest.fixture

@@ -147,7 +147,7 @@ class TestForwardHook:
     def test_time_network_reports_every_layer(self):
         net = tiny_net()
         x = Tensor(np.random.default_rng(4).random((1, 8, 8)).astype(np.float32))
-        per_layer, total = time_network(net, x, runs=1, warmup=0)
+        per_layer, total = time_network(net, x, runs=1)
         assert [(i, kind) for i, kind, _ in per_layer] == [
             (i, layer.kind) for i, layer in enumerate(net.layers)]
         assert all(ms > 0 for _, _, ms in per_layer)
@@ -246,7 +246,7 @@ class TestSwitchFreeForward:
         forward(net, x)
         logits(net, x)
         accuracy(net, [x.data], [0])
-        time_network(net, x, runs=1, warmup=0)
+        time_network(net, x, runs=1)
         assert len(seen) >= 4 and all(s is None for s in seen)
         del seen[:]
         forward(net, x, record=True)

@@ -27,15 +27,23 @@ absent = instrument(tracer, conv_widths(fp.reference_cnn(seed=0)))
 train, deconv = (importlib.import_module(f"fisherprune.{m}")
                  for m in ("train", "deconv"))
 net = fp.reference_cnn(seed=0)
-image = fp.generate_synthetic(2, seed=0).train[0].image
+split = fp.generate_synthetic(2, seed=0)
+image = split.train[0].image
 tracer.enabled = True
 with tracer.phase("job"):
     _, rec = fp.forward(net, image, record=True)
     train.backward(net, rec, 0)
     firing = rec.activations[net.last_conv_index() + 1]
     deconv.deconv_from_neuron(net, rec, int(firing.max(axis=(1, 2)).argmax()))
+spans = [s.name for s in tracer.spans]
+images = [s.image.data for s in split.train[:2]]
+labels = [s.label for s in split.train[:2]]
+with tracer.phase("job"):
+    fp.train(net, images, labels, images, labels, fp.TrainConfig(epochs=1))
 print(json.dumps({"missing": tracer.missing, "absent": sorted(absent),
-                  "spans": [s.name for s in tracer.spans]}))
+                  "spans": spans,
+                  "epoch_n": [s.attrs["n"] for s in tracer.spans
+                              if s.name == "train.sgd_epoch"]}))
 """
 
 
@@ -57,3 +65,5 @@ def test_perfbench_instruments_every_function_it_names():
     grads = [f"ops.conv2d_param_grads.L{i}" for i in range(5, -1, -1)]
     adjoints = [f"ops.conv2d_adjoint.L{i}" for i in range(5, -1, -1)]
     assert conv == [x for pair in zip(grads, adjoints) for x in pair][:-1] + adjoints
+    # train.samples reads sgd_epoch's `order` by position: one epoch, 2 images
+    assert got["epoch_n"] == [2]
