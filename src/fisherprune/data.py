@@ -3,6 +3,23 @@
 Synthetic images are grayscale 1xHxW in [0,1]. Both classes contain the
 same kind of filled ellipse; class 0 adds horizontal bright strokes and
 class 1 vertical ones, so the classes differ by stroke orientation only.
+
+The images are a contract: one seeded generator is read image by image,
+all of class 0 first, and per image in this order:
+
+1. five uniforms from one random(5): the ellipse centre's offsets from
+   the middle (cy, cx) in [-2, 2), its radii (ry, rx) in [0.22, 0.34)
+   times size, and its gray level in [0.35, 0.5);
+2. the stroke count, integers(2, 5);
+3. per stroke: integers for its position [2, size-2), thickness [1, 3),
+   start [0, size//3) and end [2*size//3, size), then its brightness in
+   [0.85, 1.0) from one random();
+4. size*size standard normals, the noise, scaled by 0.05.
+
+Each uniform is low + (high - low) * random(), as numpy's uniform computes
+it, so the images equal those of per-image uniform/normal calls bit for
+bit. The array work (ellipse masks, strokes, noise add, clip, float32
+cast) runs per block of BLOCK_PIXELS // size**2 images.
 """
 
 from __future__ import annotations
@@ -12,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, require_int
 from .tensor import Tensor
 
 
@@ -48,38 +65,52 @@ def images_labels(samples):
     return imgs, labels
 
 
+# Images per synthesis block: each float64 block temporary holds about
+# BLOCK_PIXELS pixels (128 KB), 16 images at size 32.
+BLOCK_PIXELS = 16384
+MAX_SIZE = 512
+# low and high - low of the per-image uniforms: cy, cx, ry, rx, level
+_ELLIPSE_LOW = np.array([-2.0, -2.0, 0.22, 0.22, 0.35])
+_ELLIPSE_SPAN = np.array([2.0, 2.0, 0.34, 0.34, 0.5]) - _ELLIPSE_LOW
+_BRIGHT_LOW, _BRIGHT_SPAN = 0.85, 1.0 - 0.85
+
+
 def _train_count(n):
     # 80/20, but keep at least two per class in train when available
     return max(min(2, n), int(n * 0.8))
 
 
-def _ellipse(rng, size):
-    cy = size / 2 + rng.uniform(-2, 2)
-    cx = size / 2 + rng.uniform(-2, 2)
-    ry = size * rng.uniform(0.22, 0.34)
-    rx = size * rng.uniform(0.22, 0.34)
+def _synthesize(rng, size, label, count):
+    """count images of one class as a (count, size, size) float32 block.
+
+    The generator is read image by image in the module docstring's order;
+    the masks, strokes, noise add, clip and cast then run over the block.
+    """
+    params = np.empty((count, 5))
+    noise = np.empty((count, size, size))
+    strokes = []
+    for k in range(count):
+        params[k] = _ELLIPSE_LOW + _ELLIPSE_SPAN * rng.random(5)
+        for _ in range(int(rng.integers(2, 5))):
+            pos = int(rng.integers(2, size - 2))
+            thick = int(rng.integers(1, 3))
+            lo = int(rng.integers(0, size // 3))
+            hi = int(rng.integers(2 * size // 3, size))
+            bright = _BRIGHT_LOW + _BRIGHT_SPAN * rng.random()
+            strokes.append((k, pos, thick, lo, hi, bright))
+        rng.standard_normal(out=noise[k])
+    noise *= 0.05
+    cy, cx, ry, rx, level = params.T[:, :, None, None]
     ys = np.arange(size)[:, None]
     xs = np.arange(size)[None, :]
-    mask = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
-    return mask, rng.uniform(0.35, 0.5)
-
-
-def _synthesize(rng, size, label):
-    img = np.zeros((size, size), dtype=np.float64)
-    mask, level = _ellipse(rng, size)
-    img[mask] = level
-    n_strokes = int(rng.integers(2, 5))
-    for _ in range(n_strokes):
-        pos = int(rng.integers(2, size - 2))
-        thick = int(rng.integers(1, 3))
-        lo = int(rng.integers(0, size // 3))
-        hi = int(rng.integers(2 * size // 3, size))
-        bright = rng.uniform(0.85, 1.0)
-        if label == 0:
-            img[pos:pos + thick, lo:hi] = bright
-        else:
-            img[lo:hi, pos:pos + thick] = bright
-    img += rng.normal(0.0, 0.05, size=(size, size))
+    mask = (((ys - (size / 2 + cy)) / (size * ry)) ** 2
+            + ((xs - (size / 2 + cx)) / (size * rx)) ** 2 <= 1.0)
+    img = np.where(mask, level, 0.0)
+    # class 1's strokes are class 0's with rows and columns swapped
+    canvas = img if label == 0 else img.transpose(0, 2, 1)
+    for k, pos, thick, lo, hi, bright in strokes:
+        canvas[k, pos:pos + thick, lo:hi] = bright
+    img += noise
     np.clip(img, 0.0, 1.0, out=img)
     return img.astype(np.float32)
 
@@ -88,23 +119,23 @@ def generate_synthetic(n_per_class, size=32, seed=0):
     """Deterministic two-class stroke-orientation dataset.
 
     Per class, ids run c{label}-0000 upward; the first 80% of each class
-    (at least two) form the train split, the rest the test split.
+    (at least two) form the train split, the rest the test split. Sizes
+    below 16 leave nothing for the reference net's two pool stages.
     """
-    if not 2 <= n_per_class <= 100000:
-        raise ConfigurationError(
-            f"need 2 <= n_per_class <= 100000, got {n_per_class}")
-    if size < 16:
-        raise ConfigurationError(
-            f"size {size} too small: two pool stages need at least 16"
-        )
+    require_int("n_per_class", n_per_class, 2, 100000)
+    require_int("size", size, 16, MAX_SIZE)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
+    block = max(1, BLOCK_PIXELS // size ** 2)
     per_class = {0: [], 1: []}
     for label in (0, 1):
-        for i in range(n_per_class):
-            img = _synthesize(rng, size, label)
-            per_class[label].append(
-                LabeledImage(Tensor(img[None, :, :]), label, f"c{label}-{i:04d}")
-            )
+        for start in range(0, n_per_class, block):
+            imgs = _synthesize(rng, size, label,
+                               min(block, n_per_class - start))
+            per_class[label].extend(
+                LabeledImage(Tensor(img[None, :, :]), label,
+                             f"c{label}-{start + k:04d}")
+                for k, img in enumerate(imgs))
     n_train = _train_count(n_per_class)
     train, test = [], []
     for label in (0, 1):

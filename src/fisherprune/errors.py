@@ -1,4 +1,7 @@
-"""Exception kinds shared across the package."""
+"""Exception kinds shared across the package, and the int-argument check
+that raises one of them."""
+
+import numbers
 
 
 class DimensionError(ValueError):
@@ -7,6 +10,18 @@ class DimensionError(ValueError):
 
 class ConfigurationError(ValueError):
     """A layer, dataset, or run configuration cannot produce a valid result."""
+
+
+def require_int(name, value, lo, hi=None):
+    """value if it is an int (a bool is not) in [lo, hi], else a
+    ConfigurationError naming `name`; hi None means no upper bound."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an int, got {value!r}")
+    if hi is None and value < lo:
+        raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and not lo <= value <= hi:
+        raise ConfigurationError(f"need {lo} <= {name} <= {hi}, got {value}")
+    return value
 
 
 class NonFiniteError(ValueError):

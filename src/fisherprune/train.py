@@ -5,9 +5,9 @@ pass, along network.reverse. The softmax layer is fused with cross-entropy
 (gradient p - onehot), relu gates by the sign of its recorded output, and
 max-pool scatter-adds through its stored switches. Every run uses the one
 SGD recipe, momentum MOMENTUM and weight decay WEIGHT_DECAY; TrainConfig
-holds what callers vary (epochs, a finite positive lr, seed). Divergence is
-caught per sample in sgd_epoch; train returns the epoch log and writes no
-file.
+holds what callers vary (int epochs >= 0, a finite positive lr, an int
+seed >= 0). Divergence is caught per sample in sgd_epoch; train returns the
+epoch log and writes no file.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .errors import ConfigurationError, NonFiniteError, TrainingDiverged
+from .errors import (ConfigurationError, NonFiniteError, TrainingDiverged,
+                     require_int)
 from .network import ForwardRecord, Network, forward, reverse
 from .tensor import Tensor
 
@@ -63,10 +64,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        require_int("epochs", self.epochs, 0)
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
+        require_int("seed", self.seed, 0)
 
 
 @dataclass

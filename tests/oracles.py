@@ -315,3 +315,49 @@ def svm_objective(w, b, features, labels, c=1.0):
     w = np.asarray(w, dtype=np.float64).ravel()
     hinge = np.maximum(0.0, 1.0 - y * (x @ w + float(b)))
     return float(0.5 * (w @ w) + c * hinge.sum())
+
+
+def _ellipse(rng, size):
+    cy = size / 2 + rng.uniform(-2, 2)
+    cx = size / 2 + rng.uniform(-2, 2)
+    ry = size * rng.uniform(0.22, 0.34)
+    rx = size * rng.uniform(0.22, 0.34)
+    ys = np.arange(size)[:, None]
+    xs = np.arange(size)[None, :]
+    mask = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
+    return mask, rng.uniform(0.35, 0.5)
+
+
+def _synthesize(rng, size, label):
+    img = np.zeros((size, size), dtype=np.float64)
+    mask, level = _ellipse(rng, size)
+    img[mask] = level
+    n_strokes = int(rng.integers(2, 5))
+    for _ in range(n_strokes):
+        pos = int(rng.integers(2, size - 2))
+        thick = int(rng.integers(1, 3))
+        lo = int(rng.integers(0, size // 3))
+        hi = int(rng.integers(2 * size // 3, size))
+        bright = rng.uniform(0.85, 1.0)
+        if label == 0:
+            img[pos:pos + thick, lo:hi] = bright
+        else:
+            img[lo:hi, pos:pos + thick] = bright
+    img += rng.normal(0.0, 0.05, size=(size, size))
+    np.clip(img, 0.0, 1.0, out=img)
+    return img.astype(np.float32)
+
+
+def synthetic_per_image(n_per_class, size, seed):
+    """The synthetic task drawn one image at a time with numpy's uniform and
+    normal: (train, test) lists of (id, label, float32 (size, size) image),
+    class 0 first, the first 80% of each class (at least two) in train."""
+    rng = np.random.default_rng(seed)
+    n_train = max(min(2, n_per_class), int(n_per_class * 0.8))
+    train, test = [], []
+    per_class = {label: [(f"c{label}-{i:04d}", label, _synthesize(rng, size, label))
+                         for i in range(n_per_class)] for label in (0, 1)}
+    for label in (0, 1):
+        train.extend(per_class[label][:n_train])
+        test.extend(per_class[label][n_train:])
+    return train, test

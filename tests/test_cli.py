@@ -15,6 +15,7 @@ from fisherprune.modelio import load_model, save_model
 from fisherprune.network import build_cnn
 from fisherprune.train import TrainConfig, retrain
 
+from test_data import write_pgm
 from test_modelio import poke_tensor, rewrite_header
 
 
@@ -453,6 +454,41 @@ class TestFailureExits:
         assert err.count("\n") == 1
         # refused before the dependency walk, so no partial artifact is left
         assert not (tmp_path / "dependencies.csv").exists()
+
+    def test_negative_seed_on_synthetic(self, tmp_path, capsys, monkeypatch):
+        def no_images(*args):
+            raise AssertionError("an image was built before the check")
+
+        monkeypatch.setattr(data, "_synthesize", no_images)
+        rc = main(["train", "--out", str(tmp_path), "--n-per-class", "6",
+                   "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigurationError: seed must be >= 0, got -1\n"
+
+    def test_negative_seed_on_a_pgm_dir(self, piperun, tmp_path, capsys,
+                                        monkeypatch):
+        """The dataset ignores the seed, so TrainConfig refuses it, before
+        the model is loaded or ranked."""
+        for label in (0, 1):
+            (tmp_path / "pgm" / str(label)).mkdir(parents=True)
+            for i in range(3):
+                write_pgm(tmp_path / "pgm" / str(label) / f"{i}.pgm",
+                          np.full((32, 32), 40 * i + 100 * label))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis ran before the seed check")
+
+        monkeypatch.setattr(cli, "_rank", refuse)
+        monkeypatch.setattr(cli.modelio, "load_model", refuse)
+        rc = main(["prune", "--out", str(tmp_path / "out"),
+                   "--dataset", f"dir:{tmp_path / 'pgm'}", "--seed", "-1",
+                   "--model", os.path.join(piperun, "model.ldap1"),
+                   "--threshold", "0.3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigurationError: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out" / "dependencies.csv").exists()
 
     def test_n_per_class_cap(self, tmp_path, capsys, monkeypatch):
         def no_images(*args):

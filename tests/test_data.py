@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import oracles
+from fisherprune import data
 from fisherprune.data import (
-    DatasetSplit, generate_synthetic, images_labels, load_pgm_dir,
-    resize_nearest,
+    BLOCK_PIXELS, DatasetSplit, generate_synthetic, images_labels,
+    load_pgm_dir, resize_nearest,
 )
 from fisherprune.errors import ConfigurationError
 
@@ -59,6 +61,37 @@ class TestSynthetic:
         with pytest.raises(ConfigurationError):
             generate_synthetic(10, size=8)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_per_class": 2.5}, "n_per_class"),
+        ({"n_per_class": True}, "n_per_class"),
+        ({"n_per_class": "4"}, "n_per_class"),
+        ({"size": 32.0}, "size"),
+        ({"size": True}, "size"),
+        ({"size": 513}, "size"),
+        ({"size": 10**9}, "size"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"seed": None}, "seed"),
+    ], ids=["n_float", "n_bool", "n_str", "size_float", "size_bool",
+            "size_513", "size_huge", "seed_negative", "seed_float",
+            "seed_bool", "seed_none"])
+    def test_bad_arguments_refused_before_any_image(self, monkeypatch,
+                                                    kwargs, name):
+        def no_images(*args):
+            raise AssertionError("an image was built before the check")
+
+        monkeypatch.setattr(data, "_synthesize", no_images)
+        args = {"n_per_class": 3, **kwargs}
+        with pytest.raises(ConfigurationError, match=name):
+            generate_synthetic(**args)
+
+    def test_numpy_ints_accepted(self):
+        a = generate_synthetic(np.int64(3), size=np.int32(16), seed=np.uint8(4))
+        b = generate_synthetic(3, size=16, seed=4)
+        assert [s.image.data.tobytes() for s in a.train + a.test] == \
+            [s.image.data.tobytes() for s in b.train + b.test]
+
     def test_images_labels_helper(self):
         split = generate_synthetic(3, seed=0)
         imgs, labels = images_labels(split.train)
@@ -76,6 +109,64 @@ class TestSynthetic:
         ones = [s for s in split.train if s.label == 1]
         with pytest.raises(ConfigurationError, match="both classes"):
             DatasetSplit(train=ones, test=split.test, n0=0, n1=len(ones))
+
+
+def block_length(size):
+    return max(1, BLOCK_PIXELS // size ** 2)
+
+
+def oracle_cases():
+    """n_per_class around the block length at each size, over three seeds."""
+    for size in (16, 32, 48):
+        b = block_length(size)
+        for n in (2, b - 1, b, b + 1, 150):
+            for seed in (0, 7, 2**40 + 3):
+                yield n, size, seed
+
+
+class TestMatchesPerImageGenerator:
+    """The block synthesizer against the per-image generator it replaced."""
+
+    @pytest.mark.parametrize("n,size,seed", list(oracle_cases()))
+    def test_bit_for_bit(self, n, size, seed):
+        want_train, want_test = oracles.synthetic_per_image(n, size, seed)
+        split = generate_synthetic(n, size=size, seed=seed)
+        assert (split.n0, split.n1) == (n, n)
+        for got, want in ((split.train, want_train), (split.test, want_test)):
+            assert [(s.id, s.label) for s in got] == \
+                [(i, label) for i, label, _ in want]
+            for s, (_, _, img) in zip(got, want):
+                assert s.image.data.shape == (1, size, size)
+                assert s.image.data.dtype == np.float32
+                assert s.image.data[0].tobytes() == img.tobytes()
+
+    @pytest.mark.parametrize("size,counts", [
+        (32, [16, 16, 16, 16, 6]), (16, [64, 6]), (48, [7] * 10)])
+    def test_blocks_hold_about_128_kb_of_float64(self, monkeypatch, size,
+                                                  counts):
+        """The cases above sit at the block boundaries the package uses."""
+        calls = []
+        synthesize = data._synthesize
+
+        def spy(rng, size, label, count):
+            calls.append(count)
+            return synthesize(rng, size, label, count)
+
+        monkeypatch.setattr(data, "_synthesize", spy)
+        generate_synthetic(70, size=size)
+        assert calls == counts * 2
+        assert max(calls) == block_length(size)
+
+    def test_nan_in_one_image_leaves_the_others(self):
+        """perfbench's --inject-nan writes NaN into one returned image in
+        place; the images of one block must not overlap."""
+        split = generate_synthetic(20, seed=5)
+        samples = split.train + split.test
+        before = [s.image.data.copy() for s in samples]
+        samples[0].image.data[...] = float("nan")
+        assert np.isnan(samples[0].image.data).all()
+        for s, img in zip(samples[1:], before[1:]):
+            np.testing.assert_array_equal(s.image.data, img)
 
 
 class TestPgm:

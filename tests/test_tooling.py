@@ -7,10 +7,14 @@ runs that instrumentation on reference_cnn in a fresh interpreter, so the
 wrapping leaves no trace in the test process, and reads perfbench/ only.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -67,3 +71,76 @@ def test_perfbench_instruments_every_function_it_names():
     assert conv == [x for pair in zip(grads, adjoints) for x in pair][:-1] + adjoints
     # train.samples reads sgd_epoch's `order` by position: one epoch, 2 images
     assert got["epoch_n"] == [2]
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPairedVerdicts:
+    """tools/bench_pairs.py's sign-test verdict on seeded synthetic pairs."""
+
+    bp = load_bench_pairs()
+
+    def pairs(self, rng, shift, n=10, spread=0.02):
+        """n pairs of lognormal runs, each side spread by about 2%."""
+        parent = np.exp(rng.normal(0.0, spread, n))
+        change = np.exp(rng.normal(np.log1p(shift), spread, n))
+        return parent.tolist(), change.tolist()
+
+    def test_ranks_and_coverage(self):
+        assert self.bp.sign_test_rank(10) == (2, pytest.approx(1 - 22 / 1024))
+        assert self.bp.sign_test_rank(6) == (1, pytest.approx(1 - 2 / 64))
+        assert self.bp.sign_test_rank(5) == (0, None)
+        for n in range(6, 40):
+            k, coverage = self.bp.sign_test_rank(n)
+            assert coverage >= 0.95
+            assert self.bp.sign_test_rank(n, coverage + 1e-12)[0] < k
+
+    def test_equal_distributions_read_unresolved_at_the_stated_rate(self):
+        rng = np.random.default_rng(13)
+        trials = 4000
+        resolved = sum(
+            self.bp.paired_verdict(*self.pairs(rng, 0.0), "lower")["verdict"]
+            != "unresolved" for _ in range(trials))
+        # 2 * 11/1024 of trials resolve by chance; 3.3 sigma either side
+        assert 0.0107 * 2 * trials - 30 < resolved < 0.0107 * 2 * trials + 30
+
+    @pytest.mark.parametrize("better,shift,verdict", [
+        ("lower", -0.10, "better"), ("lower", 0.10, "worse"),
+        ("higher", 0.10, "better"), ("higher", -0.10, "worse"),
+    ])
+    def test_a_ten_percent_shift_reads_resolved(self, better, shift, verdict):
+        rng = np.random.default_rng(14)
+        verdicts = []
+        for _ in range(500):
+            got = self.bp.paired_verdict(*self.pairs(rng, shift), better)
+            assert got["interval"][0] <= got["median_ratio"] <= got["interval"][1]
+            verdicts.append(got["verdict"])
+        assert verdicts.count(verdict) >= 495
+
+    def test_equal_values_and_missing_pairs(self):
+        got = self.bp.paired_verdict([1.0] * 10, [1.0] * 10, "higher")
+        assert (got["median_ratio"], got["interval"]) == (1.0, [1.0, 1.0])
+        assert got["verdict"] == "unresolved"
+        got = self.bp.paired_verdict([1.0, None, 0.0, 2.0], [1.1, 1.0, 1.0, 2.2],
+                                     "lower")
+        assert got["log_ratios"][1:3] == [None, None]
+        assert (got["ratio_pairs"], got["interval"]) == (2, None)
+        assert got["verdict"] == "unresolved"
+
+    def test_recompute_reads_bench_10(self):
+        """The infer forward latency recorded in BENCH_10.json."""
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
+             "--recompute", os.path.join(ROOT, "BENCH_10.json")],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        row = [line.split() for line in done.stdout.splitlines()
+               if line.startswith("infer") and "fwd_ms_p50" in line]
+        assert row == [["infer", "fwd_ms_p50", "10", "+3.9%", "[-2.6%,",
+                        "+38.7%]", "unresolved"]]

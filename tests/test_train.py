@@ -231,6 +231,19 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError, match=message):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", 1.5, "seed must be an int, got 1.5"),
+        ("seed", True, "seed must be an int, got True"),
+        ("seed", "0", "seed must be an int, got '0'"),
+        ("epochs", 1.5, "epochs must be an int, got 1.5"),
+        ("epochs", True, "epochs must be an int, got True"),
+    ], ids=["seed_negative", "seed_float", "seed_bool", "seed_str",
+            "epochs_float", "epochs_bool"])
+    def test_non_int_or_negative_counts_rejected(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("fit", [train, retrain])
     def test_negative_epochs_rejected(self, fit):
         images, labels = toy_split(n=2)

@@ -22,6 +22,17 @@ per-layer metrics of both sides, each side's perfbench env block (which
 says whether BLAS was pinned), `src/` line counts and the Tier-1 walls.
 The file is rewritten after every run, with "complete": false until the
 last one. Nothing here is a test gate: absolute times depend on the host.
+
+Each metric also gets a paired-ratio verdict: the log of change/parent
+within each pair, their median as a ratio, and a sign-test interval for
+that median from the k-th smallest and k-th largest log ratios, k the
+largest rank whose binomial coverage is at least 95% (2nd and 9th of ten,
+97.9%). The verdict is "better" or "worse" when the interval lies wholly
+on one side of 1, in the direction the metric's `better` names (lower
+time or memory, higher accuracy), and "unresolved" otherwise. To print
+that table from a committed file without running anything:
+
+    python3 tools/bench_pairs.py --recompute BENCH_10.json
 """
 
 from __future__ import annotations
@@ -41,6 +52,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("train", "prune", "infer")
 # detail-line walls: multi-second or per-step times perfbench does not gate
 DETAIL_WALLS = ("prune_s", "analyze_s", "heads_s", "train_step_ms_quiet_p50")
+# least coverage of the sign-test interval around the median paired ratio
+COVERAGE = 0.95
 NOTES = [
     "Pairs run parent and change back to back, the order alternating from "
     "pair to pair; compare medians and win counts, not single runs.",
@@ -73,6 +86,71 @@ def run_perfbench(root, workload, seed, seconds, trace):
     return wall, lines
 
 
+def sign_test_rank(n, coverage=COVERAGE):
+    """The largest k whose [k-th smallest, k-th largest] of n paired values
+    covers their median with at least `coverage`, and that coverage; (0,
+    None) when even the extremes fall short (fewer than six pairs)."""
+    best = (0, None)
+    for k in range(1, n // 2 + 1):
+        tail = sum(math.comb(n, i) for i in range(k)) / 2 ** n
+        if 1 - 2 * tail < coverage:
+            break
+        best = (k, 1 - 2 * tail)
+    return best
+
+
+def log_ratio(parent, change):
+    """log(change/parent), 0 for equal values, None if undefined."""
+    if parent is None or change is None:
+        return None
+    if parent == change:
+        return 0.0
+    if parent <= 0 or change <= 0:
+        return None
+    return math.log(change / parent)
+
+
+def paired_verdict(parent, change, better):
+    """Per-pair log ratios, their median ratio, the sign-test interval of
+    that ratio and a better / worse / unresolved verdict."""
+    logs = [log_ratio(p, c) for p, c in zip(parent, change)]
+    used = sorted(x for x in logs if x is not None)
+    k, coverage = sign_test_rank(len(used))
+    out = {"log_ratios": logs, "ratio_pairs": len(used),
+           "median_ratio": None, "interval": None, "coverage": coverage,
+           "verdict": "unresolved"}
+    if used:
+        out["median_ratio"] = math.exp(statistics.median(used))
+    if k:
+        lo, hi = used[k - 1], used[len(used) - k]
+        out["interval"] = [math.exp(lo), math.exp(hi)]
+        if better == "higher":
+            lo, hi = -hi, -lo
+        out["verdict"] = ("better" if hi < 0 else "worse" if lo > 0
+                          else "unresolved")
+    return out
+
+
+def verdict_table(doc):
+    """One line per workload and metric (gated, then detail walls): pairs,
+    median paired change and its interval in percent, verdict."""
+    def pct(ratio):
+        return "-" if ratio is None else f"{ratio - 1:+.1%}"
+
+    lines = [f"{'workload':8} {'metric':24} {'pairs':>5}  "
+             f"{'median':>7}  {'interval':20}  verdict"]
+    for workload, entry in doc["workloads"].items():
+        for group in ("metrics", "detail_walls"):
+            for name, m in entry.get(group, {}).items():
+                v = paired_verdict(m["parent"], m["change"], m["better"])
+                lo, hi = v["interval"] or (None, None)
+                interval = f"[{pct(lo)}, {pct(hi)}]" if v["interval"] else "-"
+                lines.append(f"{workload:8} {name:24} {v['ratio_pairs']:5}  "
+                             f"{pct(v['median_ratio']):>7}  {interval:20}  "
+                             f"{v['verdict']}")
+    return "\n".join(lines)
+
+
 def summary(parent, change, better):
     """Medians, quartiles and the change's win count over paired values."""
     def quartiles(vals):
@@ -98,6 +176,7 @@ def summary(parent, change, better):
             "gain_shown": (wins >= math.ceil(0.9 * len(parent))
                            and sign * (pm - cm) > pq[1] - pq[0]),
         })
+    out.update(paired_verdict(parent, change, better))
     return out
 
 
@@ -150,12 +229,20 @@ def export(rev, dest):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--pr", required=True, help="names the file BENCH_<pr>.json")
+    p.add_argument("--pr", help="names the file BENCH_<pr>.json")
     p.add_argument("--parent", default="HEAD", help="revision to compare against")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--seed", type=int, default=8001, help="seed of pair 0")
+    p.add_argument("--recompute", metavar="BENCH_N.json",
+                   help="print the verdict table of a committed file and exit")
     args = p.parse_args(argv)
+    if args.recompute:
+        with open(args.recompute) as fh:
+            print(verdict_table(json.load(fh)))
+        return 0
+    if args.pr is None:
+        p.error("--pr is required unless --recompute is given")
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
@@ -229,6 +316,7 @@ def main(argv=None):
                 name: {s: metrics[s].get(name, {}).get("value") for s in metrics}
                 for name in sorted(set(metrics["parent"]) | set(metrics["change"]))}
             save()
+        print(verdict_table(doc), file=sys.stderr, flush=True)
         for side, root in sides.items():
             doc["tier1"][side] = tier1(root)
             print(f"tier-1 {side}: {doc['tier1'][side]['summary']}",
