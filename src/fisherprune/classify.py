@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
+    require_int,
 )
 from .modelio import _require
 
@@ -71,12 +72,13 @@ def qda_fit(features, labels, lam=1e-3) -> QdaModel:
 
     Needs more samples than dimensions in every class; with too few, the
     covariance estimate is rank-deficient, so the fit is refused with a
-    pointer at the cure (fewer selected neurons, or a larger lam).
+    pointer at the cure (fewer selected neurons, or a larger lam). lam must
+    be finite and >= 0.
     """
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
     x, y = _check_features(features, labels, (0, 1))
     n, d = x.shape
-    if lam < 0:
-        raise ConfigurationError(f"lam must be >= 0, got {lam}")
     means, covs, chols, logdets, logpriors = [], [], [], [], []
     for cls in (0, 1):
         xc = x[y == cls]
@@ -155,10 +157,11 @@ def linear_svm_fit(features, labels, c=1.0, epochs=2000, seed=0) -> SvmModel:
     Full-batch steps on the 1/t schedule (the objective's quadratic modulus
     is 1). The returned model is the average of the second half of the
     iterates; the early ones overshoot and would pollute a full average.
-    Deterministic; the seed is kept as metadata only since no randomness is
-    consumed.
+    epochs must be an int >= 1. Deterministic; the seed is kept as metadata
+    only since no randomness is consumed.
     """
     x, y = _svm_problem(features, labels, c)
+    require_int("epochs", epochs, 1)
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
@@ -214,9 +217,9 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
     """Pairwise dual (SMO-style) optimization of the RBF-kernel SVM.
 
     gamma defaults to 1/d; it must be finite and > 0, tol finite and >= 0
-    and max_passes >= 1. Sweeps all samples; the partner index is the one
-    with the largest error gap, so runs are deterministic. Stops when a full
-    sweep finds no KKT violation beyond tol; hitting max_passes first
+    and max_passes an int >= 1. Sweeps all samples; the partner index is the
+    one with the largest error gap, so runs are deterministic. Stops when a
+    full sweep finds no KKT violation beyond tol; hitting max_passes first
     returns the partial model with converged=False and a warning.
     """
     x, y = _svm_problem(features, labels, c)
@@ -229,8 +232,7 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
         raise ConfigurationError(f"rbf gamma must be finite and > 0, got {gamma}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ConfigurationError(f"SMO tol must be finite and >= 0, got {tol}")
-    if not max_passes >= 1:
-        raise ConfigurationError(f"max_passes must be >= 1, got {max_passes}")
+    require_int("max_passes", max_passes, 1)
     kmat = _rbf_kernel(x, x, gamma)
     alpha = np.zeros(n)
     b = 0.0

@@ -247,47 +247,22 @@ def logits(net: Network, x: Tensor):
 
 
 def _layer_out_shape(layer, shape):
-    if layer.kind in ("conv", "maxpool"):
-        if layer.kind == "maxpool" and layer.window < 1:
-            raise ConfigurationError(f"pool window must be >= 1, got {layer.window}")
-        if layer.stride < 1:
-            raise ConfigurationError(f"stride must be >= 1, got {layer.stride}")
-        if layer.pad < 0:
-            raise ConfigurationError(f"pad must be >= 0, got {layer.pad}")
+    """The layer's output shape under the kernels' shape rules in ops, plus
+    one load-time policy: a conv pad must be below the kernel extents."""
     if layer.kind == "conv":
-        if len(shape) != 3:
-            raise DimensionError(f"conv needs (C,H,W) input, got {shape}")
-        c, h, w = shape
-        o, kc, kh, kw = layer.weights.shape
-        if kc != c:
-            raise DimensionError(f"kernel expects {kc} channels, input has {c}")
+        out = ops.conv_shape(shape, layer.weights.shape, layer.stride, layer.pad)
+        kh, kw = layer.weights.shape[2:]
         if layer.pad >= kh or layer.pad >= kw:
             # such a pad only adds constant (bias-valued) border outputs
             raise ConfigurationError(
                 f"pad {layer.pad} must be below the {kh}x{kw} kernel's extents")
-        oh, ow = ops.conv_output_hw(h, w, kh, kw, layer.stride, layer.pad)
-        if oh < 1 or ow < 1:
-            raise ConfigurationError("conv output is empty")
-        return (o, oh, ow)
+        return out
     if layer.kind == "maxpool":
-        if len(shape) != 3:
-            raise DimensionError(f"pool needs (C,H,W) input, got {shape}")
-        c, h, w = shape
-        if layer.window > h or layer.window > w:
-            raise ConfigurationError(f"pool window {layer.window} exceeds {h}x{w}")
-        oh, ow = ops.conv_output_hw(h, w, layer.window, layer.window, layer.stride, 0)
-        if oh < 1 or ow < 1:
-            raise ConfigurationError("pool output is empty")
-        return (c, oh, ow)
+        return ops.pool_shape(shape, layer.window, layer.stride)
+    if layer.kind == "dense":
+        return ops.dense_shape(shape, layer.weights.shape)
     if layer.kind == "flatten":
         return (int(np.prod(shape)),)
-    if layer.kind == "dense":
-        if len(shape) != 1:
-            raise DimensionError(f"dense needs a flat input, got {shape}")
-        m, n = layer.weights.shape
-        if shape[0] != n:
-            raise DimensionError(f"dense expects {n} inputs, got {shape[0]}")
-        return (m,)
     # relu / softmax keep the shape
     return shape
 
@@ -308,20 +283,16 @@ def build_cnn(input_shape, conv_plan, dense_plan, n_classes, seed=0):
     """
     rng = np.random.default_rng(seed)
     layers = []
-    c, h, w = input_shape
+    c = input_shape[0]
     for out_c, k, pad, pool in conv_plan:
-        fan_in = c * k * k
-        kw = kaiming_uniform(rng, (out_c, c, k, k), fan_in)
+        kw = kaiming_uniform(rng, (out_c, c, k, k), c * k * k)
         kb = np.zeros(out_c, dtype=np.float32)
-        layers.append(LayerSpec.conv(kw, kb, stride=1, pad=pad))
-        layers.append(LayerSpec.relu())
-        oh, ow = ops.conv_output_hw(h, w, k, k, 1, pad)
-        c, h, w = out_c, oh, ow
+        layers += [LayerSpec.conv(kw, kb, stride=1, pad=pad), LayerSpec.relu()]
         if pool:
             layers.append(LayerSpec.maxpool(2, 2))
-            h, w = ops.conv_output_hw(h, w, 2, 2, 2, 0)
+        c = out_c
     layers.append(LayerSpec.flatten())
-    n = c * h * w
+    n, = Network(tuple(input_shape), layers).infer_shapes()[-1]
     for width in dense_plan:
         dw = kaiming_uniform(rng, (width, n), n)
         db = np.zeros(width, dtype=np.float32)

@@ -3,7 +3,9 @@
 All ops are pure functions on plain ndarrays: feature maps are (C,H,W),
 conv kernels (O,C,kh,kw), dense weights (m,n). Dot products accumulate in
 float64 and results are cast back to the input dtype, so float32 models
-produce reproducible sums.
+produce reproducible sums. conv_shape, pool_shape and dense_shape are the
+one shape rule of each parametric kind: its kernels check their arguments
+with it, and Network.infer_shapes reads it.
 
 Convolutions unroll their input in row runs. The map is zero-padded into a
 float64 grid of Hp x Wp cells per channel, with zero rows of slack below.
@@ -78,25 +80,16 @@ def _unroll(x, kh, kw, stride, hp, wp, rows, cols):
     return runs.reshape(c * kh * kw, n)
 
 
-def conv2d_forward(input, kernel, bias, stride=1, pad=0):
-    """2-D cross-correlation with zero padding.
-
-    out[o,y,x] = bias[o] + sum_{c,i,j} input[c, y*stride+i-pad, x*stride+j-pad]
-                 * kernel[o,c,i,j], reading zero outside the input bounds.
-    """
-    if input.ndim != 3:
-        raise DimensionError(f"conv input must be (C,H,W), got {input.shape}")
-    if kernel.ndim != 4:
-        raise DimensionError(f"conv kernel must be (O,C,kh,kw), got {kernel.shape}")
-    c, h, w = input.shape
-    o, kc, kh, kw = kernel.shape
+def conv_shape(shape, kernel_shape, stride, pad):
+    """(O,OH,OW) of a conv over a (C,H,W) input, or the conv kernels' error."""
+    if len(shape) != 3:
+        raise DimensionError(f"conv input must be (C,H,W), got {shape}")
+    if len(kernel_shape) != 4:
+        raise DimensionError(f"conv kernel must be (O,C,kh,kw), got {kernel_shape}")
+    c, h, w = shape
+    o, kc, kh, kw = kernel_shape
     if kc != c:
-        raise DimensionError(
-            f"kernel expects {kc} input channels, feature map has {c}"
-        )
-    b = np.asarray(bias, dtype=np.float64).reshape(-1)
-    if b.shape[0] != o:
-        raise DimensionError(f"bias length {b.shape[0]} != out channels {o}")
+        raise DimensionError(f"kernel expects {kc} input channels, feature map has {c}")
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
     if pad < 0:
@@ -107,6 +100,22 @@ def conv2d_forward(input, kernel, bias, stride=1, pad=0):
             f"conv of {h}x{w} with kernel {kh}x{kw} stride {stride} pad {pad} "
             f"produces empty output {oh}x{ow}"
         )
+    return (o, oh, ow)
+
+
+def conv2d_forward(input, kernel, bias, stride=1, pad=0):
+    """2-D cross-correlation with zero padding.
+
+    out[o,y,x] = bias[o] + sum_{c,i,j} input[c, y*stride+i-pad, x*stride+j-pad]
+                 * kernel[o,c,i,j], reading zero outside the input bounds.
+    """
+    shape, kshape = input.shape, kernel.shape
+    o, oh, ow = conv_shape(shape, kshape, stride, pad)
+    c, h, w = shape
+    kh, kw = kshape[2:]
+    b = np.asarray(bias, dtype=np.float64).reshape(-1)
+    if b.shape[0] != o:
+        raise DimensionError(f"bias length {b.shape[0]} != out channels {o}")
     wp = w + 2 * pad
     cols = _unroll(input, kh, kw, stride, h + 2 * pad, wp,
                    slice(pad, pad + h), slice(pad, pad + w))
@@ -116,33 +125,24 @@ def conv2d_forward(input, kernel, bias, stride=1, pad=0):
     return out.reshape(o, oh, wp)[:, :, :ow].astype(input.dtype)
 
 
-def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
+def conv2d_adjoint(gout, kernel, stride=1, pad=0, *, out_hw):
     """Exact adjoint (transposed conv) of bias-free conv2d_forward.
 
-    gout: (O,OH,OW); kernel: (O,C,kh,kw) -> (C,H,W). For every x, y:
-    <conv(x), y> == <x, adjoint(y)>. When the forward floor division dropped
-    trailing rows/cols, pass the original (H,W) as out_hw.
+    gout: (O,OH,OW); kernel: (O,C,kh,kw) -> (C,H,W), (H,W) = out_hw, the
+    forward's input extents (its floor division may drop trailing rows and
+    cols, so they are not implied by the signal). For every x, y:
+    <conv(x), y> == <x, adjoint(y)>.
     """
     gout = np.asarray(gout)
     kern = np.asarray(kernel)
     if gout.ndim != 3 or kern.ndim != 4:
         raise DimensionError("need (O,H,W) signal and (O,C,kh,kw) kernel")
     o, oh, ow = gout.shape
-    ko, c, kh, kw = kern.shape
-    if ko != o:
-        raise DimensionError(f"signal has {o} channels, kernel produces {ko}")
-    if out_hw is None:
-        h = (oh - 1) * stride + kh - 2 * pad
-        w = (ow - 1) * stride + kw - 2 * pad
-    else:
-        h, w = out_hw
-        eh, ew = conv_output_hw(h, w, kh, kw, stride, pad)
-        if (eh, ew) != (oh, ow):
-            raise DimensionError(
-                f"forward of {h}x{w} would give {eh}x{ew}, signal is {oh}x{ow}"
-            )
-    if h < 1 or w < 1:
-        raise DimensionError(f"adjoint output {h}x{w} is empty")
+    _, c, kh, kw = kern.shape
+    h, w = out_hw
+    want = conv_shape((c, h, w), kern.shape, stride, pad)
+    if want != gout.shape:
+        raise DimensionError(f"forward of {h}x{w} gives {want}, signal is {gout.shape}")
     # input cell (u, v) sums gout[o, y, x] * kernel[o, c, u+pad-y*stride,
     # v+pad-x*stride]: gout spread onto the stride grid behind kh-1 / kw-1
     # zeros, correlated with the flipped kernel over the input window only
@@ -159,7 +159,7 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, out_hw=None):
 def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
     """Weight and bias gradients for conv2d_forward."""
     c, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    _, oh, ow = conv_shape((c, h, w), (1, c, kh, kw), stride, pad)  # O is moot
     if gout.ndim != 3 or gout.shape[1:] != (oh, ow):
         raise DimensionError(f"gradient must be (O,{oh},{ow}), got {gout.shape}")
     o = gout.shape[0]
@@ -201,6 +201,21 @@ def _pool_index(c, h, w, window, stride):
     return weight, end
 
 
+def pool_shape(shape, window, stride):
+    """(C,OH,OW) of a max-pool over a (C,H,W) input, or the pool kernel's
+    error. No output is empty once 1 <= window <= H, W and stride >= 1."""
+    if len(shape) != 3:
+        raise DimensionError(f"pool input must be (C,H,W), got {shape}")
+    if window < 1:
+        raise ConfigurationError(f"pool window must be >= 1, got {window}")
+    if stride < 1:
+        raise ConfigurationError(f"stride must be >= 1, got {stride}")
+    c, h, w = shape
+    if window > h or window > w:
+        raise ConfigurationError(f"pool window {window} exceeds input {h}x{w}")
+    return (c,) + conv_output_hw(h, w, window, window, stride, 0)
+
+
 def maxpool_forward(input, window, stride, switches=True):
     """Max-pool each channel; also return the winning flat input indices.
 
@@ -210,16 +225,9 @@ def maxpool_forward(input, window, stride, switches=True):
     first NaN as the switch (numpy argmax semantics). With switches=False
     the switches are not computed and (values, None) is returned.
     """
-    if input.ndim != 3:
-        raise DimensionError(f"pool input must be (C,H,W), got {input.shape}")
-    c, h, w = input.shape
-    if window > h or window > w:
-        raise ConfigurationError(f"pool window {window} exceeds input {h}x{w}")
-    if window < 1 or stride < 1:
-        raise ConfigurationError("pool window and stride must be >= 1")
-    oh, ow = conv_output_hw(h, w, window, window, stride, 0)
-    if oh < 1 or ow < 1:
-        raise ConfigurationError("pooling produces empty output")
+    shape = input.shape
+    c, oh, ow = pool_shape(shape, window, stride)
+    h, w = shape[1:]
     x = np.ascontiguousarray(input)
     item = x.itemsize
     taps = np.ndarray(
@@ -265,15 +273,21 @@ def unpool(pooled, switches, target_shape):
     return out.reshape(target_shape)
 
 
+def dense_shape(shape, weights_shape):
+    """(m,) of an (m,n) dense layer over an (n,) input, or the kernel's error."""
+    if len(shape) != 1:
+        raise DimensionError(f"dense input must be a vector, got {shape}")
+    if len(weights_shape) != 2:
+        raise DimensionError(f"dense weights must be (m,n), got {weights_shape}")
+    m, n = weights_shape
+    if shape[0] != n:
+        raise DimensionError(f"dense expects input of {n}, got {shape[0]}")
+    return (m,)
+
+
 def dense_forward(input, weights, bias):
     """Affine map W @ x + b on a rank-1 input."""
-    if input.ndim != 1:
-        raise DimensionError(f"dense input must be a vector, got {input.shape}")
-    if weights.ndim != 2:
-        raise DimensionError(f"dense weights must be (m,n), got {weights.shape}")
-    m, n = weights.shape
-    if input.shape[0] != n:
-        raise DimensionError(f"dense expects input of {n}, got {input.shape[0]}")
+    m, = dense_shape(input.shape, weights.shape)
     b = np.asarray(bias, dtype=np.float64).reshape(-1)
     if b.shape[0] != m:
         raise DimensionError(f"bias length {b.shape[0]} != out dim {m}")

@@ -5,7 +5,8 @@ drops the removed out-filters and slices every consumer's kernels down to
 the surviving input channels (the first dense layer is sliced by surviving
 channel x spatial position). Surviving weights are copied bit-exact. A
 masked forward pass over the original net provides the reference semantics
-the pruned net must reproduce.
+the pruned net must reproduce. Parameter counts before and after pruning are
+read off the original net and its sliced copy.
 """
 
 from __future__ import annotations
@@ -31,32 +32,30 @@ class PrunePlan:
 
     def param_counts(self, net: Network):
         """Per-conv-layer (params_before, params_after) under this plan."""
-        out = {}
-        in_kept = None  # None = all input channels kept (image channels)
-        for i in net.conv_indices():
-            w = net.layers[i].weights
-            o, c, kh, kw = w.shape
-            kept_out = len(self.keep[i])
-            kept_in = c if in_kept is None else in_kept
-            before = o * c * kh * kw + o
-            after = kept_out * kept_in * kh * kw + kept_out
-            out[i] = (before, after)
-            in_kept = kept_out
-        return out
+        return _param_counts(net, apply_prune(net, self))
 
     def conv_rate(self, net: Network) -> float:
         """Fraction of conv parameters removed."""
-        counts = self.param_counts(net)
-        before = sum(b for b, _ in counts.values())
-        after = sum(a for _, a in counts.values())
-        return (before - after) / before if before else 0.0
+        return _removed(self.param_counts(net))
+
+
+def _param_counts(net: Network, pruned: Network):
+    """Per-conv-layer (params_before, params_after), counted off the net and
+    its sliced copy."""
+    return {i: (net.layers[i].param_count(), pruned.layers[i].param_count())
+            for i in net.conv_indices()}
+
+
+def _removed(counts):
+    before = sum(b for b, _ in counts.values())
+    after = sum(a for _, a in counts.values())
+    return (before - after) / before if before else 0.0
 
 
 @dataclass
 class PruneReport:
     threshold: float
     conv_rate: float
-    per_layer_rates: dict
     acc_before: float
     acc_after: float
     flagged: bool = False
@@ -140,23 +139,21 @@ def apply_prune(net: Network, plan: PrunePlan) -> Network:
 
 
 def masked_forward(net: Network, plan: PrunePlan, image):
-    """Forward on the original net with pruned channels zeroed post-relu.
+    """Forward on the original net with pruned channels zeroed at each conv.
 
     Returns (output, list of post-mask activations per layer). Channels
-    missing from a conv's keep-list are forced to zero right after that
-    conv's relu, so downstream layers see exactly what the pruned net sees.
+    missing from a conv's keep-list are forced to zero at that conv's own
+    output, so every later layer sees exactly what the pruned net sees.
     A plan that does not fit the net raises DimensionError, as in apply_prune.
     """
     masks = {}
     for i in _check_plan(net, plan):
         m = np.zeros(net.layers[i].weights.shape[0], dtype=np.float32)
         m[np.asarray(plan.keep[i], dtype=np.int64)] = 1.0
-        masks[i + 1] = m[:, None, None]
+        masks[i] = m[:, None, None]
 
     def mask(i, out):
-        if i in masks and net.layers[i].kind == "relu":
-            return out * masks[i]
-        return out
+        return out * masks[i] if i in masks else out
 
     out, rec = forward(net, image, record=True, hook=mask)
     return out, rec.activations
@@ -200,10 +197,8 @@ def plateau_threshold_search(net: Network, table, selected, split, grid,
         fit = retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels, cfg)
         # the last epoch already measured this net on this split
         after = fit.final_eval_acc if cfg.epochs else before
-        counts = plan.param_counts(net)
-        rates = {li: 1.0 - a / b for li, (b, a) in counts.items()}
         reports.append(PruneReport(
-            threshold=t, conv_rate=plan.conv_rate(net), per_layer_rates=rates,
+            threshold=t, conv_rate=_removed(_param_counts(net, pruned)),
             acc_before=float(before), acc_after=float(after),
             flagged=bool(plan.forced_layers), plan=plan, net=pruned,
         ))

@@ -79,6 +79,12 @@ class TestQda:
         with pytest.raises(ConfigurationError):
             qda_fit(x, y01, lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lam_rejected(self, lam):
+        x, y01, _ = blobs(n=5)
+        with pytest.raises(ConfigurationError, match="lam must be finite"):
+            qda_fit(x, y01, lam=lam)
+
     @pytest.mark.parametrize("extra", [2, -1, 0.5])
     def test_labels_outside_zero_one_rejected(self, extra):
         """A third label is refused, not dropped with priors short of 1."""
@@ -113,6 +119,12 @@ class TestLinearSvm:
         b = linear_svm_fit(x, ypm)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.b == b.b
+
+    @pytest.mark.parametrize("epochs", [-3, 0, 2.5, True])
+    def test_epochs_must_be_an_int_of_at_least_one(self, epochs):
+        x, _, ypm = blobs(n=5)
+        with pytest.raises(ConfigurationError, match="epochs"):
+            linear_svm_fit(x, ypm, epochs=epochs, seed=0)
 
     def test_labels_must_be_signed_and_complete(self):
         x = np.random.default_rng(0).normal(0, 1, (4, 2))
@@ -281,6 +293,12 @@ class TestHeadInputs:
         x, _, ypm = blobs(n=5)
         with pytest.raises(ConfigurationError, match=match):
             rbf_svm_fit(x, ypm, **kwargs)
+
+    @pytest.mark.parametrize("max_passes", [True, 2.5, np.float64(3.0)])
+    def test_max_passes_must_be_an_int(self, max_passes):
+        x, _, ypm = blobs(n=5)
+        with pytest.raises(ConfigurationError, match="max_passes must be an int"):
+            rbf_svm_fit(x, ypm, max_passes=max_passes)
 
 
 class TestEvaluation:

@@ -377,6 +377,17 @@ class TestFailureExits:
         assert "NaN or infinity" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_qda_lam_must_be_finite(self, piperun, tmp_path, capsys, lam):
+        model = os.path.join(piperun, "model.ldap1")
+        rc = main(["eval", "--out", str(tmp_path / "out"), "--model", model,
+                   "--classifier", "qda", f"--lam={lam}"] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: lam must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "model_with_head.ldap1").exists()
+
     def test_bad_grid_spec(self, piperun, tmp_path, capsys):
         model = os.path.join(piperun, "model.ldap1")
         rc = main(["prune", "--out", str(tmp_path), "--model", model,

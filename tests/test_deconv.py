@@ -57,7 +57,8 @@ class TestMirrors:
     def test_transposed_conv_checks_ranks(self):
         with pytest.raises(DimensionError):
             ops.conv2d_adjoint(np.ones((2, 2), dtype=np.float32),
-                               np.ones((1, 1, 1, 1), dtype=np.float32))
+                               np.ones((1, 1, 1, 1), dtype=np.float32),
+                               out_hw=(2, 2))
 
 
 def passthrough_net():

@@ -5,6 +5,7 @@ import pytest
 
 from fisherprune import ops
 from fisherprune.errors import ConfigurationError, DimensionError
+from fisherprune.network import LayerSpec, Network
 
 import oracles
 
@@ -186,10 +187,11 @@ class TestRowRunKernelsMatchIm2col:
             assert_reference_close(got, want)
 
     def test_single_channel_adjoint_and_default_extent(self, rng):
-        # C=1 (the first conv of every net) and out_hw left to the default
+        # C=1 (the first conv of every net), out to the largest extent the
+        # signal fits
         k = rng.standard_normal((5, 1, 3, 3))
         g = rng.standard_normal((5, 6, 4))
-        got = ops.conv2d_adjoint(g, k, stride=2, pad=1)
+        got = ops.conv2d_adjoint(g, k, stride=2, pad=1, out_hw=(11, 7))
         want = oracles.conv2d_adjoint_col2im(g, k, 11, 7, stride=2, pad=1)
         assert got.shape == (1, 11, 7)
         assert_reference_close(got, want)
@@ -375,3 +377,83 @@ class TestPointwise:
     def test_softmax_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             ops.softmax(np.array([1.0, np.nan], dtype=np.float32))
+
+
+def shape_or_error(run):
+    """The shape run() returns, or the type of the shape error it raises."""
+    try:
+        return tuple(run())
+    except (DimensionError, ConfigurationError) as exc:
+        return type(exc)
+
+
+class TestShapeRulesAgree:
+    """infer_shapes and the kernels read one shape rule per layer kind: on
+    seeded geometries, valid and invalid, both raise the same error type or
+    the kernel's output has the inferred shape."""
+
+    def test_conv(self, rng):
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            c, h, w, o = (int(v) for v in rng.integers(1, [4, 10, 10, 4]))
+            kh, kw = (int(v) for v in rng.integers(1, 5, size=2))
+            kc = c + int(rng.random() < 0.15)
+            stride = int(rng.integers(0, 4))
+            pad = int(rng.integers(-1, max(kh, kw) + 2))
+            x = rng.standard_normal((c, h, w) if rng.random() > 0.05 else (c, h))
+            k = rng.standard_normal((o, kc, kh, kw))
+            b = rng.standard_normal(o)
+            layer = LayerSpec.conv(k, b, stride=stride, pad=pad)
+            inferred = shape_or_error(
+                lambda: Network(x.shape, [layer]).infer_shapes()[0])
+            rule = shape_or_error(lambda: ops.conv_shape(x.shape, k.shape, stride, pad))
+            if pad >= min(kh, kw) and isinstance(rule, tuple):
+                # the load-time pad policy, on top of the shared rule
+                assert inferred is ConfigurationError
+                inferred = rule
+            got = shape_or_error(lambda: ops.conv2d_forward(x, k, b, stride, pad).shape)
+            assert got == inferred, (x.shape, k.shape, stride, pad)
+            seen[isinstance(inferred, tuple)] += 1
+            if x.ndim != 3 or kc != c:
+                continue
+            valid = isinstance(inferred, tuple)
+            g = rng.standard_normal(inferred if valid else (o, 1, 1))
+            back = shape_or_error(
+                lambda: ops.conv2d_adjoint(g, k, stride, pad, out_hw=(h, w)).shape)
+            grads = shape_or_error(lambda: [
+                a.shape for a in ops.conv2d_param_grads(x, g, kh, kw, stride, pad)])
+            if valid:
+                assert (back, grads) == (x.shape, (k.shape, b.shape))
+            else:
+                assert back is grads is inferred, (x.shape, k.shape, stride, pad)
+        assert min(seen.values()) >= 50
+
+    def test_pool(self, rng):
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            c, h, w = (int(v) for v in rng.integers(1, [4, 7, 7]))
+            window = int(rng.integers(-1, 5))
+            stride = int(rng.integers(0, 4))
+            x = rng.standard_normal((c, h, w) if rng.random() > 0.05 else (h, w))
+            inferred = shape_or_error(lambda: Network(x.shape, [
+                LayerSpec.maxpool(window, stride)]).infer_shapes()[0])
+            for switches in (True, False):
+                got = shape_or_error(lambda: ops.maxpool_forward(
+                    x, window, stride, switches=switches)[0].shape)
+                assert got == inferred, (x.shape, window, stride)
+            seen[isinstance(inferred, tuple)] += 1
+        assert min(seen.values()) >= 50
+
+    def test_dense(self, rng):
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            m, n = (int(v) for v in rng.integers(1, 7, size=2))
+            x = rng.standard_normal((n,) if rng.random() > 0.1 else (2, n))
+            wt = rng.standard_normal((m, n + int(rng.random() < 0.4)))
+            b = rng.standard_normal(m)
+            inferred = shape_or_error(lambda: Network(x.shape, [
+                LayerSpec.dense(wt, b)]).infer_shapes()[0])
+            got = shape_or_error(lambda: ops.dense_forward(x, wt, b).shape)
+            assert got == inferred, (x.shape, wt.shape)
+            seen[isinstance(inferred, tuple)] += 1
+        assert min(seen.values()) >= 50

@@ -9,7 +9,7 @@ from fisherprune.data import generate_synthetic, images_labels
 from fisherprune.deconv import DependencyTable, dependency_scores
 from fisherprune.errors import ConfigurationError, DimensionError
 from fisherprune import ops
-from fisherprune.network import build_cnn, forward, logits
+from fisherprune.network import LayerSpec, Network, build_cnn, forward, logits
 from fisherprune.prune import (
     PrunePlan, PruneReport, apply_prune, build_prune_plan, equivalence_check,
     magnitude_baseline, magnitude_mask, masked_forward, plateau_threshold_search,
@@ -34,18 +34,17 @@ def toy_table():
 
 def masked_reference(net, plan, x):
     """Every layer's output, applying the ops one layer at a time and
-    zeroing the dropped channels right after each conv's relu."""
+    zeroing the dropped channels at each conv's own output."""
     cur, acts = x.data, []
     for i, layer in enumerate(net.layers):
         if layer.kind == "conv":
             cur = ops.conv2d_forward(cur, layer.weights, layer.bias,
                                      stride=layer.stride, pad=layer.pad)
+            mask = np.zeros(cur.shape[0], dtype=np.float32)
+            mask[plan.keep[i]] = 1.0
+            cur = cur * mask[:, None, None]
         elif layer.kind == "relu":
             cur = ops.relu_forward(cur)
-            if net.layers[i - 1].kind == "conv":
-                mask = np.zeros(cur.shape[0], dtype=np.float32)
-                mask[plan.keep[i - 1]] = 1.0
-                cur = cur * mask[:, None, None]
         elif layer.kind == "maxpool":
             cur, _ = ops.maxpool_forward(cur, layer.window, layer.stride)
         elif layer.kind == "flatten":
@@ -56,6 +55,21 @@ def masked_reference(net, plan, x):
             cur = ops.softmax(cur)
         acts.append(cur)
     return acts
+
+
+def pool_first_net(seed=21):
+    """conv -> maxpool -> relu -> conv -> relu: no relu right after conv 0."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    return Network((1, 8, 8), [
+        LayerSpec.conv(draw(3, 1, 3, 3), draw(3), pad=1), LayerSpec.maxpool(2, 2),
+        LayerSpec.relu(), LayerSpec.conv(draw(4, 3, 3, 3), draw(4), pad=1),
+        LayerSpec.relu(), LayerSpec.flatten(), LayerSpec.dense(draw(2, 64), draw(2)),
+        LayerSpec.softmax(),
+    ])
 
 
 def toy_net(seed=13):
@@ -189,6 +203,23 @@ class TestMaskedSemantics:
                 np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(out.data, want[-1])
 
+    def test_conv_followed_by_a_pool_is_masked(self):
+        from fisherprune.data import LabeledImage
+
+        net = pool_first_net()
+        net.infer_shapes()
+        plan = PrunePlan(keep={0: np.array([0, 2]), 3: np.array([0, 1, 2])},
+                         threshold=0.0)
+        rng = np.random.default_rng(6)
+        images = [LabeledImage(Tensor(rng.random((1, 8, 8)).astype(np.float32)),
+                               i % 2, f"p{i}") for i in range(4)]
+        assert equivalence_check(net, plan, images) <= 1e-6
+        out, acts = masked_forward(net, plan, images[0].image)
+        want = masked_reference(net, plan, images[0].image)
+        for got, ref in zip(acts, want):
+            np.testing.assert_array_equal(got, ref)
+        assert not acts[0][1].any() and acts[0][[0, 2]].all()
+
     def test_plan_missing_a_conv_layer_rejected(self):
         net = toy_net()
         plan = identity_plan(net)
@@ -285,8 +316,8 @@ class TestPlateauSearch:
     def test_reports_compare_by_their_numbers(self, setup):
         net, table, split = setup
         plan = build_prune_plan(table, [0, 2], 0.4)
-        numbers = dict(threshold=0.4, conv_rate=0.5, per_layer_rates={0: 0.5},
-                       acc_before=0.6, acc_after=0.7)
+        numbers = dict(threshold=0.4, conv_rate=0.5, acc_before=0.6,
+                       acc_after=0.7)
         a = PruneReport(**numbers, plan=plan, net=apply_prune(net, plan))
         b = PruneReport(**numbers, plan=identity_plan(net), net=net.copy())
         assert a == b

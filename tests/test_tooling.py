@@ -144,3 +144,13 @@ class TestPairedVerdicts:
                if line.startswith("infer") and "fwd_ms_p50" in line]
         assert row == [["infer", "fwd_ms_p50", "10", "+3.9%", "[-2.6%,",
                         "+38.7%]", "unresolved"]]
+
+    def test_recompute_prints_the_src_line_totals(self):
+        """The size of a change, read from the file's src_lines block."""
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
+             "--recompute", os.path.join(ROOT, "BENCH_12.json")],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == (
+            "src/ lines: parent 2836, change 2813 (-23)")

@@ -30,7 +30,8 @@ largest rank whose binomial coverage is at least 95% (2nd and 9th of ten,
 97.9%). The verdict is "better" or "worse" when the interval lies wholly
 on one side of 1, in the direction the metric's `better` names (lower
 time or memory, higher accuracy), and "unresolved" otherwise. To print
-that table from a committed file without running anything:
+that table from a committed file without running anything, followed by
+both sides' `src/` line totals and their difference:
 
     python3 tools/bench_pairs.py --recompute BENCH_10.json
 """
@@ -151,6 +152,13 @@ def verdict_table(doc):
     return "\n".join(lines)
 
 
+def src_size(doc):
+    """Both sides' `src/` line totals and their difference, one line."""
+    totals = {side: doc["src_lines"][side]["total"] for side in ("parent", "change")}
+    return (f"src/ lines: parent {totals['parent']}, change {totals['change']} "
+            f"({totals['change'] - totals['parent']:+d})")
+
+
 def summary(parent, change, better):
     """Medians, quartiles and the change's win count over paired values."""
     def quartiles(vals):
@@ -239,7 +247,9 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.recompute:
         with open(args.recompute) as fh:
-            print(verdict_table(json.load(fh)))
+            doc = json.load(fh)
+        print(verdict_table(doc))
+        print(src_size(doc))
         return 0
     if args.pr is None:
         p.error("--pr is required unless --recompute is given")
@@ -316,7 +326,8 @@ def main(argv=None):
                 name: {s: metrics[s].get(name, {}).get("value") for s in metrics}
                 for name in sorted(set(metrics["parent"]) | set(metrics["change"]))}
             save()
-        print(verdict_table(doc), file=sys.stderr, flush=True)
+        print(verdict_table(doc), src_size(doc), sep="\n", file=sys.stderr,
+              flush=True)
         for side, root in sides.items():
             doc["tier1"][side] = tier1(root)
             print(f"tier-1 {side}: {doc['tier1'][side]['summary']}",
