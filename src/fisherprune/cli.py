@@ -160,8 +160,8 @@ def _dependency_search(args, split):
 
 
 def cmd_prune(args, split):
-    if args.threshold is None and args.grid is None:
-        raise ConfigurationError("prune needs --threshold or --grid")
+    if (args.threshold is None) == (args.grid is None):
+        raise ConfigurationError("prune needs one of --threshold or --grid")
     net, base_acc, ranking, _, (t_0, reports) = _dependency_search(args, split)
     lines = []
     if args.grid is not None:
@@ -181,7 +181,7 @@ def cmd_prune(args, split):
                        provenance={"command": "prune", **_manifest(args),
                                    "threshold": t_0, "selected": sel,
                                    "conv_rate": round(rate, 6)})
-    counts = plan.param_counts(net)
+    counts = prune.layer_param_counts(net, chosen.net)
     rows = [[li, b, a, f"{1 - a / b:.6f}"] for li, (b, a) in sorted(counts.items())]
     _write_csv(os.path.join(args.out, "prune_report.csv"),
                ["layer", "params_before", "params_after", "reduction"], rows)
@@ -215,6 +215,8 @@ def cmd_sweep(args, split):
 
 
 def cmd_eval(args, split):
+    if not split.test:
+        raise ConfigurationError("eval needs a non-empty test split")
     net, info = modelio.load_model(args.model)
     if info["classifier"] is not None:
         classify.from_arrays(info["classifier"])  # refuse a malformed stored head
@@ -236,7 +238,7 @@ def cmd_eval(args, split):
                            classifier=classify.to_arrays(model))
     rows = [[s.id, s.label, p] for s, p in zip(split.test, preds)]
     hit = sum(p == s.label for s, p in zip(split.test, preds))
-    acc = hit / max(len(split.test), 1)
+    acc = hit / len(split.test)
     _write_csv(os.path.join(args.out, "eval.csv"),
                ["id", "true", "pred"], rows)
     print(f"eval[{args.classifier}]: accuracy {acc:.4f} on {len(rows)} samples")
@@ -261,8 +263,7 @@ def cmd_bench(args, split):
         speedup = (total["original"] / total["pruned"] if total["pruned"] > 0
                    else float("inf"))
         size_o, size_p = map(os.path.getsize, (args.model, args.pruned))
-        n_o, n_p = (modelio.model_param_count(p)["total"]
-                    for p in (args.model, args.pruned))
+        n_o, n_p = (sum(nets[name].param_count()) for name in paths)
         rows.append(["speedup", "", "", f"{speedup:.6f}"])
         summary = (f"speedup {speedup:.2f}x; file size ratio "
                    f"{size_o / size_p:.2f} vs param ratio {n_o / n_p:.2f}")

@@ -73,53 +73,35 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     return DeconvMap(neuron=neuron, maps=maps, pixel=pixel, dead=False)
 
 
-def _layer_contrib(dmap, conv_layers):
-    """Per-layer normalized L1 channel energy of one walk's reconstructions."""
-    out = {}
-    for li in conv_layers:
-        m = dmap.maps[li]
-        energy = np.abs(m).reshape(m.shape[0], -1).sum(axis=1)
-        top = energy.max()
-        out[li] = energy / top if top > 0 else np.zeros_like(energy)
-    return out
-
-
 def dependency_scores(net: Network, images, selected) -> DependencyTable:
     """Pool per-filter dependency over images (mean) and neurons (max).
 
-    Each (image, neuron) walk contributes the L1 norm of every channel of
-    every conv layer's reconstruction, normalized by that layer's largest
-    channel norm. Scores are averaged over images per neuron, then the
-    elementwise max over the selected neurons is kept, so a filter needed
-    by any one selected neuron survives.
+    Each (image, neuron) walk adds, per conv layer, the L1 norm of every
+    channel of its reconstruction over the largest such norm to the
+    neuron's row of one (neurons x filters) sum in the walk's dtype. Scores
+    are the mean over images, then the max over the distinct selected
+    neurons, so a filter needed by any one of them survives.
     """
     selected = np.asarray(selected, dtype=np.int64).ravel()
     if selected.size == 0:
         raise ConfigurationError("selected neuron set is empty")
+    if (np.diff(np.sort(selected)) == 0).any():
+        raise ConfigurationError("selected neurons must be distinct")
     if not images:
         raise ConfigurationError("image list is empty")
-    last = net.last_conv_index()
-    conv_layers = [i for i in net.conv_indices() if i <= last]
-    sums = {int(n): None for n in selected}
+    sums = {}
     for sample in images:
         _, rec = forward(net, sample.image, record=True)
-        for n in selected:
-            dmap = deconv_from_neuron(net, rec, int(n))
-            contrib = _layer_contrib(dmap, conv_layers)
-            acc = sums[int(n)]
-            if acc is None:
-                sums[int(n)] = contrib
-            else:
-                for li in conv_layers:
-                    acc[li] = acc[li] + contrib[li]
-    n_img = len(images)
-    scores = {}
-    dead = set()
-    for li in conv_layers:
-        per_neuron = np.stack([sums[int(n)][li] / n_img for n in selected])
-        merged = per_neuron.max(axis=0)
-        scores[li] = merged
-        if merged.max() <= 0:
-            dead.add(li)
+        for row, n in enumerate(selected):
+            maps = deconv_from_neuron(net, rec, int(n)).maps
+            for li in net.conv_indices():
+                energy = np.abs(maps[li]).reshape(len(maps[li]), -1).sum(axis=1)
+                if li not in sums:
+                    sums[li] = np.zeros((selected.size, energy.size), energy.dtype)
+                top = energy.max()
+                if top > 0:
+                    sums[li][row] += energy / top
+    scores = {li: (s / len(images)).max(axis=0) for li, s in sums.items()}
+    dead = {li for li, s in scores.items() if s.max() <= 0}
     return DependencyTable(scores=scores, selected=selected.copy(),
-                           n_images=n_img, dead_layers=dead)
+                           n_images=len(images), dead_layers=dead)

@@ -71,6 +71,8 @@ def extract_firing_matrix(net: Network, images, layer: int) -> FiringMatrix:
         raise ConfigurationError(f"layer {layer} is not a conv layer")
     if layer + 1 >= len(net.layers) or net.layers[layer + 1].kind != "relu":
         raise ConfigurationError(f"conv layer {layer} is not followed by relu")
+    if not images:
+        raise ConfigurationError("image list is empty")
     trunk = Network(net.input_shape, net.layers[: layer + 2])
     rows, labels = [], []
     for sample in images:

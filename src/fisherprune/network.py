@@ -102,6 +102,8 @@ class Network:
     def infer_shapes(self):
         """Shape of each layer's output, validating the whole chain."""
         shape = tuple(self.input_shape)
+        if any(s < 1 for s in shape):
+            raise DimensionError(f"input extents must be >= 1, got {shape}")
         out = []
         for i, layer in enumerate(self.layers):
             try:

@@ -86,6 +86,8 @@ def conv_shape(shape, kernel_shape, stride, pad):
         raise DimensionError(f"conv input must be (C,H,W), got {shape}")
     if len(kernel_shape) != 4:
         raise DimensionError(f"conv kernel must be (O,C,kh,kw), got {kernel_shape}")
+    if min(shape) < 1:
+        raise DimensionError(f"conv input extents must be >= 1, got {shape}")
     c, h, w = shape
     o, kc, kh, kw = kernel_shape
     if kc != c:
@@ -206,6 +208,8 @@ def pool_shape(shape, window, stride):
     error. No output is empty once 1 <= window <= H, W and stride >= 1."""
     if len(shape) != 3:
         raise DimensionError(f"pool input must be (C,H,W), got {shape}")
+    if min(shape) < 1:
+        raise DimensionError(f"pool input extents must be >= 1, got {shape}")
     if window < 1:
         raise ConfigurationError(f"pool window must be >= 1, got {window}")
     if stride < 1:

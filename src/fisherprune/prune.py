@@ -32,14 +32,14 @@ class PrunePlan:
 
     def param_counts(self, net: Network):
         """Per-conv-layer (params_before, params_after) under this plan."""
-        return _param_counts(net, apply_prune(net, self))
+        return layer_param_counts(net, apply_prune(net, self))
 
     def conv_rate(self, net: Network) -> float:
         """Fraction of conv parameters removed."""
         return _removed(self.param_counts(net))
 
 
-def _param_counts(net: Network, pruned: Network):
+def layer_param_counts(net: Network, pruned: Network):
     """Per-conv-layer (params_before, params_after), counted off the net and
     its sliced copy."""
     return {i: (net.layers[i].param_count(), pruned.layers[i].param_count())
@@ -47,8 +47,7 @@ def _param_counts(net: Network, pruned: Network):
 
 
 def _removed(counts):
-    before = sum(b for b, _ in counts.values())
-    after = sum(a for _, a in counts.values())
+    before, after = (sum(c) for c in zip(*counts.values()))
     return (before - after) / before if before else 0.0
 
 
@@ -75,6 +74,8 @@ def build_prune_plan(table, selected, threshold) -> PrunePlan:
     selected = np.sort(np.asarray(selected, dtype=np.int64).ravel())
     if selected.size == 0:
         raise ConfigurationError("selected neuron set is empty")
+    if (np.diff(selected) == 0).any():
+        raise ConfigurationError("selected neurons must be distinct")
     layers = sorted(table.scores)
     last = layers[-1]
     keep = {}
@@ -93,45 +94,46 @@ def build_prune_plan(table, selected, threshold) -> PrunePlan:
 
 
 def _check_plan(net: Network, plan: PrunePlan):
-    """DimensionError unless the plan keeps 1..O valid filters of every conv."""
+    """{conv index: int64 keep-list}, or DimensionError unless the net has a
+    conv layer and the plan keeps, for each, distinct filters in range that
+    ascend."""
     conv_idx = net.conv_indices()
+    if not conv_idx:
+        raise DimensionError("model has no conv layer to prune")
     if sorted(plan.keep) != conv_idx:
         raise DimensionError("plan layers do not match the model's conv layers")
+    keep = {}
     for i in conv_idx:
         kept = np.asarray(plan.keep[i], dtype=np.int64)
         o = net.layers[i].weights.shape[0]
-        if kept.size == 0 or kept.min() < 0 or kept.max() >= o:
+        if kept.ndim != 1 or kept.size == 0 or kept[0] < 0 or kept[-1] >= o:
             raise DimensionError(f"layer {i}: keep-list out of range for {o} filters")
-    return conv_idx
+        if (np.diff(kept) <= 0).any():
+            raise DimensionError(f"layer {i}: keep-list must ascend without repeats")
+        keep[i] = kept
+    return keep
 
 
 def apply_prune(net: Network, plan: PrunePlan) -> Network:
     """Slice the network down to the plan's keep-lists, values untouched."""
-    conv_idx = _check_plan(net, plan)
+    keep = _check_plan(net, plan)
     shapes = net.infer_shapes()
     out = net.copy()
-    in_keep = None
-    flat_keep = None
-    last = conv_idx[-1]
-    past_flatten = False
+    in_keep = flat_keep = None
     for i, layer in enumerate(out.layers):
         if layer.kind == "conv":
-            kept = np.asarray(plan.keep[i], dtype=np.int64)
-            w = layer.weights[kept]
+            w = layer.weights[keep[i]]
             if in_keep is not None:
                 w = w[:, in_keep, :, :]
             layer.weights = np.ascontiguousarray(w)
-            layer.bias = np.ascontiguousarray(layer.bias[kept])
-            in_keep = kept
+            layer.bias = np.ascontiguousarray(layer.bias[keep[i]])
+            in_keep = keep[i]
         elif layer.kind == "flatten":
-            past_flatten = True
             c, h, w = shapes[i - 1]
-            if in_keep is None:
-                in_keep = np.arange(c, dtype=np.int64)
             # surviving channel c spans flat indices [c*h*w, (c+1)*h*w)
             flat_keep = (in_keep[:, None] * (h * w)
                          + np.arange(h * w, dtype=np.int64)[None, :]).ravel()
-        elif layer.kind == "dense" and past_flatten and flat_keep is not None:
+        elif layer.kind == "dense" and flat_keep is not None:
             layer.weights = np.ascontiguousarray(layer.weights[:, flat_keep])
             flat_keep = None
     out.infer_shapes()
@@ -147,9 +149,9 @@ def masked_forward(net: Network, plan: PrunePlan, image):
     A plan that does not fit the net raises DimensionError, as in apply_prune.
     """
     masks = {}
-    for i in _check_plan(net, plan):
+    for i, kept in _check_plan(net, plan).items():
         m = np.zeros(net.layers[i].weights.shape[0], dtype=np.float32)
-        m[np.asarray(plan.keep[i], dtype=np.int64)] = 1.0
+        m[kept] = 1.0
         masks[i] = m[:, None, None]
 
     def mask(i, out):
@@ -198,7 +200,7 @@ def plateau_threshold_search(net: Network, table, selected, split, grid,
         # the last epoch already measured this net on this split
         after = fit.final_eval_acc if cfg.epochs else before
         reports.append(PruneReport(
-            threshold=t, conv_rate=_removed(_param_counts(net, pruned)),
+            threshold=t, conv_rate=_removed(layer_param_counts(net, pruned)),
             acc_before=float(before), acc_after=float(after),
             flagged=bool(plan.forced_layers), plan=plan, net=pruned,
         ))
@@ -216,22 +218,12 @@ def magnitude_mask(net: Network, rate: float):
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"rate must be in [0,1), got {rate}")
-    conv_idx = net.conv_indices()
-    mags = np.concatenate([np.abs(net.layers[i].weights).ravel() for i in conv_idx])
-    total = mags.size
-    n_zero = math.ceil(rate * total)
-    masks = {i: np.ones_like(net.layers[i].weights) for i in conv_idx}
-    if n_zero == 0:
-        return masks
-    cut = np.argsort(mags, kind="stable")[:n_zero]
-    flat = np.ones(total, dtype=np.float32)
-    flat[cut] = 0.0
-    pos = 0
-    for i in conv_idx:
-        n = net.layers[i].weights.size
-        masks[i] = flat[pos:pos + n].reshape(net.layers[i].weights.shape).copy()
-        pos += n
-    return masks
+    weights = {i: net.layers[i].weights for i in net.conv_indices()}
+    mags = np.concatenate([np.abs(w).ravel() for w in weights.values()])
+    flat = np.ones(mags.size, dtype=np.float32)
+    flat[np.argsort(mags, kind="stable")[:math.ceil(rate * mags.size)]] = 0.0
+    parts = np.split(flat, np.cumsum([w.size for w in weights.values()])[:-1])
+    return {i: part.reshape(w.shape) for (i, w), part in zip(weights.items(), parts)}
 
 
 def magnitude_baseline(net: Network, rate: float, split, retrain_config=None):

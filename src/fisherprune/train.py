@@ -110,6 +110,7 @@ def sgd_epoch(net, images, labels, order, lr, velocity, grad_mask=None,
               epoch=None):
     """One pass over the data in the given order; returns (mean loss, acc).
 
+    grad_mask zeroes gradient entries only (train zeroes the masked weights);
     epoch only labels a TrainingDiverged raised here.
     """
     total, hit = 0.0, 0
@@ -150,8 +151,6 @@ def sgd_epoch(net, images, labels, order, lr, velocity, grad_mask=None,
             vb -= lr * db
             layer.weights += vw
             layer.bias += vb
-            if grad_mask is not None and li in grad_mask:
-                layer.weights *= grad_mask[li]
     n = max(len(order), 1)
     return total / n, hit / n
 
@@ -161,8 +160,9 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     """SGD with momentum, shuffled each epoch from a seeded generator.
 
     weight_mask, when given, maps layer index -> 0/1 array the shape of that
-    layer's weights; masked weights are zeroed after every update and their
-    gradient contribution dropped, so they stay pruned for the whole run.
+    layer's weights; masked weights are zeroed once and their gradient is
+    dropped, so their velocity stays zero and after the first update they
+    hold +0.0 for the whole run.
     A NaN activation or a non-finite output aborts with TrainingDiverged,
     naming the epoch, the sample and the first layer whose output went
     non-finite in its message and its attributes.

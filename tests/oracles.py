@@ -1,10 +1,14 @@
 """Slow, obviously-correct reference implementations used as oracles.
 
 Everything here is written the dumb way on purpose: quadruple loops,
-two-pass statistics, exhaustive searches. The im2col / col2im conv kernels
-are the package's earlier GEMM implementations, kept as references for the
-ones that replaced them. Nothing from the package under test is imported.
+two-pass statistics, exhaustive searches. The im2col / col2im conv kernels,
+the per-layer magnitude mask, the per-neuron dependency pooling and the
+re-masking SGD epoch are the package's earlier implementations, kept as
+references for the ones that replaced them. Nothing from the package under
+test is imported.
 """
+
+import math
 
 import numpy as np
 
@@ -306,6 +310,104 @@ def deconv_walk_loops(net, rec, neuron):
                 up[at] = value
             cur = up.reshape(below.shape)
     return maps, cur
+
+
+def magnitude_mask_per_layer(net, rate):
+    """The package's earlier magnitude mask, built layer by layer: one
+    all-ones mask per conv weight array, then the ceil(rate * total)
+    smallest magnitudes (stable order) zeroed and copied out per layer.
+    `net` is read by attribute only; the rate is not checked."""
+    conv_idx = net.conv_indices()
+    mags = np.concatenate([np.abs(net.layers[i].weights).ravel() for i in conv_idx])
+    total = mags.size
+    n_zero = math.ceil(rate * total)
+    masks = {i: np.ones_like(net.layers[i].weights) for i in conv_idx}
+    if n_zero == 0:
+        return masks
+    cut = np.argsort(mags, kind="stable")[:n_zero]
+    flat = np.ones(total, dtype=np.float32)
+    flat[cut] = 0.0
+    pos = 0
+    for i in conv_idx:
+        n = net.layers[i].weights.size
+        masks[i] = flat[pos:pos + n].reshape(net.layers[i].weights.shape).copy()
+        pos += n
+    return masks
+
+
+def _layer_contrib(dmap, conv_layers):
+    """Per-layer normalized L1 channel energy of one walk's reconstructions."""
+    out = {}
+    for li in conv_layers:
+        m = dmap.maps[li]
+        energy = np.abs(m).reshape(m.shape[0], -1).sum(axis=1)
+        top = energy.max()
+        out[li] = energy / top if top > 0 else np.zeros_like(energy)
+    return out
+
+
+def dependency_scores_per_neuron(net, images, selected, forward,
+                                 deconv_from_neuron):
+    """The package's earlier dependency pooling: (scores, dead layers).
+
+    One dict of per-layer sums per neuron, seeded by its first walk and
+    added to walk by walk; then per layer the per-neuron means are stacked
+    and their max taken. `forward(net, image, record=True)` and
+    `deconv_from_neuron(net, rec, neuron)` are the package's functions.
+    """
+    selected = np.asarray(selected, dtype=np.int64).ravel()
+    last = net.last_conv_index()
+    conv_layers = [i for i in net.conv_indices() if i <= last]
+    sums = {int(n): None for n in selected}
+    for sample in images:
+        _, rec = forward(net, sample.image, record=True)
+        for n in selected:
+            dmap = deconv_from_neuron(net, rec, int(n))
+            contrib = _layer_contrib(dmap, conv_layers)
+            acc = sums[int(n)]
+            if acc is None:
+                sums[int(n)] = contrib
+            else:
+                for li in conv_layers:
+                    acc[li] = acc[li] + contrib[li]
+    n_img = len(images)
+    scores = {}
+    dead = set()
+    for li in conv_layers:
+        per_neuron = np.stack([sums[int(n)][li] / n_img for n in selected])
+        merged = per_neuron.max(axis=0)
+        scores[li] = merged
+        if merged.max() <= 0:
+            dead.add(li)
+    return scores, dead
+
+
+def masked_sgd_epoch_remasking(net, images, labels, order, lr, velocity,
+                               grad_mask, grads_of, momentum, weight_decay):
+    """The package's earlier masked SGD epoch: momentum and weight decay in
+    the same float32 order, the masked gradient entries dropped, and the
+    weights multiplied by their mask again after every update.
+    `grads_of(net, image, label)` returns {layer index: (dw, db)}."""
+    for idx in order:
+        for li, (dw, db) in grads_of(net, images[idx], int(labels[idx])).items():
+            layer = net.layers[li]
+            if li in grad_mask:
+                dw = dw * grad_mask[li]
+            if li not in velocity:
+                velocity[li] = (np.zeros_like(layer.weights),
+                                np.zeros_like(layer.bias))
+            vw, vb = velocity[li]
+            step = weight_decay * layer.weights
+            step += dw
+            step *= lr
+            vw *= momentum
+            vw -= step
+            vb *= momentum
+            vb -= lr * db
+            layer.weights += vw
+            layer.bias += vb
+            if li in grad_mask:
+                layer.weights *= grad_mask[li]
 
 
 def svm_objective(w, b, features, labels, c=1.0):

@@ -16,7 +16,7 @@ from fisherprune.network import build_cnn
 from fisherprune.train import TrainConfig, retrain
 
 from test_data import write_pgm
-from test_modelio import poke_tensor, rewrite_header
+from test_modelio import poke_tensor, rewrite_header, zero_extent_net
 
 
 def read_csv(path):
@@ -268,6 +268,40 @@ class TestFailureExits:
         rc = main(["prune", "--out", str(tmp_path), "--model", model] + TINY)
         assert rc == 2
         assert "threshold or --grid" in capsys.readouterr().err
+
+    def test_prune_refuses_both_threshold_and_grid(self, tmp_path, capsys):
+        # refused before the model is read: the model path does not exist
+        rc = main(["prune", "--out", str(tmp_path), "--model",
+                   str(tmp_path / "absent.ldap1"), "--threshold", "0.3",
+                   "--grid", "0:0.2:0.1"] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError:")
+        assert "threshold or --grid" in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("classifier", ["fc", "qda", "svml", "svmr"])
+    def test_eval_refuses_an_empty_test_split(self, piperun, tmp_path, capsys,
+                                              classifier):
+        model = os.path.join(piperun, "model.ldap1")
+        rc = main(["eval", "--out", str(tmp_path), "--model", model,
+                   "--classifier", classifier, "--n-per-class", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: ConfigurationError: eval needs a non-empty "
+                       "test split\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_zero_input_extent_model_is_refused(self, tmp_path, capsys):
+        model = tmp_path / "zero.ldap1"
+        save_model(zero_extent_net(), str(model))
+        rewrite_header(model, lambda h: h.update(input_shape=[1, 0, 4]))
+        rc = main(["extract", "--out", str(tmp_path), "--model", str(model)]
+                  + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ShapeChainError:")
+        assert "input extents must be >= 1" in err
 
     @pytest.mark.parametrize("mutate", [
         lambda h: h["layers"][0].pop("weights"),

@@ -225,6 +225,32 @@ class TestDependencyScores:
             assert table.scores[li].tobytes() == vals.tobytes()
         assert table.dead_layers == want.dead_layers
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_the_per_neuron_pooling(self, dtype):
+        net = build_cnn((1, 12, 12), [(4, 3, 1, True), (5, 3, 1, False)],
+                        [6], 2, seed=23)
+        if dtype == np.float64:
+            net = widen_to_float64(net)
+        rng = np.random.default_rng(5)
+        images = [LabeledImage(Tensor(rng.random((1, 12, 12)).astype(dtype)),
+                               i % 2, f"i{i}") for i in range(4)]
+        images.append(LabeledImage(Tensor(np.zeros((1, 12, 12), dtype)), 0, "z"))
+        selected = [4, 0, 2]
+        table = dependency_scores(net, images, selected)
+        want, dead = oracles.dependency_scores_per_neuron(
+            net, images, selected, forward, deconv_from_neuron)
+        assert list(table.scores) == list(want) == net.conv_indices()
+        for li, vals in want.items():
+            assert vals.dtype == dtype and table.scores[li].dtype == dtype
+            assert table.scores[li].tobytes() == vals.tobytes()
+        assert table.dead_layers == dead
+        assert table.selected.tolist() == selected
+
+    def test_duplicate_selected_neurons_rejected(self, setup):
+        net, images = setup
+        with pytest.raises(ConfigurationError, match="distinct"):
+            dependency_scores(net, images, [1, 2, 1])
+
     def test_empty_inputs_rejected(self, setup):
         net, images = setup
         with pytest.raises(ConfigurationError, match="empty"):

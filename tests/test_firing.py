@@ -52,6 +52,11 @@ class TestExtraction:
         with pytest.raises(ConfigurationError, match="relu"):
             extract_firing_matrix(net, split.train, 0)
 
+    def test_empty_image_list_rejected(self):
+        net = build_cnn((1, 8, 8), [(3, 3, 1, True)], [4], 2, seed=2)
+        with pytest.raises(ConfigurationError, match="image list is empty"):
+            extract_firing_matrix(net, [], 0)
+
     def test_nan_rows_rejected(self):
         with pytest.raises(ValueError):
             FiringMatrix(np.array([[1.0, np.nan]]), np.array([0]))

@@ -13,7 +13,7 @@ from fisherprune.errors import (
 from fisherprune.modelio import (
     MAGIC, load_model, model_param_count, save_model,
 )
-from fisherprune.network import build_cnn
+from fisherprune.network import LayerSpec, Network, build_cnn
 
 
 @pytest.fixture
@@ -37,6 +37,15 @@ def rewrite_header(path, mutate):
     mutate(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + hlen:])
+
+
+def zero_extent_net():
+    """conv 3x3 pad 2 -> relu -> flatten -> softmax on a (1, 1, 4) input; its
+    header's input_shape is what the zero-extent tests rewrite."""
+    w = np.ones((2, 1, 3, 3), dtype=np.float32)
+    return Network((1, 1, 4), [LayerSpec.conv(w, np.ones(2), pad=2),
+                               LayerSpec.relu(), LayerSpec.flatten(),
+                               LayerSpec.softmax()])
 
 
 class TestRoundTrip:
@@ -138,6 +147,14 @@ class TestDefects:
             pad=10**12, stride=4 * 10**11))
         with pytest.raises(ShapeChainError,
                            match=r"layer 0 \(conv\): pad 1000000000000 must be below"):
+            load_model(str(path))
+
+    def test_zero_input_extent_fails_at_load(self, tmp_path):
+        # a pad-2 3x3 conv chains (1, 0, 4) to (2, 2, 6) unless refused
+        path = tmp_path / "zero_extent.ldap1"
+        save_model(zero_extent_net(), str(path))
+        rewrite_header(path, lambda h: h.update(input_shape=[1, 0, 4]))
+        with pytest.raises(ShapeChainError, match="input extents must be >= 1"):
             load_model(str(path))
 
     def test_pad_one_below_the_kernel_loads(self, tmp_path):

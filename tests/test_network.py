@@ -68,6 +68,18 @@ class TestShapeInference:
                            match=rf"layer 0 \(conv\): pad {pad} must be below"):
             net.infer_shapes()
 
+    @pytest.mark.parametrize("input_shape", [(1, 0, 4), (1, -1, 4)])
+    def test_input_extent_below_one_rejected(self, input_shape):
+        w = np.ones((2, 1, 3, 3), dtype=np.float32)
+        net = Network(input_shape, [LayerSpec.conv(w, np.ones(2), pad=2)])
+        with pytest.raises(DimensionError, match="input extents must be >= 1"):
+            net.infer_shapes()
+
+    def test_zero_wide_dense_input_rejected(self):
+        net = Network((0,), [LayerSpec.dense(np.zeros((2, 0)), np.zeros(2))])
+        with pytest.raises(DimensionError, match="input extents must be >= 1"):
+            net.infer_shapes()
+
     def test_last_conv_requires_a_conv(self):
         net = Network((4,), [LayerSpec.dense(np.zeros((2, 4)), np.zeros(2))])
         with pytest.raises(ConfigurationError):

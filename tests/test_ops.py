@@ -52,6 +52,18 @@ class TestConvForward:
         with pytest.raises(ConfigurationError):
             ops.conv2d_forward(x, k, np.zeros(1, dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(1, 0, 4), (1, -1, 4), (0, 4, 4),
+                                       (1, 4, 0)])
+    def test_input_extent_below_one_rejected(self, shape):
+        # a pad-2 3x3 conv would otherwise map (1, 0, 4) to a (2, 2, 6) map
+        k = np.ones((2, max(shape[0], 1), 3, 3), dtype=np.float32)
+        with pytest.raises(DimensionError, match="extents must be >= 1"):
+            ops.conv_shape(shape, k.shape, 1, 2)
+        if min(shape) == 0:
+            with pytest.raises(DimensionError, match="extents must be >= 1"):
+                ops.conv2d_forward(np.zeros(shape, dtype=np.float32), k,
+                                   np.ones(2, dtype=np.float32), pad=2)
+
     def test_bad_stride_rejected(self, rng):
         x = rng.standard_normal((1, 4, 4)).astype(np.float32)
         k = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
@@ -306,6 +318,16 @@ class TestPooling:
 
 def _bits(a):
     return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestPoolExtents:
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4), (2, 4, -1)])
+    def test_input_extent_below_one_rejected(self, shape):
+        with pytest.raises(DimensionError, match="extents must be >= 1"):
+            ops.pool_shape(shape, 1, 1)
+        if min(shape) == 0:
+            with pytest.raises(DimensionError, match="extents must be >= 1"):
+                ops.maxpool_forward(np.zeros(shape, dtype=np.float32), 1, 1)
 
 
 class TestSwitchFreePool:

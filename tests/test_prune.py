@@ -9,13 +9,17 @@ from fisherprune.data import generate_synthetic, images_labels
 from fisherprune.deconv import DependencyTable, dependency_scores
 from fisherprune.errors import ConfigurationError, DimensionError
 from fisherprune import ops
-from fisherprune.network import LayerSpec, Network, build_cnn, forward, logits
+from fisherprune.network import (
+    LayerSpec, Network, build_cnn, forward, logits, reference_cnn,
+)
 from fisherprune.prune import (
     PrunePlan, PruneReport, apply_prune, build_prune_plan, equivalence_check,
     magnitude_baseline, magnitude_mask, masked_forward, plateau_threshold_search,
 )
 from fisherprune.tensor import Tensor
 from fisherprune.train import TrainConfig, accuracy, retrain
+
+import oracles
 
 
 def identity_plan(net):
@@ -101,6 +105,10 @@ class TestPlanBuilding:
         with pytest.raises(ConfigurationError):
             build_prune_plan(toy_table(), [], 0.5)
 
+    def test_duplicate_selected_neurons_rejected(self):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            build_prune_plan(toy_table(), [2, 1, 2], 0.5)
+
     def test_param_counts_by_hand(self):
         net = toy_net()
         plan = build_prune_plan(toy_table(), [1, 2], 0.5)
@@ -147,6 +155,36 @@ class TestApplyPrune:
         plan.keep[0] = np.array([0, 7])
         with pytest.raises(DimensionError, match="out of range"):
             apply_prune(net, plan)
+
+    @pytest.mark.parametrize("kept", [[0, 2, 2], [2, 0], [1, 0, 2]],
+                             ids=["duplicate", "descending", "unsorted"])
+    def test_keep_list_must_ascend_without_repeats(self, kept):
+        net = toy_net()
+        plan = identity_plan(net)
+        plan.keep[0] = np.array(kept)
+        x = Tensor(np.zeros((1, 8, 8), dtype=np.float32))
+        for call in (lambda: apply_prune(net, plan),
+                     lambda: masked_forward(net, plan, x)):
+            with pytest.raises(DimensionError,
+                               match="layer 0: keep-list must ascend"):
+                call()
+
+    def test_keep_list_must_be_one_dimensional(self):
+        net = toy_net()
+        plan = identity_plan(net)
+        plan.keep[0] = np.array([[0, 1]])
+        with pytest.raises(DimensionError, match="out of range"):
+            apply_prune(net, plan)
+
+    def test_net_without_conv_layers_rejected(self):
+        net = Network((4,), [LayerSpec.dense(np.ones((2, 4)), np.zeros(2)),
+                             LayerSpec.softmax()])
+        plan = PrunePlan(keep={}, threshold=0.0)
+        x = Tensor(np.zeros(4, dtype=np.float32))
+        with pytest.raises(DimensionError, match="no conv layer"):
+            apply_prune(net, plan)
+        with pytest.raises(DimensionError, match="no conv layer"):
+            masked_forward(net, plan, x)
 
 
 class TestMaskedSemantics:
@@ -342,6 +380,34 @@ class TestMagnitude:
         masks = magnitude_mask(net, 4 / sum(
             net.layers[i].weights.size for i in net.conv_indices()))
         assert masks[0].ravel()[:4].tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
+    def test_bitwise_the_per_layer_mask(self, rate):
+        net = reference_cnn(seed=4)
+        got = magnitude_mask(net, rate)
+        want = oracles.magnitude_mask_per_layer(net, rate)
+        assert list(got) == list(want) == net.conv_indices()
+        for i, m in want.items():
+            assert got[i].dtype == m.dtype and got[i].shape == m.shape
+            assert got[i].tobytes() == m.tobytes()
+
+    def test_tied_magnitudes_break_by_flat_position(self):
+        net = toy_net()
+        rng = np.random.default_rng(0)
+        for i in net.conv_indices():  # magnitudes 0.25, 0.5 or 0.75, signs mixed
+            w = net.layers[i].weights
+            w[...] = rng.integers(1, 4, w.shape) * rng.choice([-0.25, 0.25], w.shape)
+        got = magnitude_mask(net, 0.2)
+        want = oracles.magnitude_mask_per_layer(net, 0.2)
+        for i in net.conv_indices():
+            assert got[i].tobytes() == want[i].tobytes()
+        mags = np.concatenate([np.abs(net.layers[i].weights).ravel()
+                               for i in net.conv_indices()])
+        flat = np.concatenate([got[i].ravel() for i in net.conv_indices()])
+        n_zero = math.ceil(0.2 * mags.size)
+        smallest = np.flatnonzero(mags == 0.25)
+        assert n_zero < smallest.size  # the cut falls inside the tie
+        assert np.flatnonzero(flat == 0).tolist() == smallest[:n_zero].tolist()
 
     def test_rate_validation(self):
         net = toy_net()

@@ -9,6 +9,7 @@ import pytest
 from fisherprune import ops
 from fisherprune.errors import ConfigurationError, TrainingDiverged
 from fisherprune.network import build_cnn, forward, reference_cnn
+from fisherprune.prune import magnitude_mask
 from fisherprune.tensor import Tensor
 from fisherprune.train import (
     MOMENTUM, WEIGHT_DECAY, TrainConfig, accuracy, backward, cross_entropy,
@@ -267,6 +268,37 @@ class TestTrainLoop:
               TrainConfig(epochs=3, seed=0), weight_mask={0: mask})
         assert np.all(net.layers[0].weights[2:] == 0.0)
         assert np.any(net.layers[0].weights[:2] != 0.0)
+
+    def test_masked_retrain_is_the_remasking_loop_with_masked_at_plus_zero(self):
+        images, labels = toy_split(n=4)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True), (6, 3, 1, False)],
+                        [8], 2, seed=3)
+        masks = magnitude_mask(net, 0.5)
+        cfg = TrainConfig(epochs=2, lr=0.02, seed=4)
+        got = net.copy()
+        retrain(got, images, labels, images, labels, cfg, weight_mask=masks)
+
+        def grads_of(net, image, label):
+            return backward(net, forward(net, Tensor(image), record=True)[1], label)
+
+        want = net.copy()
+        for li, m in masks.items():
+            want.layers[li].weights *= m
+        rng, velocity = np.random.default_rng(cfg.seed), {}
+        for _ in range(cfg.epochs):
+            oracles.masked_sgd_epoch_remasking(
+                want, images, labels, rng.permutation(len(labels)),
+                cfg.lr * 0.1, velocity, masks, grads_of, MOMENTUM, WEIGHT_DECAY)
+        for a, b in zip(got.layers, want.layers):
+            if b.weights is not None:
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.bias.tobytes() == b.bias.tobytes()
+        for li, m in masks.items():
+            masked = got.layers[li].weights[m == 0]
+            assert masked.size and not masked.any()
+            assert not np.signbit(masked).any()  # +0.0, never -0.0
+            # the masked positions held negative weights before pruning
+            assert (net.layers[li].weights[m == 0] < 0).any()
 
     def test_retrain_fine_tunes_in_place(self):
         images, labels = toy_split()
