@@ -72,8 +72,8 @@ def qda_fit(features, labels, lam=1e-3) -> QdaModel:
 
     Needs more samples than dimensions in every class; with too few, the
     covariance estimate is rank-deficient, so the fit is refused with a
-    pointer at the cure (fewer selected neurons, or a larger lam). lam must
-    be finite and >= 0.
+    pointer at the cures (fewer selected neurons, or more images per class).
+    lam must be finite and >= 0.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
@@ -88,8 +88,8 @@ def qda_fit(features, labels, lam=1e-3) -> QdaModel:
         if ni <= d:
             raise DimensionError(
                 f"class {cls} has {ni} samples for {d} dimensions; "
-                f"covariance needs more samples than dimensions: "
-                f"select fewer neurons (smaller k) or raise lam"
+                f"covariance needs more samples than dimensions: prune to "
+                f"fewer neurons (smaller k) or use more images per class"
             )
         mu = xc.mean(axis=0)
         centered = xc - mu

@@ -166,8 +166,8 @@ def cmd_prune(args, split):
     lines = []
     if args.grid is not None:
         rows = [[f"{r.threshold:.6g}", f"{r.conv_rate:.6f}",
-                 f"{r.acc_before:.6f}", f"{r.acc_after:.6f}", int(r.flagged)]
-                for r in reports]
+                 f"{r.acc_before:.6f}", f"{r.acc_after:.6f}",
+                 int(bool(r.plan.forced_layers))] for r in reports]
         _write_csv(os.path.join(args.out, "threshold_search.csv"),
                    ["threshold", "conv_rate", "acc_before", "acc_after",
                     "forced"], rows)

@@ -75,9 +75,17 @@ _ELLIPSE_SPAN = np.array([2.0, 2.0, 0.34, 0.34, 0.5]) - _ELLIPSE_LOW
 _BRIGHT_LOW, _BRIGHT_SPAN = 0.85, 1.0 - 0.85
 
 
-def _train_count(n):
-    # 80/20, but keep at least two per class in train when available
-    return max(min(2, n), int(n * 0.8))
+def _split(per_class):
+    """DatasetSplit of {label: samples}: per class, the first 80% (at least
+    two when available) train, the rest test."""
+    train, test = [], []
+    for label in (0, 1):
+        samples = per_class[label]
+        n_train = max(min(2, len(samples)), int(len(samples) * 0.8))
+        train.extend(samples[:n_train])
+        test.extend(samples[n_train:])
+    return DatasetSplit(train=train, test=test,
+                        n0=len(per_class[0]), n1=len(per_class[1]))
 
 
 def _synthesize(rng, size, label, count):
@@ -136,12 +144,7 @@ def generate_synthetic(n_per_class, size=32, seed=0):
                 LabeledImage(Tensor(img[None, :, :]), label,
                              f"c{label}-{start + k:04d}")
                 for k, img in enumerate(imgs))
-    n_train = _train_count(n_per_class)
-    train, test = [], []
-    for label in (0, 1):
-        train.extend(per_class[label][:n_train])
-        test.extend(per_class[label][n_train:])
-    return DatasetSplit(train=train, test=test, n0=n_per_class, n1=n_per_class)
+    return _split(per_class)
 
 
 def _read_pgm(path):
@@ -210,10 +213,4 @@ def load_pgm_dir(path, size=32):
                 LabeledImage(Tensor(img[None, :, :]), label, f"{label}/{name}")
             )
         per_class[label] = samples
-    train, test = [], []
-    for label in (0, 1):
-        n_train = _train_count(len(per_class[label]))
-        train.extend(per_class[label][:n_train])
-        test.extend(per_class[label][n_train:])
-    return DatasetSplit(train=train, test=test,
-                        n0=len(per_class[0]), n1=len(per_class[1]))
+    return _split(per_class)

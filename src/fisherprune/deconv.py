@@ -1,11 +1,11 @@
-"""Deconvolution walk: project a neuron's max activation back to pixels.
+"""Deconvolution walk: project a neuron's firing down to the first conv.
 
 The walk is network.reverse in its mirror mode (the deconvnet of Zeiler &
 Fergus, 2014): max-pool -> unpool through the stored switches, relu ->
 relu (rectify), conv -> transposed conv with the same kernel. Walking a
-one-hot start tensor (the neuron's spatial argmax holding its max value)
-down the stack yields a reconstruction per layer; the L1 channel energy of
-those reconstructions says how much each lower filter participates.
+one-hot start tensor (the neuron's firing at its spatial argmax) down to
+layer 0 yields a reconstruction per layer; the L1 channel energy of those
+reconstructions says how much each lower filter participates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NonFiniteError
 from .network import ForwardRecord, Network, forward, reverse
 from .ops import unpool  # noqa: F401  (still importable from here)
 
@@ -23,14 +23,13 @@ from .ops import unpool  # noqa: F401  (still importable from here)
 class DeconvMap:
     """Reconstructions from one neuron's walk, keyed by layer index.
 
-    maps[i] has the shape of layer i's forward output; pixel is the final
-    input-shaped reconstruction. A dead neuron (max activation 0) produces
-    all-zero maps without walking and sets dead.
+    maps[i] has the shape of layer i's forward output, for i = last conv
+    down to 0. A dead neuron (firing 0) produces all-zero maps without
+    walking and sets dead.
     """
 
     neuron: int
     maps: dict
-    pixel: np.ndarray
     dead: bool
 
 
@@ -45,32 +44,29 @@ class DependencyTable:
 
 
 def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvMap:
-    """Walk one last-conv neuron's max activation down to the pixels.
+    """Walk one last-conv neuron's firing down to layer 0's output.
 
-    The start tensor is zero except at the neuron's spatial argmax (ties to
-    the smallest flat index), holding the post-relu max value. A dead
-    neuron's walk would carry zeros all the way down, so its maps are
-    allocated as zeros and the reverse walk does not run.
+    The start tensor is zero except at the argmax of np.maximum(conv
+    output, 0) in the neuron's channel (ties to the smallest flat index),
+    holding that finite peak. A dead neuron's walk would carry zeros all the
+    way down, so its maps are allocated as zeros and no reverse walk runs.
     """
     last = net.last_conv_index()
     n_filters = rec.activations[last].shape[0]
     if not 0 <= neuron < n_filters:
         raise ConfigurationError(f"neuron {neuron} out of range [0,{n_filters})")
-    act = rec.activations[last + 1] if (
-        last + 1 < len(net.layers) and net.layers[last + 1].kind == "relu"
-    ) else np.maximum(rec.activations[last], 0)
-    chan = act[neuron]
+    chan = np.maximum(rec.activations[last][neuron], 0)
     peak = float(chan.max())
+    if not np.isfinite(peak):
+        raise NonFiniteError(f"neuron {neuron} fires NaN or infinity")
     start = np.zeros_like(rec.activations[last])
     if peak <= 0.0:
         maps = {i: np.zeros(rec.activations[i].shape, start.dtype)
                 for i in range(last, -1, -1)}
-        return DeconvMap(neuron=neuron, maps=maps, dead=True,
-                         pixel=np.zeros(rec.input.shape, start.dtype))
+        return DeconvMap(neuron=neuron, maps=maps, dead=True)
     start[neuron].ravel()[int(chan.argmax())] = peak
     maps = dict(reverse(net, rec, last, start, mirror=True))
-    pixel = maps.pop(-1)
-    return DeconvMap(neuron=neuron, maps=maps, pixel=pixel, dead=False)
+    return DeconvMap(neuron=neuron, maps=maps, dead=False)
 
 
 def dependency_scores(net: Network, images, selected) -> DependencyTable:
@@ -80,7 +76,8 @@ def dependency_scores(net: Network, images, selected) -> DependencyTable:
     channel of its reconstruction over the largest such norm to the
     neuron's row of one (neurons x filters) sum in the walk's dtype. Scores
     are the mean over images, then the max over the distinct selected
-    neurons, so a filter needed by any one of them survives.
+    neurons, so a filter needed by any one of them survives. Nothing after
+    the last conv runs.
     """
     selected = np.asarray(selected, dtype=np.int64).ravel()
     if selected.size == 0:
@@ -89,12 +86,13 @@ def dependency_scores(net: Network, images, selected) -> DependencyTable:
         raise ConfigurationError("selected neurons must be distinct")
     if not images:
         raise ConfigurationError("image list is empty")
+    trunk = Network(net.input_shape, net.layers[: net.last_conv_index() + 1])
     sums = {}
     for sample in images:
-        _, rec = forward(net, sample.image, record=True)
+        _, rec = forward(trunk, sample.image, record=True)
         for row, n in enumerate(selected):
-            maps = deconv_from_neuron(net, rec, int(n)).maps
-            for li in net.conv_indices():
+            maps = deconv_from_neuron(trunk, rec, int(n)).maps
+            for li in trunk.conv_indices():
                 energy = np.abs(maps[li]).reshape(len(maps[li]), -1).sum(axis=1)
                 if li not in sums:
                     sums[li] = np.zeros((selected.size, energy.size), energy.dtype)

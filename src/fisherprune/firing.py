@@ -1,8 +1,8 @@
 """Firing-matrix construction and Fisher discriminant analysis.
 
 A firing matrix holds one row per image and one column per last-conv
-channel; each entry is the channel's maximum post-relu activation on that
-image. Scatter matrices are raw sums (no 1/N):
+channel; each entry is the channel's firing on that image, the spatial
+peak of np.maximum(conv output, 0). Scatter matrices are raw sums (no 1/N):
 
     S_w = sum_i sum_{x in class i} (x - mu_i)(x - mu_i)^T
     S_b = sum_i N_i (mu_i - mu)(mu_i - mu)^T
@@ -66,17 +66,15 @@ class NeuronRanking:
 
 
 def extract_firing_matrix(net: Network, images, layer: int) -> FiringMatrix:
-    """Row k = per-channel spatial max of post-relu layer output on image k."""
+    """Row k = per-channel spatial peak of the rectified conv output on image k."""
     if layer < 0 or layer >= len(net.layers) or net.layers[layer].kind != "conv":
         raise ConfigurationError(f"layer {layer} is not a conv layer")
-    if layer + 1 >= len(net.layers) or net.layers[layer + 1].kind != "relu":
-        raise ConfigurationError(f"conv layer {layer} is not followed by relu")
     if not images:
         raise ConfigurationError("image list is empty")
-    trunk = Network(net.input_shape, net.layers[: layer + 2])
+    trunk = Network(net.input_shape, net.layers[: layer + 1])
     rows, labels = [], []
     for sample in images:
-        act = forward(trunk, sample.image).data
+        act = np.maximum(forward(trunk, sample.image).data, 0)
         rows.append(act.reshape(act.shape[0], -1).max(axis=1))
         labels.append(sample.label)
     return FiringMatrix(np.array(rows, dtype=np.float64),

@@ -10,12 +10,13 @@ output (masked passes) or observe it (timing).
 
 reverse() is the one reverse walk over such a record, shared by backprop
 (train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
-It yields the signal at each layer's output in turn; the two walks differ
-only in their relu and max-pool rules.
+It yields the signal at each layer's output in turn, down to layer 0; the
+two walks differ only in their relu and max-pool rules.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,15 +131,7 @@ class Network:
         return conv, fc
 
     def copy(self):
-        layers = []
-        for l in self.layers:
-            layers.append(LayerSpec(
-                kind=l.kind,
-                weights=None if l.weights is None else l.weights.copy(),
-                bias=None if l.bias is None else l.bias.copy(),
-                stride=l.stride, pad=l.pad, window=l.window,
-            ))
-        return Network(tuple(self.input_shape), layers)
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -202,22 +195,24 @@ def forward(net: Network, x: Tensor, record=False, hook=None):
 
 
 def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
-    """Carry a signal from layer start's output down to the input.
+    """Carry a signal from layer start's output down to layer 0's output.
 
     The mirror of forward: yields (i, signal at layer i's output) for
-    i = start..0, then (-1, signal at the input). Each layer's rule runs
-    only when the next signal is asked for, so a caller that stops after
-    layer 0 runs none of layer 0's rule. Conv applies its transposed conv,
-    dense W^T in float64, flatten a reshape. With mirror=False the walk is
-    backprop: relu gates by the sign of its recorded output and max-pool
-    scatter-adds through its switches, so overlapping windows sum. With
-    mirror=True it is the deconvnet projection (Zeiler & Fergus, 2014):
-    relu rectifies and max-pool unpools through its switches.
+    i = start..0. Each layer's rule runs only when the next signal is asked
+    for, and layer 0's never runs: no caller reads a signal at the input.
+    Conv applies its transposed conv, dense W^T in float64, flatten a
+    reshape. With mirror=False the walk is backprop: relu gates by the sign
+    of its recorded output and max-pool scatter-adds through its switches,
+    so overlapping windows sum. With mirror=True it is the deconvnet
+    projection (Zeiler & Fergus, 2014): relu rectifies and max-pool unpools
+    through its switches.
     """
     for i in range(start, -1, -1):
         yield i, signal
+        if i == 0:
+            return
         layer = net.layers[i]
-        below = (rec.activations[i - 1] if i > 0 else rec.input).shape
+        below = rec.activations[i - 1].shape
         if layer.kind == "conv":
             signal = ops.conv2d_adjoint(signal, layer.weights, layer.stride,
                                         layer.pad, out_hw=below[1:])
@@ -237,7 +232,6 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
             signal = scattered
         else:
             raise ConfigurationError(f"no reverse rule for layer {i} ({layer.kind})")
-    yield -1, signal
 
 
 def logits(net: Network, x: Tensor):

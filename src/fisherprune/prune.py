@@ -30,13 +30,9 @@ class PrunePlan:
     threshold: float
     forced_layers: set = field(default_factory=set)  # empty-layer guard fired
 
-    def param_counts(self, net: Network):
-        """Per-conv-layer (params_before, params_after) under this plan."""
-        return layer_param_counts(net, apply_prune(net, self))
-
     def conv_rate(self, net: Network) -> float:
         """Fraction of conv parameters removed."""
-        return _removed(self.param_counts(net))
+        return _removed(layer_param_counts(net, apply_prune(net, self)))
 
 
 def layer_param_counts(net: Network, pruned: Network):
@@ -57,7 +53,6 @@ class PruneReport:
     conv_rate: float
     acc_before: float
     acc_after: float
-    flagged: bool = False
     plan: PrunePlan = field(default=None, compare=False, repr=False)
     net: Network = field(default=None, compare=False, repr=False)
 
@@ -67,7 +62,7 @@ def build_prune_plan(table, selected, threshold) -> PrunePlan:
 
     The last conv layer is forced to exactly the selected neuron set. A
     layer that would lose every filter keeps its single highest-scoring one
-    (smallest index on ties) and is flagged.
+    (smallest index on ties) and is listed in forced_layers.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigurationError(f"threshold must be in [0,1], got {threshold}")
@@ -128,11 +123,12 @@ def apply_prune(net: Network, plan: PrunePlan) -> Network:
             layer.weights = np.ascontiguousarray(w)
             layer.bias = np.ascontiguousarray(layer.bias[keep[i]])
             in_keep = keep[i]
-        elif layer.kind == "flatten":
-            c, h, w = shapes[i - 1]
-            # surviving channel c spans flat indices [c*h*w, (c+1)*h*w)
-            flat_keep = (in_keep[:, None] * (h * w)
-                         + np.arange(h * w, dtype=np.int64)[None, :]).ravel()
+        elif layer.kind == "flatten" and len(shapes[i - 1]) == 3:
+            # surviving channel c spans flat indices [c*h*w, (c+1)*h*w);
+            # flatten of a vector is a reshape and leaves flat_keep as it is
+            hw = shapes[i - 1][1] * shapes[i - 1][2]
+            flat_keep = (in_keep[:, None] * hw
+                         + np.arange(hw, dtype=np.int64)[None, :]).ravel()
         elif layer.kind == "dense" and flat_keep is not None:
             layer.weights = np.ascontiguousarray(layer.weights[:, flat_keep])
             flat_keep = None
@@ -202,7 +198,7 @@ def plateau_threshold_search(net: Network, table, selected, split, grid,
         reports.append(PruneReport(
             threshold=t, conv_rate=_removed(layer_param_counts(net, pruned)),
             acc_before=float(before), acc_after=float(after),
-            flagged=bool(plan.forced_layers), plan=plan, net=pruned,
+            plan=plan, net=pruned,
         ))
     best = max(r.acc_after for r in reports)
     t_0 = max(r.threshold for r in reports if r.acc_after >= best - eps_acc)

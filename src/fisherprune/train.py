@@ -52,8 +52,6 @@ def backward(net: Network, rec: ForwardRecord, label: int):
             _, _, kh, kw = layer.weights.shape
             dw, db = ops.conv2d_param_grads(x, g, kh, kw, layer.stride, layer.pad)
             grads[i] = (dw.astype(np.float32), db.astype(np.float32))
-        if i == 0:  # nothing reads the gradient w.r.t. the network input
-            break
     return grads
 
 

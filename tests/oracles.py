@@ -256,12 +256,13 @@ def rbf_kernel_expression(a, b, gamma):
 
 
 def deconv_walk_every_layer(net, rec, neuron, reverse):
-    """The package's earlier neuron walk: (maps, pixel, dead).
+    """The package's earlier neuron walk: (maps, dead).
 
-    The reverse walk runs also for a dead neuron, whose all-zero start
-    tensor is carried down the whole stack. `reverse(net, rec, start,
-    signal, mirror=True)` is the reverse layer walk under test; `net` and
-    `rec` are read by attribute only.
+    The start peak is read from the relu layer after the last conv when
+    there is one, so `rec` must hold it. The reverse walk runs also for a
+    dead neuron, whose all-zero start tensor is carried down the whole
+    stack. `reverse(net, rec, start, signal, mirror=True)` is the reverse
+    layer walk under test; `net` and `rec` are read by attribute only.
     """
     last = max(i for i, layer in enumerate(net.layers) if layer.kind == "conv")
     act = rec.activations[last + 1] if (
@@ -273,9 +274,7 @@ def deconv_walk_every_layer(net, rec, neuron, reverse):
     dead = peak <= 0.0
     if not dead:
         cur[neuron].ravel()[int(chan.argmax())] = peak
-    maps = dict(reverse(net, rec, last, cur, mirror=True))
-    pixel = maps.pop(-1)
-    return maps, pixel, dead
+    return dict(reverse(net, rec, last, cur, mirror=True)), dead
 
 
 def deconv_walk_loops(net, rec, neuron):

@@ -411,6 +411,19 @@ class TestFailureExits:
         assert "NaN or infinity" in err
         assert err.count("\n") == 1
 
+    def test_qda_with_too_few_samples_names_cures_that_exist(self, piperun,
+                                                              tmp_path, capsys):
+        model = os.path.join(piperun, "model.ldap1")  # 32 last-conv neurons
+        rc = main(["eval", "--out", str(tmp_path / "out"), "--model", model,
+                   "--classifier", "qda"] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionError: class 0 has 4 samples "
+                              "for 32 dimensions")
+        assert "smaller k" in err and "more images per class" in err
+        assert "lam" not in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
     def test_qda_lam_must_be_finite(self, piperun, tmp_path, capsys, lam):
         model = os.path.join(piperun, "model.ldap1")

@@ -8,7 +8,8 @@ from fisherprune.data import LabeledImage, generate_synthetic
 from fisherprune.deconv import (
     DeconvMap, deconv_from_neuron, dependency_scores, unpool,
 )
-from fisherprune.errors import ConfigurationError, DimensionError
+from fisherprune.errors import ConfigurationError, DimensionError, NonFiniteError
+from fisherprune.firing import extract_firing_matrix
 from fisherprune.network import (
     LayerSpec, Network, build_cnn, forward, reference_cnn,
 )
@@ -61,6 +62,24 @@ class TestMirrors:
                                out_hw=(2, 2))
 
 
+def pool_before_relu_net(seed=7):
+    """The last conv is followed by a max-pool, then the relu."""
+    rng = np.random.default_rng(seed)
+    net = Network((1, 8, 8), [
+        LayerSpec.conv(rng.standard_normal((2, 1, 3, 3)), np.zeros(2), pad=1),
+        LayerSpec.relu(),
+        LayerSpec.conv(rng.standard_normal((3, 2, 3, 3)),
+                       rng.standard_normal(3), pad=1),
+        LayerSpec.maxpool(2, 2),
+        LayerSpec.relu(),
+        LayerSpec.flatten(),
+        LayerSpec.dense(rng.standard_normal((2, 48)), np.zeros(2)),
+        LayerSpec.softmax(),
+    ])
+    net.infer_shapes()
+    return net
+
+
 def passthrough_net():
     """1x1 identity conv: the walk must come back as the same one-hot."""
     w = np.ones((1, 1, 1, 1), dtype=np.float32)
@@ -74,16 +93,19 @@ def passthrough_net():
 
 class TestNeuronWalk:
     def test_identity_conv_round_trip(self):
+        """The walk ends at layer 0's output, which for a 1x1 identity
+        conv is the input's one-hot at its brightest pixel."""
         net = passthrough_net()
         rng = np.random.default_rng(3)
         x = Tensor(rng.random((1, 4, 4)).astype(np.float32))
         _, rec = forward(net, x, record=True)
         dmap = deconv_from_neuron(net, rec, 0)
         assert not dmap.dead
-        assert dmap.pixel.shape == (1, 4, 4)
-        assert np.count_nonzero(dmap.pixel) == 1
-        assert dmap.pixel.argmax() == x.data.argmax()
-        assert dmap.pixel.max() == pytest.approx(x.data.max(), rel=1e-6)
+        assert list(dmap.maps) == [0] and not hasattr(dmap, "pixel")
+        assert dmap.maps[0].shape == (1, 4, 4)
+        assert np.count_nonzero(dmap.maps[0]) == 1
+        assert dmap.maps[0].argmax() == x.data.argmax()
+        assert dmap.maps[0].max() == pytest.approx(x.data.max(), rel=1e-6)
 
     def test_dead_neuron_yields_zero_maps(self):
         net = passthrough_net()
@@ -92,8 +114,7 @@ class TestNeuronWalk:
         x = Tensor(np.random.default_rng(0).random((1, 4, 4)).astype(np.float32))
         _, rec = forward(net, x, record=True)
         dmap = deconv_from_neuron(net, rec, 0)
-        assert dmap.dead
-        assert not dmap.pixel.any()
+        assert dmap.dead and list(dmap.maps) == [0]
         assert all(not m.any() for m in dmap.maps.values())
 
     def test_dead_walk_equals_the_full_walk(self, monkeypatch):
@@ -115,15 +136,13 @@ class TestNeuronWalk:
         live = int(np.argmax(rec.activations[last + 1].max(axis=(1, 2))))
         assert not deconv_from_neuron(net, rec, live).dead
         assert starts == [last]  # the spy sees the walks that do run
-        maps, pixel, dead = oracles.deconv_walk_every_layer(
+        maps, dead = oracles.deconv_walk_every_layer(
             net, rec, 5, network.reverse)
         assert dead
         assert list(dmap.maps) == list(maps)
         for i, m in maps.items():
             assert dmap.maps[i].shape == m.shape and dmap.maps[i].dtype == m.dtype
             np.testing.assert_array_equal(dmap.maps[i], m)
-        assert dmap.pixel.shape == pixel.shape and dmap.pixel.dtype == pixel.dtype
-        np.testing.assert_array_equal(dmap.pixel, pixel)
 
     def test_overlapping_pools_unpool_by_overwriting(self):
         """3x3 pools at strides 2 and 1 share winners between windows; the
@@ -137,13 +156,11 @@ class TestNeuronWalk:
                        for sw in rec.switches.values())
             for neuron in range(4):
                 dmap = deconv_from_neuron(net, rec, neuron)
-                maps, pixel = oracles.deconv_walk_loops(net, rec, neuron)
+                maps, _ = oracles.deconv_walk_loops(net, rec, neuron)
                 assert list(dmap.maps) == list(maps)
                 for i, m in maps.items():
                     np.testing.assert_allclose(dmap.maps[i], m,
                                                rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(dmap.pixel, pixel,
-                                           rtol=1e-12, atol=1e-12)
 
     def test_neuron_index_checked(self):
         net = passthrough_net()
@@ -196,8 +213,10 @@ class TestDependencyScores:
             np.testing.assert_allclose(table.scores[li], want, atol=1e-12)
 
     def test_scores_bytes_equal_the_full_walk(self, monkeypatch):
-        """reference_cnn, every last-conv neuron: dead walks are skipped,
-        and the table is the one every walk running every stage gives."""
+        """reference_cnn, every last-conv neuron: dead walks are skipped and
+        the record stops at the last conv, and the table is the one given by
+        every walk over a record of the whole net, its start read from the
+        relu layer."""
         net = reference_cnn(seed=0)
         images = generate_synthetic(4, seed=3).train
         selected = list(range(32))
@@ -214,16 +233,17 @@ class TestDependencyScores:
         assert any(deads) and not all(deads)  # both paths ran
 
         def full_walk(net, rec, n):
-            maps, pixel, dead = oracles.deconv_walk_every_layer(
+            assert len(rec.activations) == len(net.layers)
+            maps, dead = oracles.deconv_walk_every_layer(
                 net, rec, n, network.reverse)
-            return DeconvMap(neuron=n, maps=maps, pixel=pixel, dead=dead)
+            return DeconvMap(neuron=n, maps=maps, dead=dead)
 
-        monkeypatch.setattr(deconv, "deconv_from_neuron", full_walk)
-        want = dependency_scores(net, images, selected)
-        assert list(table.scores) == list(want.scores)
-        for li, vals in want.scores.items():
+        want, dead = oracles.dependency_scores_per_neuron(
+            net, images, selected, forward, full_walk)
+        assert list(table.scores) == list(want)
+        for li, vals in want.items():
             assert table.scores[li].tobytes() == vals.tobytes()
-        assert table.dead_layers == want.dead_layers
+        assert table.dead_layers == dead
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_the_per_neuron_pooling(self, dtype):
@@ -257,3 +277,64 @@ class TestDependencyScores:
             dependency_scores(net, images, [])
         with pytest.raises(ConfigurationError, match="empty"):
             dependency_scores(net, [], [0])
+
+
+class TestOneFiringRule:
+    """Ranking and walk read one firing: the peak of np.maximum(conv, 0)."""
+
+    def test_pool_before_relu_is_accepted_by_both(self):
+        net = pool_before_relu_net()
+        rng = np.random.default_rng(8)
+        images = [labeled(rng.random((1, 8, 8)) - 0.3, i % 2, f"i{i}")
+                  for i in range(4)]
+        mat = extract_firing_matrix(net, images, 2)
+        table = dependency_scores(net, images, [0, 2])
+        assert sorted(table.scores) == [0, 2]
+        for k, s in enumerate(images):
+            _, rec = forward(net, s.image, record=True)
+            want = np.maximum(rec.activations[2], 0).reshape(3, -1).max(axis=1)
+            assert mat.values[k].tobytes() == want.astype(np.float64).tobytes()
+            for n in range(3):
+                dmap = deconv_from_neuron(net, rec, n)
+                assert dmap.dead == (mat.values[k, n] == 0)
+                assert dmap.maps[2].max() == mat.values[k, n]
+
+    def test_walk_stops_at_layer_0_and_record_at_last_conv(self, monkeypatch):
+        net = reference_cnn(seed=0)
+        last = net.last_conv_index()
+        images = generate_synthetic(2, seed=3).train[:2]
+        ran, adjoined, records = [], [], []
+        real_step, real_adjoint = network._step, ops.conv2d_adjoint
+        real_forward = deconv.forward
+
+        def step(layer, x, record):
+            ran.append(layer)
+            return real_step(layer, x, record)
+
+        def adjoint(gout, kernel, *args, **kwargs):
+            adjoined.append(kernel)
+            return real_adjoint(gout, kernel, *args, **kwargs)
+
+        def recording(net, x, record=False, hook=None):
+            out = real_forward(net, x, record=record, hook=hook)
+            records.append(out[1])
+            return out
+
+        monkeypatch.setattr(network, "_step", step)
+        monkeypatch.setattr(ops, "conv2d_adjoint", adjoint)
+        monkeypatch.setattr(deconv, "forward", recording)
+        table = dependency_scores(net, images, list(range(32)))
+        assert len(table.scores) == 6
+        assert len(records) == 2
+        assert all(len(r.activations) == last + 1 for r in records)
+        trunk = net.layers[: last + 1]
+        assert ran and all(any(l is t for t in trunk) for l in ran)
+        assert adjoined and all(k is not net.layers[0].weights for k in adjoined)
+        assert any(k is net.layers[2].weights for k in adjoined)
+
+    def test_nan_image_is_a_non_finite_error(self):
+        net = build_cnn((1, 8, 8), [(3, 3, 1, True), (4, 3, 1, False)],
+                        [6], 2, seed=22)
+        image = labeled(np.full((1, 8, 8), np.nan))
+        with pytest.raises(NonFiniteError, match="NaN or infinity"):
+            dependency_scores(net, [image], [0])

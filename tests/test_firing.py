@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fisherprune import firing
-from fisherprune.data import generate_synthetic
+from fisherprune.data import LabeledImage, generate_synthetic
 from fisherprune.errors import ConfigurationError, DimensionError, NonFiniteError
 from fisherprune.firing import (
     FiringMatrix, diagonal_dominance, extract_firing_matrix,
@@ -12,8 +12,10 @@ from fisherprune.firing import (
     scatter_matrices, standardize, variance_ranking_baseline,
 )
 from fisherprune.network import Network, build_cnn, forward
+from fisherprune.tensor import Tensor
 
 import oracles
+from test_train import widen_to_float64
 
 
 @pytest.fixture
@@ -43,14 +45,30 @@ class TestExtraction:
         np.testing.assert_array_equal(
             mat.labels, [s.label for s in split.train])
 
-    def test_layer_must_be_conv_plus_relu(self):
+    def test_layer_must_be_conv(self):
         net = build_cnn((1, 8, 8), [(3, 3, 1, True)], [4], 2, seed=2)
         split = generate_synthetic(2, size=16, seed=0)
         with pytest.raises(ConfigurationError, match="not a conv"):
             extract_firing_matrix(net, split.train, 1)
-        net.layers[1] = net.layers[2]  # conv now followed by maxpool
-        with pytest.raises(ConfigurationError, match="relu"):
-            extract_firing_matrix(net, split.train, 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_bitwise_the_relu_layer_peaks(self, dtype):
+        """The rectified conv output's peak is the following relu layer's."""
+        net = build_cnn((1, 12, 12), [(4, 3, 1, True), (5, 3, 1, False)],
+                        [6], 2, seed=23)
+        if dtype == np.float64:
+            net = widen_to_float64(net)
+        rng = np.random.default_rng(6)
+        images = [LabeledImage(Tensor(rng.random((1, 12, 12)).astype(dtype) - 0.5),
+                               i % 2, f"i{i}") for i in range(4)]
+        images.append(LabeledImage(Tensor(np.zeros((1, 12, 12), dtype)), 0, "z"))
+        for layer in net.conv_indices():
+            trunk = Network(net.input_shape, net.layers[: layer + 2])
+            rows = [forward(trunk, s.image).data.reshape(
+                net.layers[layer].weights.shape[0], -1).max(axis=1)
+                for s in images]
+            got = extract_firing_matrix(net, images, layer).values
+            assert got.tobytes() == np.array(rows, dtype=np.float64).tobytes()
 
     def test_empty_image_list_rejected(self):
         net = build_cnn((1, 8, 8), [(3, 3, 1, True)], [4], 2, seed=2)

@@ -14,7 +14,7 @@ from fisherprune.network import (
 )
 from fisherprune.prune import (
     PrunePlan, PruneReport, apply_prune, build_prune_plan, equivalence_check,
-    magnitude_baseline, magnitude_mask, masked_forward, plateau_threshold_search,
+    layer_param_counts, magnitude_baseline, magnitude_mask, masked_forward, plateau_threshold_search,
 )
 from fisherprune.tensor import Tensor
 from fisherprune.train import TrainConfig, accuracy, retrain
@@ -112,7 +112,7 @@ class TestPlanBuilding:
     def test_param_counts_by_hand(self):
         net = toy_net()
         plan = build_prune_plan(toy_table(), [1, 2], 0.5)
-        counts = plan.param_counts(net)
+        counts = layer_param_counts(net, apply_prune(net, plan))
         assert counts[0] == (3 * 9 + 3, 2 * 9 + 2)
         assert counts[3] == (4 * 3 * 9 + 4, 2 * 2 * 9 + 2)
         want_rate = 1.0 - (20 + 38) / (30 + 112)
@@ -240,6 +240,46 @@ class TestMaskedSemantics:
             for got, ref in zip(acts, want):
                 np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(out.data, want[-1])
+
+    @staticmethod
+    def _check_against_masked(net, plan):
+        from fisherprune.data import LabeledImage
+
+        net.infer_shapes()
+        rng = np.random.default_rng(7)
+        images = [LabeledImage(Tensor(rng.random((1, 4, 4)).astype(np.float32)),
+                               i % 2, f"f{i}") for i in range(4)]
+        assert equivalence_check(net, plan, images) <= 1e-4
+        return apply_prune(net, plan)
+
+    def test_flatten_of_a_flattened_map_is_a_reshape(self):
+        rng = np.random.default_rng(8)
+        net = Network((1, 4, 4), [
+            LayerSpec.conv(rng.standard_normal((3, 1, 3, 3)), np.ones(3), pad=1),
+            LayerSpec.flatten(), LayerSpec.flatten(),
+            LayerSpec.dense(rng.standard_normal((2, 48)), np.zeros(2)),
+            LayerSpec.softmax(),
+        ])
+        for kept in ([1], [0, 2]):
+            plan = PrunePlan(keep={0: np.array(kept)}, threshold=0.0)
+            pruned = self._check_against_masked(net, plan)
+            assert pruned.layers[3].weights.shape == (2, 16 * len(kept))
+
+    def test_flatten_after_a_dense_layer_is_a_reshape(self):
+        rng = np.random.default_rng(9)
+        net = Network((1, 4, 4), [
+            LayerSpec.conv(rng.standard_normal((3, 1, 3, 3)), np.ones(3), pad=1),
+            LayerSpec.relu(), LayerSpec.flatten(),
+            LayerSpec.dense(rng.standard_normal((5, 48)), np.zeros(5)),
+            LayerSpec.relu(), LayerSpec.flatten(),
+            LayerSpec.dense(rng.standard_normal((2, 5)), np.zeros(2)),
+            LayerSpec.softmax(),
+        ])
+        plan = PrunePlan(keep={0: np.array([0, 2])}, threshold=0.0)
+        pruned = self._check_against_masked(net, plan)
+        assert pruned.layers[3].weights.shape == (5, 32)
+        np.testing.assert_array_equal(pruned.layers[6].weights,
+                                      net.layers[6].weights)
 
     def test_conv_followed_by_a_pool_is_masked(self):
         from fisherprune.data import LabeledImage
