@@ -17,8 +17,12 @@ all of class 0 first, and per image in this order:
 4. size*size standard normals, the noise, scaled by 0.05.
 
 Each uniform is low + (high - low) * random(), as numpy's uniform computes
-it, so the images equal those of per-image uniform/normal calls bit for
-bit. The array work (ellipse masks, strokes, noise add, clip, float32
+it, and each integer is read as Generator.integers reads it: Lemire's
+multiply-shift bounded draw on the 32-bit halves of the bit generator's raw
+words, low half first, the unread high half held in the bit generator's
+own state. So the images equal those of per-image uniform/normal/integers
+calls bit for bit, and tests check every draw and state against
+rng.integers. The array work (ellipse masks, strokes, noise add, clip, float32
 cast) runs per block of BLOCK_PIXELS // size**2 images.
 """
 
@@ -88,25 +92,62 @@ def _split(per_class):
                         n0=len(per_class[0]), n1=len(per_class[1]))
 
 
+def _bounded_integers(bitgen):
+    """(draw, done): draw(lo, hi) on Python ints is Generator.integers(lo, hi)
+    bit for bit, a Lemire draw redrawn while the product's low half is below
+    2**32 mod (hi - lo); done() writes the held half back, as numpy leaves it.
+    numpy's float draws read whole raw words and leave the half alone."""
+    state = bitgen.state
+    has, half = state["has_uint32"], state["uinteger"]
+    raw = bitgen.random_raw
+
+    def draw(lo, hi):
+        nonlocal has, half
+        excl = hi - lo
+        if excl == 1:
+            return lo
+        if not 1 < excl <= 2 ** 32:
+            raise ConfigurationError(f"integers({lo}, {hi}): need 1 <= "
+                                     "high - low <= 2**32")
+        while True:  # the next 32 bits: the held high half, else a new word
+            if has:
+                has, m = 0, half * excl
+            else:
+                word = raw()
+                has, half, m = 1, word >> 32, (word & 0xFFFFFFFF) * excl
+            if m & 0xFFFFFFFF >= (2 ** 32 - excl) % excl:
+                return lo + (m >> 32)
+
+    def done():
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = has, half
+        bitgen.state = state
+
+    return draw, done
+
+
 def _synthesize(rng, size, label, count):
     """count images of one class as a (count, size, size) float32 block.
 
     The generator is read image by image in the module docstring's order;
     the masks, strokes, noise add, clip and cast then run over the block.
     """
+    size = int(size)
     params = np.empty((count, 5))
     noise = np.empty((count, size, size))
     strokes = []
+    integers, done = _bounded_integers(rng.bit_generator)
     for k in range(count):
         params[k] = _ELLIPSE_LOW + _ELLIPSE_SPAN * rng.random(5)
-        for _ in range(int(rng.integers(2, 5))):
-            pos = int(rng.integers(2, size - 2))
-            thick = int(rng.integers(1, 3))
-            lo = int(rng.integers(0, size // 3))
-            hi = int(rng.integers(2 * size // 3, size))
+        for _ in range(integers(2, 5)):
+            pos = integers(2, size - 2)
+            thick = integers(1, 3)
+            lo = integers(0, size // 3)
+            hi = integers(2 * size // 3, size)
             bright = _BRIGHT_LOW + _BRIGHT_SPAN * rng.random()
             strokes.append((k, pos, thick, lo, hi, bright))
         rng.standard_normal(out=noise[k])
+    done()
     noise *= 0.05
     cy, cx, ry, rx, level = params.T[:, :, None, None]
     ys = np.arange(size)[:, None]

@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from .errors import (
-    BadMagicError, DimensionError, HeaderSchemaError, NonFiniteWeightsError,
-    ShapeChainError, TruncatedBlobError,
+    BadMagicError, DimensionError, HeaderSchemaError, NonFiniteError,
+    NonFiniteWeightsError, ShapeChainError, TruncatedBlobError,
 )
 from .network import LayerSpec, Network
 
@@ -48,7 +48,8 @@ _TENSOR_FIELDS = ("weights", "bias")
 
 
 def _collect_tensors(net: Network, classifier=None):
-    """Flatten all parameter arrays into (header_layers, directory, blobs)."""
+    """Flatten all parameter arrays into (header_layers, directory, blobs,
+    classifier section); a tensor non-finite as float32 is refused."""
     layers = []
     directory = {}
     blobs = []
@@ -57,6 +58,8 @@ def _collect_tensors(net: Network, classifier=None):
     def put(name, arr):
         nonlocal offset
         a = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"tensor {name!r} holds NaN or infinity")
         directory[name] = {"shape": list(a.shape), "offset": offset}
         blobs.append(a.tobytes())
         offset += a.nbytes
@@ -82,6 +85,8 @@ def save_model(net: Network, path, provenance=None, classifier=None):
 
     provenance is a JSON-serializable dict recorded verbatim in the header.
     classifier, when given, is {"kind": str, "meta": dict, "tensors": {name: array}}.
+    A tensor or header value holding NaN or infinity raises NonFiniteError,
+    naming it, before the file is opened.
     """
     layers, directory, blobs, clf = _collect_tensors(net, classifier)
     header = {
@@ -93,9 +98,24 @@ def save_model(net: Network, path, provenance=None, classifier=None):
     }
     if clf is not None:
         header["classifier"] = clf
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    key = _nonfinite_key(header)
+    if key is not None:
+        raise NonFiniteError(f"header entry {key} is NaN or infinity")
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                     allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.writelines([MAGIC, struct.pack("<Q", len(raw)), raw, *blobs])
+
+
+def _nonfinite_key(value, where=""):
+    """The key path, such as ['classifier']['meta']['b'], of the first
+    non-finite float in a JSON-like value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, (list, tuple)) else ())
+    paths = (_nonfinite_key(item, f"{where}[{key!r}]") for key, item in items)
+    return next((path for path in paths if path is not None), None)
 
 
 def _require(value, kind, what):

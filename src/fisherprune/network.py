@@ -173,6 +173,9 @@ def forward(net: Network, x: Tensor, record=False, hook=None):
     only when record=True; the output is bitwise the same either way. Layer
     failures are re-raised with the layer index prepended.
     """
+    if not isinstance(x, Tensor):
+        raise ConfigurationError(f"network input must be a Tensor, got "
+                                 f"{type(x).__name__}")
     if tuple(x.shape) != tuple(net.input_shape):
         raise DimensionError(
             f"network expects input {net.input_shape}, got {x.shape}"

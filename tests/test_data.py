@@ -169,6 +169,75 @@ class TestMatchesPerImageGenerator:
             np.testing.assert_array_equal(s.image.data, img)
 
 
+def synthesize_ranges(size):
+    """The (low, high) of every integers draw _synthesize makes at size."""
+    return [(2, 5), (2, size - 2), (1, 3), (0, size // 3),
+            (2 * size // 3, size)]
+
+
+# excl 2**31 + 1 rejects about one word per draw, 3 * 2**30 one per three
+WIDE_RANGES = [(0, 2**31 + 1), (-5, 3 * 2**30 - 5), (0, 2**32),
+               (7, 2**32 + 7)]
+ONE_VALUE_RANGES = [(0, 1), (9, 10)]
+
+
+class TestBoundedIntegers:
+    """data._bounded_integers against rng.integers on a twin generator."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_draws_and_states_equal_integers(self, seed):
+        ranges = [r for size in (16, 32, 48, 512)
+                  for r in synthesize_ranges(size)]
+        ranges += WIDE_RANGES + ONE_VALUE_RANGES
+        calls = [lambda g: g.random(), lambda g: g.random(5),
+                 lambda g: g.standard_normal(3)]
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        integers, done = data._bounded_integers(got.bit_generator)
+        for step, (lo, hi) in enumerate(ranges * 20):
+            value = integers(lo, hi)
+            done()
+            assert type(value) is int
+            assert value == want.integers(lo, hi)
+            assert got.bit_generator.state == want.bit_generator.state
+            call = calls[step % len(calls)]
+            np.testing.assert_array_equal(call(got), call(want))
+
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("lo,hi", ONE_VALUE_RANGES)
+    def test_one_value_reads_no_word(self, held, lo, hi):
+        rng = np.random.default_rng(3)
+        if held:
+            rng.integers(0, 10)
+        before = rng.bit_generator.state
+        assert before["has_uint32"] == held
+        integers, done = data._bounded_integers(rng.bit_generator)
+        assert integers(lo, hi) == lo
+        done()
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("lo,hi", [(0, 2**32 + 1), (5, 5), (5, 4)])
+    def test_ranges_outside_one_to_2_32_refused(self, lo, hi):
+        integers, _ = data._bounded_integers(
+            np.random.default_rng(0).bit_generator)
+        with pytest.raises(ConfigurationError, match="2\\*\\*32"):
+            integers(lo, hi)
+
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("size,label,count", [
+        (16, 0, 5), (32, 1, 16), (48, 0, 3)])
+    def test_block_equals_per_image_generator(self, held, size, label, count):
+        block, per_image = (np.random.default_rng(11) for _ in range(2))
+        if held:
+            block.integers(0, 10)
+            per_image.integers(0, 10)
+        assert block.bit_generator.state["has_uint32"] == held
+        imgs = data._synthesize(block, size, label, count)
+        want = [oracles._synthesize(per_image, size, label)
+                for _ in range(count)]
+        assert imgs.tobytes() == np.stack(want).tobytes()
+        assert block.bit_generator.state == per_image.bit_generator.state
+
+
 class TestPgm:
     @pytest.fixture
     def corpus(self, tmp_path):

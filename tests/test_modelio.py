@@ -1,14 +1,15 @@
 """Container round trips and the three ways a file can be broken."""
 
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from fisherprune.errors import (
-    BadMagicError, HeaderSchemaError, ModelFormatError, NonFiniteWeightsError,
-    ShapeChainError, TruncatedBlobError,
+    BadMagicError, HeaderSchemaError, ModelFormatError, NonFiniteError,
+    NonFiniteWeightsError, ShapeChainError, TruncatedBlobError,
 )
 from fisherprune.modelio import (
     MAGIC, load_model, model_param_count, save_model,
@@ -228,9 +229,57 @@ class TestNonFiniteTensors:
 
     def test_classifier_tensors_checked_too(self, net, tmp_path):
         path = tmp_path / "with_head.ldap1"
-        means = np.ones((2, 4), dtype=np.float32)
-        means[1, 2] = np.nan
         save_model(net, str(path), classifier={
-            "kind": "qda", "meta": {}, "tensors": {"means": means}})
+            "kind": "qda", "meta": {},
+            "tensors": {"means": np.ones((2, 4), dtype=np.float32)}})
+        poke_tensor(path, "classifier.means", 6, float("nan"))
         with pytest.raises(NonFiniteWeightsError, match="classifier.means"):
             load_model(str(path))
+
+
+class TestSaveRefusesNonFinite:
+    """save_model writes only files that load_model and a strict JSON
+    reader accept; a refused save leaves no file."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("index,value", [
+        (0, np.nan), (3, np.inf), (5, -np.inf), (7, 1e300)])
+    def test_weight_tensor(self, net, tmp_path, index, value):
+        net.layers[0].weights = net.layers[0].weights.astype(np.float64)
+        net.layers[0].weights.flat[index] = value  # 1e300 overflows float32
+        path = tmp_path / "net.ldap1"
+        with pytest.raises(NonFiniteError, match="'layer0.weights'"):
+            save_model(net, str(path))
+        assert not path.exists()
+
+    def test_classifier_tensor(self, net, tmp_path):
+        means = np.ones((2, 4), dtype=np.float32)
+        means[1, 2] = np.nan
+        path = tmp_path / "net.ldap1"
+        with pytest.raises(NonFiniteError, match="'classifier.means'"):
+            save_model(net, str(path), classifier={
+                "kind": "qda", "meta": {}, "tensors": {"means": means}})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("provenance,classifier,key", [
+        ({}, {"kind": "svml", "meta": {"b": np.inf}, "tensors": {}},
+         "['classifier']['meta']['b']"),
+        ({"grid": [0.1, float("nan")]}, None, "['provenance']['grid'][1]"),
+        ({"run": {"loss": -np.inf}}, None, "['provenance']['run']['loss']"),
+    ], ids=["meta", "provenance_list", "provenance_dict"])
+    def test_header_value(self, net, tmp_path, provenance, classifier, key):
+        path = tmp_path / "net.ldap1"
+        with pytest.raises(NonFiniteError, match=re.escape(key)):
+            save_model(net, str(path), provenance=provenance,
+                       classifier=classifier)
+        assert not path.exists()
+
+    def test_finite_file_is_strict_json(self, net, saved):
+        data = saved.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", data, len(MAGIC))
+        start = len(MAGIC) + 8
+
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        json.loads(data[start:start + hlen], parse_constant=refuse)

@@ -114,6 +114,14 @@ class TestForward:
         with pytest.raises(DimensionError, match="layer 0"):
             forward(net, x)
 
+    @pytest.mark.parametrize("walk", [forward, logits])
+    @pytest.mark.parametrize("x", [
+        np.zeros((1, 8, 8), dtype=np.float32), np.zeros((1, 8, 8)).tolist()],
+        ids=["ndarray", "list"])
+    def test_non_tensor_input_refused(self, walk, x):
+        with pytest.raises(ConfigurationError, match="must be a Tensor"):
+            walk(tiny_net(), x)
+
     def test_logits_skips_softmax(self):
         net = tiny_net()
         x = Tensor(np.random.default_rng(1).random((1, 8, 8)).astype(np.float32))
