@@ -10,6 +10,7 @@ from __future__ import annotations
 import statistics
 import time
 
+from .errors import require_int
 from .network import Network, forward
 from .tensor import Tensor
 
@@ -34,8 +35,9 @@ def time_network(net: Network, image: Tensor, runs=30):
     (layer_index, kind, median_ms). Layer times are laps between the
     outputs of whole forward passes, taken by a forward hook; the total is
     timed on passes without the hook. Each of the two loops runs WARMUP
-    untimed passes, then `runs` timed ones.
+    untimed passes, then `runs` timed ones; runs must be an int >= 1.
     """
+    require_int("runs", runs, 1)
     laps = [[] for _ in net.layers]
     last = 0
 

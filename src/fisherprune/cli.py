@@ -175,7 +175,7 @@ def cmd_prune(args, split):
                      f"(eps_acc={args.eps_acc})")
     chosen = next(r for r in reports if r.threshold == t_0)
     plan, rate, final_acc = chosen.plan, chosen.conv_rate, chosen.acc_after
-    dev = prune.equivalence_check(net, plan, split.test[:20] or split.train[:20])
+    dev = prune.equivalence_check(net, plan, split.test[:20])
     sel = [int(n) for n in ranking.selected]
     modelio.save_model(chosen.net, os.path.join(args.out, "pruned.ldap1"),
                        provenance={"command": "prune", **_manifest(args),

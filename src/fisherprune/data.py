@@ -29,6 +29,7 @@ cast) runs per block of BLOCK_PIXELS // size**2 images.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,35 +189,26 @@ def generate_synthetic(n_per_class, size=32, seed=0):
     return _split(per_class)
 
 
+# P5, then width, height and maxval, each after whitespace or # comments,
+# then the one whitespace byte that ends the header
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def _read_pgm(path):
     """Binary PGM (P5) -> float array in [0,1]. Comments are honored."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
         raise ConfigurationError(f"{path}: not a binary PGM (P5) file")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token.isdigit():
-            raise ConfigurationError(f"{path}: unreadable header field {token!r}")
-        fields.append(int(token))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ConfigurationError(f"{path}: unreadable PGM header")
+    width, height, maxval = (int(v) for v in header.groups())
     if width < 1 or height < 1:
         raise ConfigurationError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise ConfigurationError(f"{path}: maxval must be 255, got {maxval}")
-    raw = data[pos:pos + width * height]
+    raw = data[header.end():header.end() + width * height]
     if len(raw) < width * height:
         raise ConfigurationError(f"{path}: pixel data truncated")
     img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)

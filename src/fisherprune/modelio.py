@@ -30,21 +30,9 @@ from .errors import (
     BadMagicError, DimensionError, HeaderSchemaError, NonFiniteError,
     NonFiniteWeightsError, ShapeChainError, TruncatedBlobError,
 )
-from .network import LayerSpec, Network
+from .network import LAYER_FIELDS, LayerSpec, Network
 
 MAGIC = b"LDAP1"
-
-
-# Header fields of each layer kind besides "kind": name -> default, None
-# when the field is required. "weights" and "bias" name tensors in the
-# directory; every other field is an int.
-_LAYER_FIELDS = {
-    "conv": {"weights": None, "bias": None, "stride": 1, "pad": 0},
-    "dense": {"weights": None, "bias": None},
-    "maxpool": {"window": None, "stride": None},
-    "relu": {}, "flatten": {}, "softmax": {},
-}
-_TENSOR_FIELDS = ("weights", "bias")
 
 
 def _collect_tensors(net: Network, classifier=None):
@@ -67,9 +55,9 @@ def _collect_tensors(net: Network, classifier=None):
 
     for i, layer in enumerate(net.layers):
         entry = {"kind": layer.kind}
-        for key in _LAYER_FIELDS[layer.kind]:
+        for key in LAYER_FIELDS[layer.kind]:
             entry[key] = (put(f"layer{i}.{key}", getattr(layer, key))
-                          if key in _TENSOR_FIELDS else getattr(layer, key))
+                          if key in ("weights", "bias") else getattr(layer, key))
         layers.append(entry)
 
     clf_section = None if classifier is None else {
@@ -181,16 +169,16 @@ def load_model(path):
         where = f"{path}: layer {i}"
         kind = _require(_require(entry, dict, where).get("kind"), str,
                         f"{where} 'kind'")
-        if kind not in _LAYER_FIELDS:
+        if kind not in LAYER_FIELDS:
             raise ShapeChainError(f"layer {i}: unknown kind {kind!r}")
         fields = {}
-        for key, default in _LAYER_FIELDS[kind].items():
-            value = entry.get(key, default)
-            fields[key] = (
-                _read_tensor(blob, directory, _require(value, str, f"{where} {key!r}"))
-                if key in _TENSOR_FIELDS else _require(value, int, f"{where} {key!r}"))
+        for key, default in LAYER_FIELDS[kind].items():
+            tensor = key in ("weights", "bias")
+            value = _require(entry.get(key, default), str if tensor else int,
+                             f"{where} {key!r}")
+            fields[key] = _read_tensor(blob, directory, value) if tensor else value
         try:
-            layers.append(getattr(LayerSpec, kind)(**fields))
+            layers.append(LayerSpec(kind, **fields))
         except DimensionError as exc:
             raise ShapeChainError(f"layer {i}: {exc}") from None
 

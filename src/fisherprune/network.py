@@ -17,6 +17,7 @@ two walks differ only in their relu and max-pool rules.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,16 +26,28 @@ from . import ops
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor
 
-LAYER_KINDS = ("conv", "relu", "maxpool", "flatten", "dense", "softmax")
+# Fields of each layer kind besides "kind": name -> default, None when the
+# field is required. "weights" and "bias" are tensors, listed in the order
+# the model container writes them; every other field is an int.
+LAYER_FIELDS = {
+    "conv": {"weights": None, "bias": None, "stride": 1, "pad": 0},
+    "dense": {"weights": None, "bias": None},
+    "maxpool": {"window": None, "stride": None},
+    "relu": {}, "flatten": {}, "softmax": {},
+}
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
 class LayerSpec:
-    """One layer of a sequential network.
+    """One layer of a sequential network, made as LayerSpec(kind, ...).
 
-    kind is one of conv / relu / maxpool / flatten / dense / softmax.
-    weights and bias are populated for conv ((O,C,kh,kw) and (O,)) and
-    dense ((m,n) and (m,)) layers only.
+    kind is a key of LAYER_FIELDS. weights and bias are populated for conv
+    ((O,C,kh,kw) and (O,)) and dense ((m,n) and (m,)) layers only, stored
+    as contiguous float32. Geometry ranges are left to infer_shapes.
     """
 
     kind: str
@@ -45,44 +58,26 @@ class LayerSpec:
     window: int = 0
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in LAYER_FIELDS:
             raise ConfigurationError(f"unknown layer kind {self.kind!r}")
-
-    @classmethod
-    def conv(cls, weights, bias, stride=1, pad=0):
-        w = np.ascontiguousarray(weights, dtype=np.float32)
-        b = np.ascontiguousarray(bias, dtype=np.float32).reshape(-1)
-        if w.ndim != 4:
-            raise DimensionError(f"conv weights must be (O,C,kh,kw), got {w.shape}")
-        if b.shape[0] != w.shape[0]:
-            raise DimensionError("conv bias length must match out channels")
-        return cls("conv", weights=w, bias=b, stride=stride, pad=pad)
-
-    @classmethod
-    def relu(cls):
-        return cls("relu")
-
-    @classmethod
-    def maxpool(cls, window, stride):
-        return cls("maxpool", window=window, stride=stride)
-
-    @classmethod
-    def flatten(cls):
-        return cls("flatten")
-
-    @classmethod
-    def dense(cls, weights, bias):
-        w = np.ascontiguousarray(weights, dtype=np.float32)
-        b = np.ascontiguousarray(bias, dtype=np.float32).reshape(-1)
-        if w.ndim != 2:
-            raise DimensionError(f"dense weights must be (m,n), got {w.shape}")
-        if b.shape[0] != w.shape[0]:
-            raise DimensionError("dense bias length must match out dim")
-        return cls("dense", weights=w, bias=b)
-
-    @classmethod
-    def softmax(cls):
-        return cls("softmax")
+        for name in ("stride", "pad", "window"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(
+                    f"{self.kind} {name} must be an int, got {value!r}")
+        if "weights" not in LAYER_FIELDS[self.kind]:
+            return
+        if self.weights is None or self.bias is None:
+            raise ConfigurationError(f"{self.kind} layer needs weights and bias")
+        self.weights = np.ascontiguousarray(self.weights, dtype=np.float32)
+        self.bias = np.ascontiguousarray(self.bias, dtype=np.float32).reshape(-1)
+        rank = 4 if self.kind == "conv" else 2
+        if self.weights.ndim != rank:
+            raise DimensionError(f"{self.kind} weights must have rank {rank}, "
+                                 f"got shape {self.weights.shape}")
+        if self.bias.shape[0] != self.weights.shape[0]:
+            raise DimensionError(f"{self.kind} bias length must match its "
+                                 f"{self.weights.shape[0]} outputs")
 
     def param_count(self):
         n = 0
@@ -103,8 +98,8 @@ class Network:
     def infer_shapes(self):
         """Shape of each layer's output, validating the whole chain."""
         shape = tuple(self.input_shape)
-        if any(s < 1 for s in shape):
-            raise DimensionError(f"input extents must be >= 1, got {shape}")
+        if not all(_is_int(s) and s >= 1 for s in shape):
+            raise DimensionError(f"input extents must be >= 1 and ints, got {shape}")
         out = []
         for i, layer in enumerate(self.layers):
             try:
@@ -286,22 +281,20 @@ def build_cnn(input_shape, conv_plan, dense_plan, n_classes, seed=0):
     for out_c, k, pad, pool in conv_plan:
         kw = kaiming_uniform(rng, (out_c, c, k, k), c * k * k)
         kb = np.zeros(out_c, dtype=np.float32)
-        layers += [LayerSpec.conv(kw, kb, stride=1, pad=pad), LayerSpec.relu()]
+        layers += [LayerSpec("conv", kw, kb, pad=pad), LayerSpec("relu")]
         if pool:
-            layers.append(LayerSpec.maxpool(2, 2))
+            layers.append(LayerSpec("maxpool", window=2, stride=2))
         c = out_c
-    layers.append(LayerSpec.flatten())
+    layers.append(LayerSpec("flatten"))
     n, = Network(tuple(input_shape), layers).infer_shapes()[-1]
     for width in dense_plan:
         dw = kaiming_uniform(rng, (width, n), n)
         db = np.zeros(width, dtype=np.float32)
-        layers.append(LayerSpec.dense(dw, db))
-        layers.append(LayerSpec.relu())
+        layers += [LayerSpec("dense", dw, db), LayerSpec("relu")]
         n = width
     dw = kaiming_uniform(rng, (n_classes, n), n)
     db = np.zeros(n_classes, dtype=np.float32)
-    layers.append(LayerSpec.dense(dw, db))
-    layers.append(LayerSpec.softmax())
+    layers += [LayerSpec("dense", dw, db), LayerSpec("softmax")]
     net = Network(tuple(input_shape), layers)
     net.infer_shapes()
     return net

@@ -159,6 +159,8 @@ def masked_forward(net: Network, plan: PrunePlan, image):
 
 def equivalence_check(net: Network, plan: PrunePlan, images) -> float:
     """Max relative logit deviation between pruned and masked semantics."""
+    if len(images) == 0:
+        raise ConfigurationError("evaluation set is empty")
     pruned = apply_prune(net, plan)
     worst = 0.0
     for sample in images:

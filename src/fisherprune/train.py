@@ -76,12 +76,14 @@ class TrainResult:
 
 
 def accuracy(net, images, labels):
+    if len(labels) == 0:
+        raise ConfigurationError("evaluation set is empty")
     hit = 0
     for img, lab in zip(images, labels):
         p = forward(net, Tensor(img))
         if int(np.argmax(p.data)) == int(lab):
             hit += 1
-    return hit / max(len(labels), 1)
+    return hit / len(labels)
 
 
 def _first_non_finite_layer(net, x):

@@ -292,6 +292,21 @@ class TestFailureExits:
                        "test split\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", "1"],
+        ["prune", "--threshold", "0.3", "--epochs", "0", "--dep-images", "2"],
+        ["sweep", "--grid", "0.3:0.5:0.1", "--epochs", "0", "--dep-images", "2"],
+    ], ids=["train", "prune", "sweep"])
+    def test_an_empty_test_split_is_refused(self, piperun, tmp_path, capsys,
+                                            argv):
+        model = ["--model", os.path.join(piperun, "model.ldap1")]
+        rc = main(argv + ["--out", str(tmp_path), "--n-per-class", "2"]
+                  + (model if argv[0] != "train" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigurationError: evaluation set is empty\n"
+        assert os.listdir(tmp_path) == []
+
     def test_zero_input_extent_model_is_refused(self, tmp_path, capsys):
         model = tmp_path / "zero.ldap1"
         save_model(zero_extent_net(), str(model))

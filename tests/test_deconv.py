@@ -66,15 +66,15 @@ def pool_before_relu_net(seed=7):
     """The last conv is followed by a max-pool, then the relu."""
     rng = np.random.default_rng(seed)
     net = Network((1, 8, 8), [
-        LayerSpec.conv(rng.standard_normal((2, 1, 3, 3)), np.zeros(2), pad=1),
-        LayerSpec.relu(),
-        LayerSpec.conv(rng.standard_normal((3, 2, 3, 3)),
-                       rng.standard_normal(3), pad=1),
-        LayerSpec.maxpool(2, 2),
-        LayerSpec.relu(),
-        LayerSpec.flatten(),
-        LayerSpec.dense(rng.standard_normal((2, 48)), np.zeros(2)),
-        LayerSpec.softmax(),
+        LayerSpec("conv", rng.standard_normal((2, 1, 3, 3)), np.zeros(2), pad=1),
+        LayerSpec("relu"),
+        LayerSpec("conv", rng.standard_normal((3, 2, 3, 3)),
+                  rng.standard_normal(3), pad=1),
+        LayerSpec("maxpool", window=2, stride=2),
+        LayerSpec("relu"),
+        LayerSpec("flatten"),
+        LayerSpec("dense", rng.standard_normal((2, 48)), np.zeros(2)),
+        LayerSpec("softmax"),
     ])
     net.infer_shapes()
     return net
@@ -84,10 +84,10 @@ def passthrough_net():
     """1x1 identity conv: the walk must come back as the same one-hot."""
     w = np.ones((1, 1, 1, 1), dtype=np.float32)
     b = np.zeros(1, dtype=np.float32)
-    dense = LayerSpec.dense(np.ones((2, 16), dtype=np.float32), np.zeros(2))
+    dense = LayerSpec("dense", np.ones((2, 16), dtype=np.float32), np.zeros(2))
     return Network((1, 4, 4), [
-        LayerSpec.conv(w, b), LayerSpec.relu(), LayerSpec.flatten(),
-        dense, LayerSpec.softmax(),
+        LayerSpec("conv", w, b), LayerSpec("relu"), LayerSpec("flatten"),
+        dense, LayerSpec("softmax"),
     ])
 
 

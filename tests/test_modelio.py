@@ -44,9 +44,9 @@ def zero_extent_net():
     """conv 3x3 pad 2 -> relu -> flatten -> softmax on a (1, 1, 4) input; its
     header's input_shape is what the zero-extent tests rewrite."""
     w = np.ones((2, 1, 3, 3), dtype=np.float32)
-    return Network((1, 1, 4), [LayerSpec.conv(w, np.ones(2), pad=2),
-                               LayerSpec.relu(), LayerSpec.flatten(),
-                               LayerSpec.softmax()])
+    return Network((1, 1, 4), [LayerSpec("conv", w, np.ones(2), pad=2),
+                               LayerSpec("relu"), LayerSpec("flatten"),
+                               LayerSpec("softmax")])
 
 
 class TestRoundTrip:

@@ -25,11 +25,31 @@ class TestLayerSpec:
 
     def test_conv_weight_rank_checked(self):
         with pytest.raises(DimensionError):
-            LayerSpec.conv(np.zeros((3, 3, 3)), np.zeros(3))
+            LayerSpec("conv", np.zeros((3, 3, 3)), np.zeros(3))
 
     def test_bias_length_checked(self):
         with pytest.raises(DimensionError):
-            LayerSpec.conv(np.zeros((2, 1, 3, 3)), np.zeros(5))
+            LayerSpec("conv", np.zeros((2, 1, 3, 3)), np.zeros(5))
+
+    def test_conv_without_tensors_is_refused(self):
+        with pytest.raises(ConfigurationError, match="conv layer needs weights"):
+            Network((1, 8, 8), [LayerSpec("conv")]).infer_shapes()
+
+    @pytest.mark.parametrize("stride", [1.5, True])
+    def test_non_int_conv_stride_is_refused(self, stride):
+        w = np.ones((2, 1, 3, 3), dtype=np.float32)
+        with pytest.raises(ConfigurationError, match="conv stride must be an int"):
+            LayerSpec("conv", w, np.ones(2), stride=stride)
+
+    def test_string_pool_window_is_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match="maxpool window must be an int, got '2'"):
+            LayerSpec("maxpool", window="2", stride=2)
+
+    def test_non_int_input_extent_is_refused(self):
+        net = Network((1, 8.0, 8), tiny_net().layers)
+        with pytest.raises(DimensionError, match="input extents must be >= 1 and ints"):
+            net.infer_shapes()
 
 
 class TestShapeInference:
@@ -63,7 +83,7 @@ class TestShapeInference:
     @pytest.mark.parametrize("kernel,pad", [((3, 5), 3), ((5, 2), 2)])
     def test_pad_must_be_below_both_kernel_extents(self, kernel, pad):
         w = np.zeros((2, 1) + kernel, dtype=np.float32)
-        net = Network((1, 6, 6), [LayerSpec.conv(w, np.zeros(2), pad=pad)])
+        net = Network((1, 6, 6), [LayerSpec("conv", w, np.zeros(2), pad=pad)])
         with pytest.raises(ConfigurationError,
                            match=rf"layer 0 \(conv\): pad {pad} must be below"):
             net.infer_shapes()
@@ -71,17 +91,17 @@ class TestShapeInference:
     @pytest.mark.parametrize("input_shape", [(1, 0, 4), (1, -1, 4)])
     def test_input_extent_below_one_rejected(self, input_shape):
         w = np.ones((2, 1, 3, 3), dtype=np.float32)
-        net = Network(input_shape, [LayerSpec.conv(w, np.ones(2), pad=2)])
+        net = Network(input_shape, [LayerSpec("conv", w, np.ones(2), pad=2)])
         with pytest.raises(DimensionError, match="input extents must be >= 1"):
             net.infer_shapes()
 
     def test_zero_wide_dense_input_rejected(self):
-        net = Network((0,), [LayerSpec.dense(np.zeros((2, 0)), np.zeros(2))])
+        net = Network((0,), [LayerSpec("dense", np.zeros((2, 0)), np.zeros(2))])
         with pytest.raises(DimensionError, match="input extents must be >= 1"):
             net.infer_shapes()
 
     def test_last_conv_requires_a_conv(self):
-        net = Network((4,), [LayerSpec.dense(np.zeros((2, 4)), np.zeros(2))])
+        net = Network((4,), [LayerSpec("dense", np.zeros((2, 4)), np.zeros(2))])
         with pytest.raises(ConfigurationError):
             net.last_conv_index()
 
@@ -173,6 +193,12 @@ class TestForwardHook:
         assert all(ms > 0 for _, _, ms in per_layer)
         assert total > 0
 
+    @pytest.mark.parametrize("runs", [0, -1, 2.0, True])
+    def test_time_network_refuses_runs_below_one_or_not_int(self, runs):
+        x = Tensor(np.zeros((1, 8, 8), dtype=np.float32))
+        with pytest.raises(ConfigurationError, match="runs must be"):
+            time_network(tiny_net(), x, runs=runs)
+
 
 class TestBuilders:
     def test_same_seed_same_weights(self):
@@ -204,16 +230,16 @@ def overlapping_pool_net(seed=5):
     """Two conv blocks pooled by 3x3 windows at strides 2 and 1."""
     rng = np.random.default_rng(seed)
     layers = [
-        LayerSpec.conv(rng.standard_normal((3, 1, 3, 3)), np.zeros(3), pad=1),
-        LayerSpec.relu(),
-        LayerSpec.maxpool(3, 2),  # 9x9 -> 4x4
-        LayerSpec.conv(rng.standard_normal((4, 3, 3, 3)),
-                       rng.standard_normal(4), pad=1),
-        LayerSpec.relu(),
-        LayerSpec.maxpool(3, 1),  # 4x4 -> 2x2
-        LayerSpec.flatten(),
-        LayerSpec.dense(rng.standard_normal((2, 16)), np.zeros(2)),
-        LayerSpec.softmax(),
+        LayerSpec("conv", rng.standard_normal((3, 1, 3, 3)), np.zeros(3), pad=1),
+        LayerSpec("relu"),
+        LayerSpec("maxpool", window=3, stride=2),  # 9x9 -> 4x4
+        LayerSpec("conv", rng.standard_normal((4, 3, 3, 3)),
+                  rng.standard_normal(4), pad=1),
+        LayerSpec("relu"),
+        LayerSpec("maxpool", window=3, stride=1),  # 4x4 -> 2x2
+        LayerSpec("flatten"),
+        LayerSpec("dense", rng.standard_normal((2, 16)), np.zeros(2)),
+        LayerSpec("softmax"),
     ]
     net = Network((1, 9, 9), layers)
     net.infer_shapes()

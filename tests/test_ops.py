@@ -425,7 +425,7 @@ class TestShapeRulesAgree:
             x = rng.standard_normal((c, h, w) if rng.random() > 0.05 else (c, h))
             k = rng.standard_normal((o, kc, kh, kw))
             b = rng.standard_normal(o)
-            layer = LayerSpec.conv(k, b, stride=stride, pad=pad)
+            layer = LayerSpec("conv", k, b, stride=stride, pad=pad)
             inferred = shape_or_error(
                 lambda: Network(x.shape, [layer]).infer_shapes()[0])
             rule = shape_or_error(lambda: ops.conv_shape(x.shape, k.shape, stride, pad))
@@ -458,7 +458,8 @@ class TestShapeRulesAgree:
             stride = int(rng.integers(0, 4))
             x = rng.standard_normal((c, h, w) if rng.random() > 0.05 else (h, w))
             inferred = shape_or_error(lambda: Network(x.shape, [
-                LayerSpec.maxpool(window, stride)]).infer_shapes()[0])
+                LayerSpec("maxpool", window=window, stride=stride),
+            ]).infer_shapes()[0])
             for switches in (True, False):
                 got = shape_or_error(lambda: ops.maxpool_forward(
                     x, window, stride, switches=switches)[0].shape)
@@ -474,7 +475,7 @@ class TestShapeRulesAgree:
             wt = rng.standard_normal((m, n + int(rng.random() < 0.4)))
             b = rng.standard_normal(m)
             inferred = shape_or_error(lambda: Network(x.shape, [
-                LayerSpec.dense(wt, b)]).infer_shapes()[0])
+                LayerSpec("dense", wt, b)]).infer_shapes()[0])
             got = shape_or_error(lambda: ops.dense_forward(x, wt, b).shape)
             assert got == inferred, (x.shape, wt.shape)
             seen[isinstance(inferred, tuple)] += 1

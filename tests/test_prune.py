@@ -69,10 +69,11 @@ def pool_first_net(seed=21):
         return rng.standard_normal(shape).astype(np.float32)
 
     return Network((1, 8, 8), [
-        LayerSpec.conv(draw(3, 1, 3, 3), draw(3), pad=1), LayerSpec.maxpool(2, 2),
-        LayerSpec.relu(), LayerSpec.conv(draw(4, 3, 3, 3), draw(4), pad=1),
-        LayerSpec.relu(), LayerSpec.flatten(), LayerSpec.dense(draw(2, 64), draw(2)),
-        LayerSpec.softmax(),
+        LayerSpec("conv", draw(3, 1, 3, 3), draw(3), pad=1),
+        LayerSpec("maxpool", window=2, stride=2),
+        LayerSpec("relu"), LayerSpec("conv", draw(4, 3, 3, 3), draw(4), pad=1),
+        LayerSpec("relu"), LayerSpec("flatten"),
+        LayerSpec("dense", draw(2, 64), draw(2)), LayerSpec("softmax"),
     ])
 
 
@@ -177,8 +178,8 @@ class TestApplyPrune:
             apply_prune(net, plan)
 
     def test_net_without_conv_layers_rejected(self):
-        net = Network((4,), [LayerSpec.dense(np.ones((2, 4)), np.zeros(2)),
-                             LayerSpec.softmax()])
+        net = Network((4,), [LayerSpec("dense", np.ones((2, 4)), np.zeros(2)),
+                             LayerSpec("softmax")])
         plan = PrunePlan(keep={}, threshold=0.0)
         x = Tensor(np.zeros(4, dtype=np.float32))
         with pytest.raises(DimensionError, match="no conv layer"):
@@ -207,6 +208,11 @@ class TestMaskedSemantics:
         for threshold in (0.0, 0.3, 0.5, 0.95):
             plan = build_prune_plan(toy_table(), [1, 2], threshold)
             assert equivalence_check(net, plan, images) <= 1e-6
+
+    def test_equivalence_check_refuses_an_empty_set(self):
+        plan = build_prune_plan(toy_table(), [1, 2], 0.5)
+        with pytest.raises(ConfigurationError, match="evaluation set is empty"):
+            equivalence_check(toy_net(), plan, [])
 
     def test_logit_helpers_agree(self):
         net = toy_net()
@@ -255,10 +261,10 @@ class TestMaskedSemantics:
     def test_flatten_of_a_flattened_map_is_a_reshape(self):
         rng = np.random.default_rng(8)
         net = Network((1, 4, 4), [
-            LayerSpec.conv(rng.standard_normal((3, 1, 3, 3)), np.ones(3), pad=1),
-            LayerSpec.flatten(), LayerSpec.flatten(),
-            LayerSpec.dense(rng.standard_normal((2, 48)), np.zeros(2)),
-            LayerSpec.softmax(),
+            LayerSpec("conv", rng.standard_normal((3, 1, 3, 3)), np.ones(3), pad=1),
+            LayerSpec("flatten"), LayerSpec("flatten"),
+            LayerSpec("dense", rng.standard_normal((2, 48)), np.zeros(2)),
+            LayerSpec("softmax"),
         ])
         for kept in ([1], [0, 2]):
             plan = PrunePlan(keep={0: np.array(kept)}, threshold=0.0)
@@ -268,12 +274,12 @@ class TestMaskedSemantics:
     def test_flatten_after_a_dense_layer_is_a_reshape(self):
         rng = np.random.default_rng(9)
         net = Network((1, 4, 4), [
-            LayerSpec.conv(rng.standard_normal((3, 1, 3, 3)), np.ones(3), pad=1),
-            LayerSpec.relu(), LayerSpec.flatten(),
-            LayerSpec.dense(rng.standard_normal((5, 48)), np.zeros(5)),
-            LayerSpec.relu(), LayerSpec.flatten(),
-            LayerSpec.dense(rng.standard_normal((2, 5)), np.zeros(2)),
-            LayerSpec.softmax(),
+            LayerSpec("conv", rng.standard_normal((3, 1, 3, 3)), np.ones(3), pad=1),
+            LayerSpec("relu"), LayerSpec("flatten"),
+            LayerSpec("dense", rng.standard_normal((5, 48)), np.zeros(5)),
+            LayerSpec("relu"), LayerSpec("flatten"),
+            LayerSpec("dense", rng.standard_normal((2, 5)), np.zeros(2)),
+            LayerSpec("softmax"),
         ])
         plan = PrunePlan(keep={0: np.array([0, 2])}, threshold=0.0)
         pruned = self._check_against_masked(net, plan)

@@ -116,6 +116,11 @@ class TestTrainLoop:
         assert result.final_train_acc == 1.0
         assert accuracy(net, images, labels) == 1.0
 
+    def test_accuracy_refuses_an_empty_set(self):
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        with pytest.raises(ConfigurationError, match="evaluation set is empty"):
+            accuracy(net, [], [])
+
     def test_same_seed_reproduces_weights(self):
         images, labels = toy_split()
         nets = []
