@@ -49,15 +49,20 @@ def _write_csv(path, header, rows):
 
 
 def _parse_grid(text):
+    """--grid lo:hi:step, or a bare T as the one-point grid T:T:1; bounds in
+    [0, 1], lo <= hi, a finite step > 0 and at most 1000 points."""
+    parts = text.split(":")
+    if len(parts) == 1:
+        parts += [text, "1"]
     try:
-        lo, hi, step = (float(p) for p in text.split(":"))
+        lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigurationError(
-            f"--grid must be lo:hi:step, got {text!r}"
+            f"--grid must be T or lo:hi:step, got {text!r}"
         ) from None
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ConfigurationError(f"--grid bounds must be finite, got {text!r}")
-    if step <= 0 or hi < lo:
+    if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
+        raise ConfigurationError(f"--grid thresholds must be in [0,1], got {text!r}")
+    if not (math.isfinite(step) and step > 0) or hi < lo:
         raise ConfigurationError(f"bad grid range {text!r}")
     span = (hi - lo) / step
     if span >= 999.5:  # round(span) + 1 points would pass 1000; also an inf span
@@ -130,16 +135,12 @@ def cmd_analyze(args, split):
 def _dependency_search(args, split):
     """prune and sweep's shared head: check every flag, then load, base
     accuracy, rank, dependency walk into dependencies.csv and the plateau
-    search over --grid (or over the one point --threshold). Returns
-    (net, base_acc, ranking, cfg, (t_0, reports))."""
+    search over --grid. Returns (net, base_acc, ranking, cfg, (t_0, reports))."""
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.dep_images < 0:
         raise ConfigurationError(
             f"--dep-images must be >= 0 (0 means all), got {args.dep_images}")
-    grid = _parse_grid(args.grid) if args.grid is not None else [args.threshold]
-    if not 0.0 <= grid[0] <= grid[-1] <= 1.0:  # grid points ascend
-        raise ConfigurationError(
-            f"thresholds must be in [0,1], got {args.grid or args.threshold}")
+    grid = _parse_grid(args.grid)
     if not (math.isfinite(args.eps_acc) and args.eps_acc > 0):
         raise ConfigurationError(f"--eps-acc must be finite and > 0, got {args.eps_acc}")
     net, _ = modelio.load_model(args.model)
@@ -160,19 +161,13 @@ def _dependency_search(args, split):
 
 
 def cmd_prune(args, split):
-    if (args.threshold is None) == (args.grid is None):
-        raise ConfigurationError("prune needs one of --threshold or --grid")
     net, base_acc, ranking, _, (t_0, reports) = _dependency_search(args, split)
-    lines = []
-    if args.grid is not None:
-        rows = [[f"{r.threshold:.6g}", f"{r.conv_rate:.6f}",
-                 f"{r.acc_before:.6f}", f"{r.acc_after:.6f}",
-                 int(bool(r.plan.forced_layers))] for r in reports]
-        _write_csv(os.path.join(args.out, "threshold_search.csv"),
-                   ["threshold", "conv_rate", "acc_before", "acc_after",
-                    "forced"], rows)
-        lines.append(f"prune: plateau threshold t0={t_0:.6g} "
-                     f"(eps_acc={args.eps_acc})")
+    rows = [[f"{r.threshold:.6g}", f"{r.conv_rate:.6f}", f"{r.acc_before:.6f}",
+             f"{r.acc_after:.6f}", int(bool(r.plan.forced_layers))]
+            for r in reports]
+    _write_csv(os.path.join(args.out, "threshold_search.csv"),
+               ["threshold", "conv_rate", "acc_before", "acc_after", "forced"],
+               rows)
     chosen = next(r for r in reports if r.threshold == t_0)
     plan, rate, final_acc = chosen.plan, chosen.conv_rate, chosen.acc_after
     dev = prune.equivalence_check(net, plan, split.test[:20])
@@ -185,7 +180,8 @@ def cmd_prune(args, split):
     rows = [[li, b, a, f"{1 - a / b:.6f}"] for li, (b, a) in sorted(counts.items())]
     _write_csv(os.path.join(args.out, "prune_report.csv"),
                ["layer", "params_before", "params_after", "reduction"], rows)
-    lines += [
+    lines = [
+        f"prune: plateau threshold t0={t_0:.6g} (eps_acc={args.eps_acc})",
         f"prune: selected={sel} threshold={t_0:.6g}",
         f"prune: conv parameter reduction {rate:.4f}",
         f"prune: pruned-vs-masked max relative deviation {dev:.3g}",
@@ -293,6 +289,7 @@ def _add_pruning(p):
                    help="base rate; retraining runs at a tenth of it")
     p.add_argument("--dep-images", type=int, default=60,
                    help="training images used for dependency pooling")
+    p.add_argument("--grid", required=True, help="T or lo:hi:step thresholds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,21 +324,18 @@ def build_parser():
     p = sub.add_parser("prune", help="prune by dependency threshold and retrain")
     _add_common(p)
     _add_pruning(p)
-    p.add_argument("--threshold", type=float, default=None, help="one-point grid")
-    p.add_argument("--grid", default=None, help="lo:hi:step plateau search")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("sweep", help="rate-vs-accuracy curves for both methods")
     _add_common(p)
     _add_pruning(p)
-    p.add_argument("--grid", required=True, help="lo:hi:step thresholds")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a model or classifier head")
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--classifier", default="fc",
-                   choices=["fc", "qda", "svml", "svmr"])
+                   choices=["fc", *classify._HEADS])
     p.add_argument("--lam", type=float, default=1e-3, help="qda ridge")
     p.add_argument("--c", type=float, default=1.0, help="svm cost")
     p.set_defaults(func=cmd_eval)

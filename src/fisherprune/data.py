@@ -189,9 +189,9 @@ def generate_synthetic(n_per_class, size=32, seed=0):
     return _split(per_class)
 
 
-# P5, then width, height and maxval, each after whitespace or # comments,
-# then the one whitespace byte that ends the header
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+# P5, then width, height and maxval (up to 9 digits; int() refuses 4300+),
+# each after whitespace or # comments, then one whitespace byte ending it
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
 
 
 def _read_pgm(path):

@@ -169,6 +169,8 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     """
     if len(train_labels) == 0:
         raise ConfigurationError("training set is empty")
+    if config.epochs and len(eval_labels) == 0:
+        raise ConfigurationError("evaluation set is empty")
     bad = set(int(l) for l in train_labels) - {0, 1}
     if bad:
         raise ConfigurationError(f"labels must be in {{0,1}}, got extra {bad}")

@@ -1,16 +1,19 @@
 """End-to-end command pipeline on a deliberately tiny configuration."""
 
+import argparse
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from fisherprune import bench, cli, data, prune
+from fisherprune import bench, classify, cli, data, prune
 from fisherprune.cli import build_parser, main
 from fisherprune.data import images_labels
 from fisherprune.deconv import dependency_scores
+from fisherprune.errors import ConfigurationError
 from fisherprune.modelio import load_model, save_model
 from fisherprune.network import build_cnn
 from fisherprune.train import TrainConfig, retrain
@@ -48,7 +51,7 @@ def piperun(tmp_path_factory):
         ["extract", "--out", out, "--model", model] + TINY,
         ["analyze", "--out", out, "--model", model, "--k", "2"] + TINY,
         ["prune", "--out", out, "--model", model, "--k", "2",
-         "--threshold", "0.3", "--epochs", "1", "--dep-images", "2"] + TINY,
+         "--grid", "0.3", "--epochs", "1", "--dep-images", "2"] + TINY,
         ["eval", "--out", out, "--model", pruned, "--classifier", "fc"] + TINY,
         ["eval", "--out", out, "--model", pruned, "--classifier", "qda"] + TINY,
         ["bench", "--out", out, "--model", model, "--pruned", pruned] + TINY,
@@ -164,7 +167,16 @@ class TestArtifacts:
         assert set(manifest) == {
             "train", "extract", "analyze", "prune", "eval", "bench",
         }
-        assert manifest["prune"]["threshold"] == 0.3
+        assert manifest["prune"]["grid"] == "0.3"
+        assert "threshold" not in manifest["prune"]
+
+    def test_one_point_grid_writes_a_one_row_search_table(self, piperun):
+        header, rows = read_csv(os.path.join(piperun, "threshold_search.csv"))
+        assert header == ["threshold", "conv_rate", "acc_before",
+                          "acc_after", "forced"]
+        assert [r[0] for r in rows] == ["0.3"]
+        text = open(os.path.join(piperun, "report.txt")).read()
+        assert "prune: plateau threshold t0=0.3 (eps_acc=0.02)" in text
 
     def test_report_lines_accumulate(self, piperun):
         text = open(os.path.join(piperun, "report.txt")).read()
@@ -213,7 +225,7 @@ class TestGridSearch:
         assert_same_weights(saved, nets[[0.1, 0.2, 0.3].index(t_0)])
 
     def test_threshold_run_saves_the_plans_retrained_net(self, piperun):
-        """prune --threshold 0.3 saves apply_prune + retrain at 0.3."""
+        """prune --grid 0.3 saves apply_prune + retrain at 0.3."""
         split = cli._load_dataset("synthetic", 0, 6)
         net, _ = load_model(os.path.join(piperun, "model.ldap1"))
         _, ranking = cli._rank(net, split, 2)
@@ -263,22 +275,38 @@ class TestFailureExits:
         assert "--grid" in err
         assert err.count("\n") == 1
 
-    def test_prune_needs_a_threshold_or_grid(self, piperun, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["prune", "sweep"])
+    def test_pruning_commands_need_a_grid(self, piperun, tmp_path, capsys,
+                                          command):
         model = os.path.join(piperun, "model.ldap1")
-        rc = main(["prune", "--out", str(tmp_path), "--model", model] + TINY)
+        rc = main([command, "--out", str(tmp_path), "--model", model] + TINY)
         assert rc == 2
-        assert "threshold or --grid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == ("error: ConfigurationError: the following arguments "
+                       "are required: --grid\n")
+        assert os.listdir(tmp_path) == []
 
-    def test_prune_refuses_both_threshold_and_grid(self, tmp_path, capsys):
+    def test_prune_refuses_the_removed_threshold_flag(self, tmp_path, capsys):
         # refused before the model is read: the model path does not exist
         rc = main(["prune", "--out", str(tmp_path), "--model",
                    str(tmp_path / "absent.ldap1"), "--threshold", "0.3",
-                   "--grid", "0:0.2:0.1"] + TINY)
+                   "--grid", "0.3"] + TINY)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ConfigurationError:")
-        assert "threshold or --grid" in err
+        assert err == ("error: ConfigurationError: unrecognized arguments: "
+                       "--threshold 0.3\n")
         assert os.listdir(tmp_path) == []
+
+    def test_eval_classifier_choices_are_fc_and_the_head_kinds(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices["eval"]._actions
+                      if a.dest == "classifier")
+        assert list(action.choices) == ["fc", *classify._HEADS]
+        assert set(action.choices) == {"fc", "qda", "svml", "svmr"}
+        with pytest.raises(ConfigurationError, match="invalid choice: 'lda'"):
+            build_parser().parse_args(["eval", "--model", "m.ldap1",
+                                       "--classifier", "lda"])
 
     @pytest.mark.parametrize("classifier", ["fc", "qda", "svml", "svmr"])
     def test_eval_refuses_an_empty_test_split(self, piperun, tmp_path, capsys,
@@ -294,7 +322,7 @@ class TestFailureExits:
 
     @pytest.mark.parametrize("argv", [
         ["train", "--epochs", "1"],
-        ["prune", "--threshold", "0.3", "--epochs", "0", "--dep-images", "2"],
+        ["prune", "--grid", "0.3", "--epochs", "0", "--dep-images", "2"],
         ["sweep", "--grid", "0.3:0.5:0.1", "--epochs", "0", "--dep-images", "2"],
     ], ids=["train", "prune", "sweep"])
     def test_an_empty_test_split_is_refused(self, piperun, tmp_path, capsys,
@@ -455,7 +483,7 @@ class TestFailureExits:
         rc = main(["prune", "--out", str(tmp_path), "--model", model,
                    "--grid", "backwards"] + TINY)
         assert rc == 2
-        assert "lo:hi:step" in capsys.readouterr().err
+        assert "T or lo:hi:step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:1e-8",
                                       "0:1000:1", "-1e308:1e308:1"])
@@ -476,33 +504,56 @@ class TestFailureExits:
         assert err.count("\n") == 1
 
     def test_grid_of_1000_points_is_accepted(self):
-        grid = cli._parse_grid("0:999:1")
+        grid = cli._parse_grid("0:0.999:0.001")
         assert len(grid) == 1000
-        assert grid[-1] == 999.0
+        assert grid[-1] == 0.999
+
+    @pytest.mark.parametrize("text,want", [
+        ("0.3", [0.3]), ("0", [0.0]), ("1", [1.0]),
+        ("0.3:0.3:0.1", [0.3]), ("0:0.2:0.1", [0.0, 0.1, 0.2]),
+        ("0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+    ])
+    def test_a_bare_number_is_a_one_point_grid(self, text, want):
+        assert cli._parse_grid(text) == want
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "must be T or lo:hi:step"),
+        ("0.1:0.2", "must be T or lo:hi:step"),
+        ("0.1:0.2:0.1:0.1", "must be T or lo:hi:step"),
+        ("inf", "thresholds must be in [0,1]"),
+        ("0:1.05:0.1", "thresholds must be in [0,1]"),
+        ("0.2:0.1:0.1", "bad grid range"),
+        ("0:0.5:0", "bad grid range"),
+        ("0:0.5:inf", "bad grid range"),
+        ("0:0.5:nan", "bad grid range"),
+    ])
+    def test_every_grid_rule_is_checked_by_the_parser(self, text, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            cli._parse_grid(text)
 
     @pytest.mark.parametrize("argv,message", [
         (["train", "--epochs", "-1"], "epochs must be >= 0"),
-        (["prune", "--threshold", "0.3", "--epochs", "-1",
+        (["prune", "--grid", "0.3", "--epochs", "-1",
           "--dep-images", "2"], "epochs must be >= 0"),
-        (["prune", "--threshold", "0.3", "--dep-images", "-1"],
+        (["prune", "--grid", "0.3", "--dep-images", "-1"],
          "--dep-images must be >= 0"),
         (["sweep", "--grid", "0:0.1:0.1", "--dep-images", "-1"],
          "--dep-images must be >= 0"),
-        (["prune", "--threshold", "1.5"], "thresholds must be in [0,1]"),
-        (["prune", "--threshold", "-0.1"], "thresholds must be in [0,1]"),
-        (["prune", "--threshold", "nan"], "thresholds must be in [0,1]"),
+        (["prune", "--grid", "1.5"], "thresholds must be in [0,1]"),
+        (["prune", "--grid", "-0.1"], "thresholds must be in [0,1]"),
+        (["prune", "--grid", "nan"], "thresholds must be in [0,1]"),
         (["prune", "--grid", "0.5:1.5:0.5", "--epochs", "1",
           "--dep-images", "2"], "thresholds must be in [0,1]"),
         (["sweep", "--grid", "0.5:1.5:0.5"], "thresholds must be in [0,1]"),
         (["prune", "--grid", "0:0.1:0.1", "--eps-acc", "0", "--epochs", "1",
           "--dep-images", "2"], "--eps-acc must be finite and > 0"),
-        (["prune", "--threshold", "0.3", "--eps-acc", "-1"],
+        (["prune", "--grid", "0.3", "--eps-acc", "-1"],
          "--eps-acc must be finite and > 0"),
         (["sweep", "--grid", "0:0.1:0.1", "--eps-acc", "nan"],
          "--eps-acc must be finite and > 0"),
         (["train", "--lr", "-1"], "lr must be finite and > 0"),
         (["train", "--lr", "nan"], "lr must be finite and > 0"),
-        (["prune", "--threshold", "0.3", "--lr", "0"],
+        (["prune", "--grid", "0.3", "--lr", "0"],
          "lr must be finite and > 0"),
         (["sweep", "--grid", "0:0.1:0.1", "--lr", "inf"],
          "lr must be finite and > 0"),
@@ -557,7 +608,7 @@ class TestFailureExits:
         rc = main(["prune", "--out", str(tmp_path / "out"),
                    "--dataset", f"dir:{tmp_path / 'pgm'}", "--seed", "-1",
                    "--model", os.path.join(piperun, "model.ldap1"),
-                   "--threshold", "0.3"])
+                   "--grid", "0.3"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: ConfigurationError: seed must be >= 0, got -1\n"
@@ -586,7 +637,7 @@ class TestManifest:
             "train": ["train", "--epochs", "1"],
             "extract": ["extract", "--model", model],
             "analyze": ["analyze", "--model", model, "--k", "2"],
-            "prune": ["prune", "--model", model, "--k", "2", "--threshold",
+            "prune": ["prune", "--model", model, "--k", "2", "--grid",
                       "0.3", "--epochs", "1", "--dep-images", "2"],
             "eval": ["eval", "--model", pruned, "--classifier", "qda"],
             "bench": ["bench", "--model", model, "--pruned", pruned],
@@ -622,7 +673,7 @@ class TestManifest:
         assert rc == 0
         with open(os.path.join(out, "manifest.json")) as fh:
             entries = json.load(fh)["prune"]
-        assert entries["threshold"] is None
+        assert "threshold" not in entries
         assert entries["grid"] == "0:0.1:0.1"
         _, info = load_model(os.path.join(out, "pruned.ldap1"))
         t_0 = info["provenance"]["threshold"]

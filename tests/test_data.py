@@ -287,6 +287,28 @@ class TestPgm:
         with pytest.raises(ConfigurationError, match="truncated"):
             load_pgm_dir(str(corpus), size=16)
 
+    @pytest.mark.parametrize("field", ["width", "height", "maxval"])
+    def test_oversized_header_field_is_unreadable(self, corpus, field):
+        """A field past int()'s 4300-digit limit is refused as a bad header,
+        not with int()'s own ValueError."""
+        fields = {"width": b"4", "height": b"2", "maxval": b"255"}
+        fields[field] = b"1" * 5000
+        path = corpus / "0" / "huge.pgm"
+        path.write_bytes(b"P5\n" + b" ".join(fields.values()) + b"\n"
+                         + bytes(8))
+        with pytest.raises(ConfigurationError, match="unreadable PGM header"):
+            data._read_pgm(str(path))
+        with pytest.raises(ConfigurationError, match="unreadable PGM header"):
+            load_pgm_dir(str(corpus), size=16)
+
+    def test_nine_digit_header_fields_are_read(self, tmp_path):
+        path = tmp_path / "padded.pgm"
+        path.write_bytes(b"P5\n000000004 000000002\n000000255\n"
+                         + bytes(range(8)))
+        img = data._read_pgm(str(path))
+        assert img.shape == (2, 4)
+        assert img[1, 3] == np.float32(7 / 255)
+
     def test_non_pgm_rejected(self, corpus):
         (corpus / "0" / "notes.txt").write_text("hello")
         with pytest.raises(ConfigurationError, match="P5"):

@@ -154,3 +154,23 @@ class TestPairedVerdicts:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == (
             "src/ lines: parent 2836, change 2813 (-23)")
+
+
+def readme_cli_lines():
+    """The `fisherprune ...` lines of README's "Quick start (CLI)" block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## Quick start (CLI)", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    return [line.split("#", 1)[0].split() for line in block.splitlines()
+            if line.startswith("fisherprune ")]
+
+
+def test_readme_cli_quick_start_parses():
+    """Every command README shows parses with today's flags."""
+    from fisherprune.cli import build_parser
+
+    lines = readme_cli_lines()
+    assert {argv[1] for argv in lines} >= {"train", "prune", "sweep", "eval"}
+    for argv in lines:
+        build_parser().parse_args(argv[1:])

@@ -227,6 +227,23 @@ class TestTrainLoop:
             train(net, [], np.array([], dtype=np.int64), [], [],
                   TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("fit", [train, retrain])
+    def test_empty_eval_set_rejected_before_any_epoch(self, monkeypatch, fit):
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran before the check")
+
+        monkeypatch.setattr(train_module, "sgd_epoch", no_epoch)
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        with pytest.raises(ConfigurationError, match="evaluation set is empty"):
+            fit(net, images, labels, [], [], TrainConfig(epochs=3))
+
+    def test_zero_epochs_need_no_eval_set(self):
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        assert train(net, images, labels, [], [],
+                     TrainConfig(epochs=0)).epoch_log == []
+
     @pytest.mark.parametrize("field,value,message", [
         ("lr", -1.0, "lr must be finite and > 0"),
         ("lr", 0.0, "lr must be finite and > 0"),
