@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
-    require_int,
+    require_int, require_positive,
 )
 from .modelio import _require
 
@@ -75,8 +75,7 @@ def qda_fit(features, labels, lam=1e-3) -> QdaModel:
     pointer at the cures (fewer selected neurons, or more images per class).
     lam must be finite and >= 0.
     """
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ConfigurationError(f"lam must be finite and >= 0, got {lam}")
+    require_positive("lam", lam, or_zero=True)
     x, y = _check_features(features, labels, (0, 1))
     n, d = x.shape
     means, covs, chols, logdets, logpriors = [], [], [], [], []
@@ -146,8 +145,7 @@ def _svm_problem(features, labels, c):
     y = y.astype(np.float64)
     if len(np.unique(y)) < 2:
         raise ConfigurationError("both classes required to fit an SVM")
-    if not (np.isfinite(c) and c > 0):
-        raise ConfigurationError(f"svm cost c must be finite and > 0, got {c}")
+    require_positive("svm cost c", c)
     return x, y
 
 
@@ -228,10 +226,8 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
         raise DimensionError(f"kernel SVM supports at most 5000 samples, got {n}")
     if gamma is None:
         gamma = 1.0 / d
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ConfigurationError(f"rbf gamma must be finite and > 0, got {gamma}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ConfigurationError(f"SMO tol must be finite and >= 0, got {tol}")
+    require_positive("rbf gamma", gamma)
+    require_positive("SMO tol", tol, or_zero=True)
     require_int("max_passes", max_passes, 1)
     kmat = _rbf_kernel(x, x, gamma)
     alpha = np.zeros(n)
@@ -331,7 +327,7 @@ def predict(model, features):
 
 def evaluate_accuracy(model, features, labels):
     """(accuracy, 2x2 confusion counts[true][pred]) on 0/1 labels."""
-    x, y = _check_features(features, labels)
+    x, y = _check_features(features, labels, (0, 1))
     if x.shape[0] == 0:
         raise ConfigurationError("evaluation set is empty")
     cells = 2 * y.astype(np.int64) + predict(model, x)

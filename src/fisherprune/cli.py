@@ -20,7 +20,8 @@ import numpy as np
 from . import classify, deconv, firing, modelio, prune
 from .bench import time_network
 from .data import generate_synthetic, images_labels, load_pgm_dir
-from .errors import ConfigurationError, ModelFormatError, TrainingDiverged
+from .errors import (ConfigurationError, ModelFormatError, TrainingDiverged,
+                     require_positive)
 from .network import forward, reference_cnn
 from .train import TrainConfig, accuracy, train
 
@@ -141,8 +142,7 @@ def _dependency_search(args, split):
         raise ConfigurationError(
             f"--dep-images must be >= 0 (0 means all), got {args.dep_images}")
     grid = _parse_grid(args.grid)
-    if not (math.isfinite(args.eps_acc) and args.eps_acc > 0):
-        raise ConfigurationError(f"--eps-acc must be finite and > 0, got {args.eps_acc}")
+    require_positive("--eps-acc", args.eps_acc)
     net, _ = modelio.load_model(args.model)
     te_imgs, te_labels = images_labels(split.test)
     base_acc = accuracy(net, te_imgs, te_labels)

@@ -1,10 +1,9 @@
 """Deconvolution walk: project a neuron's firing down to the first conv.
 
 The walk is network.reverse in its mirror mode (the deconvnet of Zeiler &
-Fergus, 2014): max-pool -> unpool through the stored switches, relu ->
-relu (rectify), conv -> transposed conv with the same kernel. Walking a
-one-hot start tensor (the neuron's firing at its spatial argmax) down to
-layer 0 yields a reconstruction per layer; the L1 channel energy of those
+Fergus, 2014): backprop, but relu rectifies the signal. Walking a one-hot
+start tensor (the neuron's firing at its spatial argmax) down to layer 0
+yields a reconstruction per layer; the L1 channel energy of those
 reconstructions says how much each lower filter participates.
 """
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NonFiniteError
+from .errors import ConfigurationError, NonFiniteError, require_int
 from .network import ForwardRecord, Network, forward, reverse
 from .ops import unpool  # noqa: F401  (still importable from here)
 
@@ -43,6 +42,18 @@ class DependencyTable:
     dead_layers: set = field(default_factory=set)
 
 
+def selected_neurons(selected):
+    """selected as a flat int64 array, or ConfigurationError unless it is a
+    non-empty set of distinct int ids >= 0 (a bool is not an int)."""
+    ids = [require_int("selected neuron id", n, 0)
+           for n in np.asarray(selected, dtype=object).ravel()]
+    if not ids:
+        raise ConfigurationError("selected neuron set is empty")
+    if len(set(ids)) < len(ids):
+        raise ConfigurationError("selected neurons must be distinct")
+    return np.array(ids, dtype=np.int64)
+
+
 def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvMap:
     """Walk one last-conv neuron's firing down to layer 0's output.
 
@@ -53,7 +64,7 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     """
     last = net.last_conv_index()
     n_filters = rec.activations[last].shape[0]
-    if not 0 <= neuron < n_filters:
+    if require_int("neuron", neuron, 0) >= n_filters:
         raise ConfigurationError(f"neuron {neuron} out of range [0,{n_filters})")
     chan = np.maximum(rec.activations[last][neuron], 0)
     peak = float(chan.max())
@@ -79,11 +90,7 @@ def dependency_scores(net: Network, images, selected) -> DependencyTable:
     neurons, so a filter needed by any one of them survives. Nothing after
     the last conv runs.
     """
-    selected = np.asarray(selected, dtype=np.int64).ravel()
-    if selected.size == 0:
-        raise ConfigurationError("selected neuron set is empty")
-    if (np.diff(np.sort(selected)) == 0).any():
-        raise ConfigurationError("selected neurons must be distinct")
+    selected = selected_neurons(selected)
     if not images:
         raise ConfigurationError("image list is empty")
     trunk = Network(net.input_shape, net.layers[: net.last_conv_index() + 1])
@@ -101,5 +108,5 @@ def dependency_scores(net: Network, images, selected) -> DependencyTable:
                     sums[li][row] += energy / top
     scores = {li: (s / len(images)).max(axis=0) for li, s in sums.items()}
     dead = {li for li, s in scores.items() if s.max() <= 0}
-    return DependencyTable(scores=scores, selected=selected.copy(),
+    return DependencyTable(scores=scores, selected=selected,
                            n_images=len(images), dead_layers=dead)

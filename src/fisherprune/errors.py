@@ -1,6 +1,7 @@
-"""Exception kinds shared across the package, and the int-argument check
-that raises one of them."""
+"""Exception kinds shared across the package, and the int and number
+argument checks that raise one of them."""
 
+import math
 import numbers
 
 
@@ -12,15 +13,35 @@ class ConfigurationError(ValueError):
     """A layer, dataset, or run configuration cannot produce a valid result."""
 
 
+def is_int(value):
+    """True for a Python or numpy int; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_int(name, value, lo, hi=None):
     """value if it is an int (a bool is not) in [lo, hi], else a
     ConfigurationError naming `name`; hi None means no upper bound."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_int(value):
         raise ConfigurationError(f"{name} must be an int, got {value!r}")
     if hi is None and value < lo:
         raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
     if hi is not None and not lo <= value <= hi:
         raise ConfigurationError(f"need {lo} <= {name} <= {hi}, got {value}")
+    return value
+
+
+def require_positive(name, value, or_zero=False):
+    """value if it is a finite number (a bool is not) > 0, or >= 0 when
+    or_zero, else a ConfigurationError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not (finite and (value >= 0 if or_zero else value > 0)):
+        raise ConfigurationError(
+            f"{name} must be finite and {'>=' if or_zero else '>'} 0, got {value}")
     return value
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, NonFiniteError
+from .errors import ConfigurationError, DimensionError, NonFiniteError, require_int
 from .network import Network, forward
 
 
@@ -67,7 +67,8 @@ class NeuronRanking:
 
 def extract_firing_matrix(net: Network, images, layer: int) -> FiringMatrix:
     """Row k = per-channel spatial peak of the rectified conv output on image k."""
-    if layer < 0 or layer >= len(net.layers) or net.layers[layer].kind != "conv":
+    if (require_int("layer", layer, 0) >= len(net.layers)
+            or net.layers[layer].kind != "conv"):
         raise ConfigurationError(f"layer {layer} is not a conv layer")
     if not images:
         raise ConfigurationError("image list is empty")
@@ -142,9 +143,7 @@ def _ordered(primary, s2b):
 
 def rank_and_select(scores: NeuronRanking, k: int) -> NeuronRanking:
     """Top-k neurons by descending ICC (ties: larger s2b, smaller index)."""
-    d = len(scores.icc)
-    if not 1 <= k <= d:
-        raise ConfigurationError(f"k must be in [1,{d}], got {k}")
+    require_int("k", k, 1, len(scores.icc))
     order = _ordered(scores.icc, scores.s2b)
     return NeuronRanking(s2w=scores.s2w, s2b=scores.s2b, icc=scores.icc,
                          order=order, selected=order[:k].copy())
@@ -181,8 +180,7 @@ def full_lda_directions(scatter: ScatterPair, m: int):
     d = scatter.s_w.shape[0]
     if d > 64:
         raise DimensionError(f"full LDA supports d <= 64, got {d}")
-    if not 1 <= m <= d:
-        raise ConfigurationError(f"m must be in [1,{d}], got {m}")
+    require_int("m", m, 1, d)
     eps = 1e-6 * np.trace(scatter.s_w) / d
     eps = max(float(eps), 1e-12)
     a = scatter.s_w + eps * np.eye(d)

@@ -11,19 +11,18 @@ output (masked passes) or observe it (timing).
 reverse() is the one reverse walk over such a record, shared by backprop
 (train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
 It yields the signal at each layer's output in turn, down to layer 0; the
-two walks differ only in their relu and max-pool rules.
+two walks differ only in their relu rule (Springenberg et al., 2015).
 """
 
 from __future__ import annotations
 
 import copy
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, is_int, require_int
 from .tensor import Tensor
 
 # Fields of each layer kind besides "kind": name -> default, None when the
@@ -35,10 +34,6 @@ LAYER_FIELDS = {
     "maxpool": {"window": None, "stride": None},
     "relu": {}, "flatten": {}, "softmax": {},
 }
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -62,7 +57,7 @@ class LayerSpec:
             raise ConfigurationError(f"unknown layer kind {self.kind!r}")
         for name in ("stride", "pad", "window"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ConfigurationError(
                     f"{self.kind} {name} must be an int, got {value!r}")
         if "weights" not in LAYER_FIELDS[self.kind]:
@@ -98,7 +93,7 @@ class Network:
     def infer_shapes(self):
         """Shape of each layer's output, validating the whole chain."""
         shape = tuple(self.input_shape)
-        if not all(_is_int(s) and s >= 1 for s in shape):
+        if not all(is_int(s) and s >= 1 for s in shape):
             raise DimensionError(f"input extents must be >= 1 and ints, got {shape}")
         out = []
         for i, layer in enumerate(self.layers):
@@ -199,11 +194,10 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
     i = start..0. Each layer's rule runs only when the next signal is asked
     for, and layer 0's never runs: no caller reads a signal at the input.
     Conv applies its transposed conv, dense W^T in float64, flatten a
-    reshape. With mirror=False the walk is backprop: relu gates by the sign
-    of its recorded output and max-pool scatter-adds through its switches,
-    so overlapping windows sum. With mirror=True it is the deconvnet
-    projection (Zeiler & Fergus, 2014): relu rectifies and max-pool unpools
-    through its switches.
+    reshape, max-pool a scatter-add through its switches (windows sharing
+    a winner sum). Relu is the one difference: backprop (mirror=False)
+    gates by the sign of its recorded output; the deconvnet projection
+    (mirror=True; Zeiler & Fergus, 2014) rectifies.
     """
     for i in range(start, -1, -1):
         yield i, signal
@@ -221,10 +215,8 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
         elif layer.kind == "relu":
             signal = (ops.relu_forward(signal) if mirror
                       else signal * (rec.activations[i] > 0))
-        elif layer.kind == "maxpool" and mirror:
-            signal = ops.unpool(signal, rec.switches[i], below)
         elif layer.kind == "maxpool":
-            scattered = np.zeros(below)
+            scattered = np.zeros(below, signal.dtype)
             np.add.at(scattered.reshape(-1), rec.switches[i].ravel(),
                       signal.ravel())
             signal = scattered
@@ -275,7 +267,7 @@ def build_cnn(input_shape, conv_plan, dense_plan, n_classes, seed=0):
     dense_plan: list of hidden widths (each followed by relu). The final
     dense layer maps to n_classes and a softmax closes the network.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     layers = []
     c = input_shape[0]
     for out_c, k, pad, pool in conv_plan:

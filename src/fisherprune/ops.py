@@ -31,7 +31,7 @@ NaN as the winner; this is exactly numpy argmax over the flattened window.
 The values are the input read at the switches bit for bit (signed zeros
 included); only a window holding NaNs of different payloads may pool to a
 later one. unpool writes pooled values back at their switches, zeros
-elsewhere: the deconv walk's pool rule.
+elsewhere; with unique switches that is the reverse walks' pool rule.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import images_labels
-from .errors import ConfigurationError, DimensionError
+from .deconv import selected_neurons
+from .errors import ConfigurationError, DimensionError, require_positive
 from .network import Network, forward, logits
 from .train import TrainConfig, accuracy, retrain
 
@@ -66,11 +67,7 @@ def build_prune_plan(table, selected, threshold) -> PrunePlan:
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigurationError(f"threshold must be in [0,1], got {threshold}")
-    selected = np.sort(np.asarray(selected, dtype=np.int64).ravel())
-    if selected.size == 0:
-        raise ConfigurationError("selected neuron set is empty")
-    if (np.diff(selected) == 0).any():
-        raise ConfigurationError("selected neurons must be distinct")
+    selected = np.sort(selected_neurons(selected))
     layers = sorted(table.scores)
     last = layers[-1]
     keep = {}
@@ -184,8 +181,7 @@ def plateau_threshold_search(net: Network, table, selected, split, grid,
         raise ConfigurationError("threshold grid is empty")
     if sorted(grid) != grid:
         raise ConfigurationError("threshold grid must be sorted ascending")
-    if not (math.isfinite(eps_acc) and eps_acc > 0):
-        raise ConfigurationError(f"eps_acc must be finite and > 0, got {eps_acc}")
+    require_positive("eps_acc", eps_acc)
     cfg = retrain_config or TrainConfig(epochs=10)
     tr_imgs, tr_labels = images_labels(split.train)
     te_imgs, te_labels = images_labels(split.test)

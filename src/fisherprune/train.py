@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ops
 from .errors import (ConfigurationError, NonFiniteError, TrainingDiverged,
-                     require_int)
+                     is_int, require_int, require_positive)
 from .network import ForwardRecord, Network, forward, reverse
 from .tensor import Tensor
 
@@ -51,7 +51,8 @@ def backward(net: Network, rec: ForwardRecord, label: int):
         elif layer.kind == "conv":
             _, _, kh, kw = layer.weights.shape
             dw, db = ops.conv2d_param_grads(x, g, kh, kw, layer.stride, layer.pad)
-            grads[i] = (dw.astype(np.float32), db.astype(np.float32))
+            grads[i] = (dw.astype(np.float32, copy=False),
+                        db.astype(np.float32, copy=False))
     return grads
 
 
@@ -63,8 +64,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require_int("epochs", self.epochs, 0)
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
+        require_positive("lr", self.lr)
         require_int("seed", self.seed, 0)
 
 
@@ -75,9 +75,21 @@ class TrainResult:
     final_eval_acc: float = 0.0
 
 
-def accuracy(net, images, labels):
+def _check_split(images, labels, name):
+    """ConfigurationError unless the set is not empty, has one label per
+    image and every label is the int 0 or 1 (a bool is not an int)."""
     if len(labels) == 0:
-        raise ConfigurationError("evaluation set is empty")
+        raise ConfigurationError(f"{name} set is empty")
+    if len(images) != len(labels):
+        raise ConfigurationError(f"{name} set has {len(images)} images but "
+                                 f"{len(labels)} labels")
+    for label in labels:
+        if not (is_int(label) and label in (0, 1)):
+            raise ConfigurationError(f"labels must be in {{0,1}}, got {label}")
+
+
+def accuracy(net, images, labels):
+    _check_split(images, labels, "evaluation")
     hit = 0
     for img, lab in zip(images, labels):
         p = forward(net, Tensor(img))
@@ -167,13 +179,9 @@ def train(net, train_images, train_labels, eval_images, eval_labels,
     naming the epoch, the sample and the first layer whose output went
     non-finite in its message and its attributes.
     """
-    if len(train_labels) == 0:
-        raise ConfigurationError("training set is empty")
-    if config.epochs and len(eval_labels) == 0:
-        raise ConfigurationError("evaluation set is empty")
-    bad = set(int(l) for l in train_labels) - {0, 1}
-    if bad:
-        raise ConfigurationError(f"labels must be in {{0,1}}, got extra {bad}")
+    _check_split(train_images, train_labels, "training")
+    if config.epochs:
+        _check_split(eval_images, eval_labels, "evaluation")
     rng = np.random.default_rng(config.seed)
     velocity = {}
     if weight_mask:

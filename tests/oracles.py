@@ -282,11 +282,10 @@ def deconv_walk_loops(net, rec, neuron):
 
     The start map is zero except the neuron's largest rectified activation
     at its first (row-major) position. Conv scatters back through its kernel
-    (conv2d_adjoint_loops), relu rectifies, and max-pool unpools by
-    overwriting: each pooled cell, in row-major order, is written to its
-    window's first argmax (maxpool_loops), so where overlapping windows
-    share a winner the last of them stays. `net` and `rec` are read by
-    attribute only.
+    (conv2d_adjoint_loops), relu rectifies, and max-pool adds each pooled
+    cell, in row-major order, to its window's first argmax (maxpool_loops),
+    so where overlapping windows share a winner their values sum. `net`
+    and `rec` are read by attribute only.
     """
     last = max(i for i, layer in enumerate(net.layers) if layer.kind == "conv")
     chan = np.maximum(rec.activations[last][neuron], 0)
@@ -306,7 +305,7 @@ def deconv_walk_loops(net, rec, neuron):
             _, switches = maxpool_loops(below, layer.window, layer.stride)
             up = np.zeros(below.size)
             for value, at in zip(cur.ravel(), switches.ravel()):
-                up[at] = value
+                up[at] += value
             cur = up.reshape(below.shape)
     return maps, cur
 

@@ -85,6 +85,13 @@ class TestQda:
         with pytest.raises(ConfigurationError, match="lam must be finite"):
             qda_fit(x, y01, lam=lam)
 
+    @pytest.mark.parametrize("lam", ["0.1", True, None])
+    def test_lam_must_be_a_number(self, lam):
+        x, y01, _ = blobs(n=5)
+        with pytest.raises(ConfigurationError,
+                           match=f"lam must be a number, got {lam!r}"):
+            qda_fit(x, y01, lam=lam)
+
     @pytest.mark.parametrize("extra", [2, -1, 0.5])
     def test_labels_outside_zero_one_rejected(self, extra):
         """A third label is refused, not dropped with priors short of 1."""
@@ -135,7 +142,8 @@ class TestLinearSvm:
 
 
 @pytest.mark.parametrize("fit", [linear_svm_fit, rbf_svm_fit])
-@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf"), "1",
+                               None, True])
 def test_svm_cost_must_be_finite_and_positive(fit, c):
     x, _, ypm = blobs(n=5)
     with pytest.raises(ConfigurationError, match="cost c"):
@@ -288,6 +296,9 @@ class TestHeadInputs:
         ({"tol": -1e-3}, "tol"), ({"tol": float("nan")}, "tol"),
         ({"tol": float("inf")}, "tol"), ({"max_passes": 0}, "max_passes"),
         ({"max_passes": -2}, "max_passes"),
+        ({"gamma": "1"}, "rbf gamma must be a number, got '1'"),
+        ({"gamma": True}, "rbf gamma must be a number, got True"),
+        ({"tol": [1e-3]}, r"SMO tol must be a number, got \[0.001\]"),
     ])
     def test_rbf_hyper_parameters_checked(self, kwargs, match):
         x, _, ypm = blobs(n=5)
@@ -305,8 +316,19 @@ class TestEvaluation:
     def test_empty_set_rejected(self):
         x, y01, _ = blobs(n=5)
         model = qda_fit(x, y01)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="evaluation set is empty"):
             evaluate_accuracy(model, np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("extra", [2, -1, 0.5])
+    def test_labels_outside_zero_one_rejected(self, extra):
+        """2 and -1 used to reach np.bincount's ValueError, and 0.5 was
+        truncated to class 0."""
+        x, y01, _ = blobs(n=5)
+        model = qda_fit(x, y01)
+        y = y01.astype(np.float64)
+        y[3] = extra
+        with pytest.raises(ConfigurationError, match=r"labels must be in \[0, 1\]"):
+            evaluate_accuracy(model, x, y)
 
     def test_confusion_counts_true_by_pred(self):
         x, y01, ypm = blobs(n=10)

@@ -20,6 +20,20 @@ from test_network import overlapping_pool_net
 from test_train import widen_to_float64
 
 
+# Selected-neuron ids that dependency_scores and build_prune_plan refuse,
+# each with the message; np.asarray(..., dtype=np.int64) would truncate the
+# first two to neurons [1, 2] and [1].
+BAD_SELECTED = [
+    ([True, 2.9], "selected neuron id must be an int, got True"),
+    (np.array([1.5]), "selected neuron id must be an int, got 1.5"),
+    ([1, 2.0], "selected neuron id must be an int, got 2.0"),
+    (np.array([False, True]), "selected neuron id must be an int, got False"),
+    ([0, -1], "selected neuron id must be >= 0, got -1"),
+]
+BAD_SELECTED_IDS = ["bool_and_float", "float_array", "int_valued_float",
+                    "bool_array", "negative"]
+
+
 def labeled(img, label=0, id="x"):
     return LabeledImage(Tensor(img.astype(np.float32)), label, id)
 
@@ -144,10 +158,10 @@ class TestNeuronWalk:
             assert dmap.maps[i].shape == m.shape and dmap.maps[i].dtype == m.dtype
             np.testing.assert_array_equal(dmap.maps[i], m)
 
-    def test_overlapping_pools_unpool_by_overwriting(self):
+    def test_overlapping_pools_sum_where_windows_share_a_winner(self):
         """3x3 pools at strides 2 and 1 share winners between windows; the
-        walk writes one pooled value there, as the per-cell walk does,
-        where backprop would add them."""
+        walk adds their pooled values there, as the per-cell walk and
+        backprop do."""
         net = widen_to_float64(overlapping_pool_net())
         rng = np.random.default_rng(12)
         for _ in range(3):
@@ -162,12 +176,53 @@ class TestNeuronWalk:
                     np.testing.assert_allclose(dmap.maps[i], m,
                                                rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("make", [overlapping_pool_net,
+                                      lambda: reference_cnn(seed=0)],
+                             ids=["overlapping_pools", "reference_cnn"])
+    def test_max_pool_step_is_backprops(self, make):
+        """On one record, both walks carry a signal through each max-pool
+        by the same scatter-add in the signal's dtype; where no two windows
+        share a winner that is unpool, bit for bit."""
+        net = make()
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.random(net.input_shape, dtype=np.float32))
+        _, rec = forward(net, x, record=True)
+        for i, sw in rec.switches.items():
+            below = rec.activations[i - 1].shape
+            for dtype in (np.float32, np.float64):
+                signal = rng.standard_normal(sw.shape).astype(dtype)
+                back, mirror = (list(network.reverse(net, rec, i, signal,
+                                                     mirror=m))[1]
+                                for m in (False, True))
+                assert back[0] == mirror[0] == i - 1
+                assert back[1].dtype == mirror[1].dtype == dtype
+                assert back[1].tobytes() == mirror[1].tobytes()
+                want = np.zeros(int(np.prod(below)), dtype)
+                for value, at in zip(signal.ravel(), sw.ravel()):
+                    want[at] += value
+                np.testing.assert_array_equal(mirror[1], want.reshape(below))
+                if np.unique(sw).size == sw.size:
+                    assert mirror[1].tobytes() == unpool(signal, sw,
+                                                         below).tobytes()
+
     def test_neuron_index_checked(self):
         net = passthrough_net()
         x = Tensor(np.zeros((1, 4, 4), dtype=np.float32))
         _, rec = forward(net, x, record=True)
         with pytest.raises(ConfigurationError, match="out of range"):
             deconv_from_neuron(net, rec, 7)
+
+    @pytest.mark.parametrize("neuron,message", [
+        (0.5, "neuron must be an int, got 0.5"),
+        (True, "neuron must be an int, got True"),
+        (-1, "neuron must be >= 0, got -1"),
+    ], ids=["float", "bool", "negative"])
+    def test_neuron_must_be_an_int_at_least_zero(self, neuron, message):
+        net = passthrough_net()
+        x = Tensor(np.ones((1, 4, 4), dtype=np.float32))
+        _, rec = forward(net, x, record=True)
+        with pytest.raises(ConfigurationError, match=message):
+            deconv_from_neuron(net, rec, neuron)
 
 
 class TestDependencyScores:
@@ -270,6 +325,21 @@ class TestDependencyScores:
         net, images = setup
         with pytest.raises(ConfigurationError, match="distinct"):
             dependency_scores(net, images, [1, 2, 1])
+
+    @pytest.mark.parametrize("selected,message", BAD_SELECTED,
+                             ids=BAD_SELECTED_IDS)
+    def test_selected_ids_must_be_ints(self, setup, selected, message):
+        net, images = setup
+        with pytest.raises(ConfigurationError, match=message):
+            dependency_scores(net, images, selected)
+
+    def test_numpy_int_ids_are_accepted(self, setup):
+        net, images = setup
+        want = dependency_scores(net, images, [2, 0])
+        got = dependency_scores(net, images, np.array([2, 0], dtype=np.int32))
+        assert got.selected.dtype == np.int64 and got.selected.tolist() == [2, 0]
+        for li in want.scores:
+            assert got.scores[li].tobytes() == want.scores[li].tobytes()
 
     def test_empty_inputs_rejected(self, setup):
         net, images = setup

@@ -51,6 +51,13 @@ class TestExtraction:
         with pytest.raises(ConfigurationError, match="not a conv"):
             extract_firing_matrix(net, split.train, 1)
 
+    @pytest.mark.parametrize("layer", [0.0, True, "0"])
+    def test_layer_must_be_an_int(self, layer):
+        net = build_cnn((1, 8, 8), [(3, 3, 1, True)], [4], 2, seed=2)
+        split = generate_synthetic(2, size=16, seed=0)
+        with pytest.raises(ConfigurationError, match="layer must be an int"):
+            extract_firing_matrix(net, split.train, layer)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_bitwise_the_relu_layer_peaks(self, dtype):
         """The rectified conv output's peak is the following relu layer's."""
@@ -156,6 +163,12 @@ class TestRanking:
         with pytest.raises(ConfigurationError):
             rank_and_select(scores, 4)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_k_must_be_an_int(self, small_mat, k):
+        scores = icc_scores(scatter_matrices(small_mat))
+        with pytest.raises(ConfigurationError, match="k must be an int"):
+            rank_and_select(scores, k)
+
     def test_variance_baseline_prefers_loud_columns(self, small_mat):
         ranking = variance_ranking_baseline(small_mat, k=1)
         # column 2 is tiny-variance, so it must come last
@@ -220,3 +233,9 @@ class TestFullLda:
         ok = np.eye(4)
         with pytest.raises(ConfigurationError):
             full_lda_directions(self.make_pair(ok, ok), 0)
+
+    @pytest.mark.parametrize("m", [1.5, 1.0, True])
+    def test_m_must_be_an_int(self, m):
+        ok = np.eye(4)
+        with pytest.raises(ConfigurationError, match="m must be an int"):
+            full_lda_directions(self.make_pair(ok, ok), m)

@@ -219,6 +219,15 @@ class TestBuilders:
         assert conv == 34864
         assert fc == 32962
 
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an int, got 1.5"),
+        (True, "seed must be an int, got True"),
+    ], ids=["negative", "float", "bool"])
+    def test_seed_must_be_an_int_at_least_zero(self, seed, message):
+        with pytest.raises(ConfigurationError, match=message):
+            reference_cnn(seed=seed)
+
     def test_copy_is_deep(self):
         net = tiny_net()
         dup = net.copy()

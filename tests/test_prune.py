@@ -20,6 +20,7 @@ from fisherprune.tensor import Tensor
 from fisherprune.train import TrainConfig, accuracy, retrain
 
 import oracles
+from test_deconv import BAD_SELECTED, BAD_SELECTED_IDS
 
 
 def identity_plan(net):
@@ -109,6 +110,12 @@ class TestPlanBuilding:
     def test_duplicate_selected_neurons_rejected(self):
         with pytest.raises(ConfigurationError, match="distinct"):
             build_prune_plan(toy_table(), [2, 1, 2], 0.5)
+
+    @pytest.mark.parametrize("selected,message", BAD_SELECTED,
+                             ids=BAD_SELECTED_IDS)
+    def test_selected_ids_must_be_ints(self, selected, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build_prune_plan(toy_table(), selected, 0.5)
 
     def test_param_counts_by_hand(self):
         net = toy_net()
@@ -362,6 +369,11 @@ class TestPlateauSearch:
             plateau_threshold_search(net, table, [0], split, [0.5, 0.1])
         for eps in (0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="eps_acc"):
+                plateau_threshold_search(net, table, [0], split, [0.1],
+                                         eps_acc=eps)
+        for eps in ("0.05", True, None):
+            with pytest.raises(ConfigurationError,
+                               match="eps_acc must be a number"):
                 plateau_threshold_search(net, table, [0], split, [0.1],
                                          eps_acc=eps)
 

@@ -7,6 +7,8 @@ runs that instrumentation on reference_cnn in a fresh interpreter, so the
 wrapping leaves no trace in the test process, and reads perfbench/ only.
 """
 
+import ast
+import glob
 import importlib.util
 import json
 import os
@@ -174,3 +176,36 @@ def test_readme_cli_quick_start_parses():
     assert {argv[1] for argv in lines} >= {"train", "prune", "sweep", "eval"}
     for argv in lines:
         build_parser().parse_args(argv[1:])
+
+
+def demo_imports():
+    """(demo file, module, name or None) for every fisherprune import in
+    demos/*.py; None marks a plain `import fisherprune...`."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        demo = os.path.basename(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                found += [(demo, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(demo, a.name, None) for a in node.names]
+    return [f for f in found if f[1].split(".")[0] == "fisherprune"]
+
+
+def test_demos_import_only_names_that_exist():
+    """No Tier-1 test runs a demo, so a renamed API would break one
+    silently; every name a demo imports from the package must resolve."""
+    imports = demo_imports()
+    assert {demo for demo, _, _ in imports} >= {
+        "benchmark.py", "classifier_heads.py", "dependency_pruning.py",
+        "firing_analysis.py", "train_reference.py"}
+    missing = []
+    for demo, module, name in imports:
+        mod = importlib.import_module(module)
+        if name is not None and not (
+                hasattr(mod, name) or hasattr(mod, "__path__")
+                and importlib.util.find_spec(f"{module}.{name}") is not None):
+            missing.append(f"{demo}: {module}.{name}")
+    assert not missing

@@ -32,6 +32,10 @@ def widen_to_float64(net):
     return net
 
 
+def refuse_epochs(*args, **kwargs):
+    raise AssertionError("an epoch ran before the check")
+
+
 def toy_split(n=8, size=16, seed=2):
     """Left-bright vs right-bright squares, linearly separable on purpose."""
     rng = np.random.default_rng(seed)
@@ -229,10 +233,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("fit", [train, retrain])
     def test_empty_eval_set_rejected_before_any_epoch(self, monkeypatch, fit):
-        def no_epoch(*args, **kwargs):
-            raise AssertionError("an epoch ran before the check")
-
-        monkeypatch.setattr(train_module, "sgd_epoch", no_epoch)
+        monkeypatch.setattr(train_module, "sgd_epoch", refuse_epochs)
         images, labels = toy_split(n=2)
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
         with pytest.raises(ConfigurationError, match="evaluation set is empty"):
@@ -249,10 +250,17 @@ class TestTrainLoop:
         ("lr", 0.0, "lr must be finite and > 0"),
         ("lr", float("nan"), "lr must be finite and > 0"),
         ("lr", float("inf"), "lr must be finite and > 0"),
+        ("lr", "0.1", "lr must be a number, got '0.1'"),
+        ("lr", True, "lr must be a number, got True"),
+        ("lr", None, "lr must be a number, got None"),
     ])
     def test_bad_rates_rejected(self, field, value, message):
         with pytest.raises(ConfigurationError, match=message):
             TrainConfig(**{field: value})
+
+    def test_numpy_and_int_rates_are_accepted(self):
+        assert TrainConfig(lr=np.float32(0.5)).lr == np.float32(0.5)
+        assert TrainConfig(lr=1).lr == 1
 
     @pytest.mark.parametrize("field,value,message", [
         ("seed", -1, "seed must be >= 0, got -1"),
@@ -280,6 +288,44 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError, match="labels"):
             train(net, images, labels + 1, images, labels,
                   TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("where", ["train", "eval"])
+    @pytest.mark.parametrize("bad", [0.5, True, 2, -1],
+                             ids=["half", "bool", "two", "minus_one"])
+    def test_labels_must_be_int_zero_or_one(self, monkeypatch, where, bad):
+        """A label of 0.5 is refused, not trained as class 0."""
+        images, labels = toy_split(n=2)
+        bad_labels = list(labels[:-1]) + [bad]
+        args = ((bad_labels, labels) if where == "train"
+                else (labels, bad_labels))
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        monkeypatch.setattr(train_module, "sgd_epoch", refuse_epochs)
+        with pytest.raises(ConfigurationError, match="labels must be in"):
+            train(net, images, args[0], images, args[1], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("where", ["train", "eval"])
+    @pytest.mark.parametrize("n_labels", [3, 5], ids=["fewer", "more"])
+    def test_one_label_per_image(self, monkeypatch, where, n_labels):
+        """3 images with 2 labels used to train on 2 of them, and 2
+        images with 3 labels to raise IndexError."""
+        images, labels = toy_split(n=2)
+        labels = list(labels)
+        other = (labels + [0])[:n_labels]
+        args = (other, labels) if where == "train" else (labels, other)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        monkeypatch.setattr(train_module, "sgd_epoch", refuse_epochs)
+        with pytest.raises(ConfigurationError,
+                           match=f"has 4 images but {n_labels} labels"):
+            train(net, images, args[0], images, args[1], TrainConfig(epochs=1))
+
+    def test_accuracy_needs_one_label_per_image(self):
+        images, labels = toy_split(n=2)
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        with pytest.raises(ConfigurationError,
+                           match="evaluation set has 1 images but 2 labels"):
+            accuracy(net, images[:1], [0, 1])
+        with pytest.raises(ConfigurationError, match="labels must be in"):
+            accuracy(net, images[:1], [0.5])
 
     def test_weight_mask_keeps_zeros_pinned(self):
         images, labels = toy_split(n=4)
