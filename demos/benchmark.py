@@ -10,7 +10,7 @@ from fisherprune import (
     reference_cnn, retrain, save_model, scatter_matrices, standardize, train,
 )
 from fisherprune.bench import time_network
-from fisherprune.data import images_labels
+from fisherprune.data import balanced, images_labels
 from fisherprune.modelio import model_param_count
 from fisherprune.tensor import Tensor
 
@@ -25,7 +25,7 @@ train(net, tr_imgs, tr_labels, te_imgs, te_labels,
 last = net.last_conv_index()
 mat = standardize(extract_firing_matrix(net, split.train, last))
 ranking = rank_and_select(icc_scores(scatter_matrices(mat)), k=4)
-table = dependency_scores(net, split.train[:60], ranking.selected)
+table = dependency_scores(net, balanced(split.train, 60), ranking.selected)
 pruned = apply_prune(net, build_prune_plan(table, ranking.selected, 0.6))
 retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels,
         TrainConfig(epochs=10, lr=0.005, seed=0))

@@ -8,7 +8,7 @@ from fisherprune import (
 from fisherprune.classify import (
     evaluate_accuracy, linear_svm_fit, qda_fit, rbf_svm_fit,
 )
-from fisherprune.data import images_labels
+from fisherprune.data import balanced, images_labels
 from fisherprune.firing import zscore
 
 split = generate_synthetic(n_per_class=150, seed=0)
@@ -23,7 +23,7 @@ train(net, tr_imgs, tr_labels, te_imgs, te_labels, cfg)
 last = net.last_conv_index()
 mat = standardize(extract_firing_matrix(net, split.train, last))
 ranking = rank_and_select(icc_scores(scatter_matrices(mat)), k=4)
-table = dependency_scores(net, split.train[:60], ranking.selected)
+table = dependency_scores(net, balanced(split.train, 60), ranking.selected)
 pruned = apply_prune(net, build_prune_plan(table, ranking.selected, 0.5))
 retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels,
         TrainConfig(epochs=10, lr=0.005, seed=0))

@@ -6,7 +6,7 @@ from fisherprune import (
     plateau_threshold_search, rank_and_select, reference_cnn,
     scatter_matrices, standardize, train,
 )
-from fisherprune.data import images_labels
+from fisherprune.data import balanced, images_labels
 
 split = generate_synthetic(n_per_class=150, seed=0)
 tr_imgs, tr_labels = images_labels(split.train)
@@ -25,7 +25,7 @@ ranking = rank_and_select(icc_scores(scatter_matrices(mat)), k=4)
 print("selected neurons:", sorted(ranking.selected.tolist()))
 
 # per-filter dependency strength of those neurons, traced by deconvolution
-table = dependency_scores(net, split.train[:60], ranking.selected)
+table = dependency_scores(net, balanced(split.train, 60), ranking.selected)
 for li in sorted(table.scores):
     kept = (table.scores[li] >= 0.5).sum()
     print(f"layer {li:2d}: {kept}/{table.scores[li].size} filters above 0.5")

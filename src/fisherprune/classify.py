@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
-    require_int, require_positive,
+    require_field, require_int, require_positive,
 )
-from .modelio import _require
 
 
 @dataclass
@@ -212,13 +211,17 @@ def _rbf_kernel(a, b, gamma):
 
 def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
                 max_passes=200) -> SvmModel:
-    """Pairwise dual (SMO-style) optimization of the RBF-kernel SVM.
+    """SMO on the RBF-kernel SVM dual: one maximal-violating pair per step.
 
     gamma defaults to 1/d; it must be finite and > 0, tol finite and >= 0
-    and max_passes an int >= 1. Sweeps all samples; the partner index is the
-    one with the largest error gap, so runs are deterministic. Stops when a
-    full sweep finds no KKT violation beyond tol; hitting max_passes first
-    returns the partial model with converged=False and a warning.
+    and max_passes an int >= 1. With a = y * alpha in [min(0, c*y),
+    max(0, c*y)] and g = y - K a, each step moves a_i up and a_j down by the
+    exact line step, clipped to the box, for i = argmax g over the
+    coordinates that can grow and j = argmin g over those that can shrink
+    (first index on ties; Bottou & Lin, 2007, Algorithm 5.1). It stops once
+    the KKT gap g_i - g_j is within tol, with b = (g_i + g_j) / 2, and
+    iterations counts the steps; hitting max_passes * n steps first returns
+    the partial model with converged=False and a warning.
     """
     x, y = _svm_problem(features, labels, c)
     n, d = x.shape
@@ -230,62 +233,35 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
     require_positive("SMO tol", tol, or_zero=True)
     require_int("max_passes", max_passes, 1)
     kmat = _rbf_kernel(x, x, gamma)
-    alpha = np.zeros(n)
-    b = 0.0
-    passes = 0
-    converged = False
-    while passes < max_passes:
-        changed = 0
-        for i in range(n):
-            e_i = float((alpha * y) @ kmat[:, i] + b - y[i])
-            r_i = e_i * y[i]
-            if not ((r_i < -tol and alpha[i] < c) or (r_i > tol and alpha[i] > 0)):
-                continue
-            errors = (alpha * y) @ kmat + b - y
-            gap = np.abs(errors - e_i)
-            gap[i] = -1.0
-            j = int(np.argmax(gap))
-            e_j = float(errors[j])
-            if y[i] != y[j]:
-                lo, hi = max(0.0, alpha[j] - alpha[i]), min(c, c + alpha[j] - alpha[i])
-            else:
-                lo, hi = max(0.0, alpha[i] + alpha[j] - c), min(c, alpha[i] + alpha[j])
-            if lo >= hi:
-                continue
-            eta = 2.0 * kmat[i, j] - kmat[i, i] - kmat[j, j]
-            if eta >= 0:
-                continue
-            a_j = alpha[j] - y[j] * (e_i - e_j) / eta
-            a_j = min(max(a_j, lo), hi)
-            if abs(a_j - alpha[j]) < 1e-12:
-                continue
-            a_i = alpha[i] + y[i] * y[j] * (alpha[j] - a_j)
-            b1 = b - e_i - y[i] * (a_i - alpha[i]) * kmat[i, i] \
-                - y[j] * (a_j - alpha[j]) * kmat[i, j]
-            b2 = b - e_j - y[i] * (a_i - alpha[i]) * kmat[i, j] \
-                - y[j] * (a_j - alpha[j]) * kmat[j, j]
-            alpha[i], alpha[j] = a_i, a_j
-            if 0 < a_i < c:
-                b = b1
-            elif 0 < a_j < c:
-                b = b2
-            else:
-                b = (b1 + b2) / 2.0
-            changed += 1
-        passes += 1
-        if changed == 0:
-            converged = True
+    lo, hi = np.minimum(0.0, c * y), np.maximum(0.0, c * y)
+    a = np.zeros(n)
+    g = y.copy()
+    steps = 0
+    while True:
+        i = int(np.argmax(np.where(a < hi, g, -np.inf)))
+        j = int(np.argmin(np.where(a > lo, g, np.inf)))
+        gap = g[i] - g[j]
+        converged = bool(gap <= tol)
+        if converged or steps == max_passes * n:
             break
+        room_i, room_j = hi[i] - a[i], a[j] - lo[j]
+        curv = max(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j], 1e-12)
+        lam = min(gap / curv, room_i, room_j)
+        a[i] = hi[i] if lam == room_i else a[i] + lam
+        a[j] = lo[j] if lam == room_j else a[j] - lam
+        g -= lam * (kmat[i] - kmat[j])
+        steps += 1
     if not converged:
         warnings.warn(
             f"kernel SVM stopped after {max_passes} passes with KKT "
             f"violations above tol={tol}; returning the partial model",
             RuntimeWarning,
         )
+    alpha = y * a
     sv = alpha > 1e-10
-    return SvmModel(kind="rbf", c=float(c), b=float(b), sv_x=x[sv].copy(),
-                    sv_y=y[sv].copy(), alpha=alpha[sv].copy(),
-                    gamma=float(gamma), iterations=passes, converged=converged)
+    return SvmModel(kind="rbf", c=float(c), b=float((g[i] + g[j]) / 2.0),
+                    sv_x=x[sv].copy(), sv_y=y[sv].copy(), alpha=alpha[sv].copy(),
+                    gamma=float(gamma), iterations=steps, converged=converged)
 
 
 def _svm_decisions(model: SvmModel, features):
@@ -336,11 +312,12 @@ def evaluate_accuracy(model, features, labels):
     return acc, confusion
 
 
-# Per head kind: its tensors with their extents (a named extent binds on
-# first use and must agree after), written to the blob in this order; then
-# its meta fields, name -> (type, default), a None default marking a
-# required field. The SVM cost and the RBF width must also be > 0.
-_HEADS = {
+# Per head kind (the `eval --classifier` choices besides fc): its tensors
+# with their extents (a named extent binds on first use and must agree
+# after), written to the blob in this order; then its meta fields, name ->
+# (type, default), a None default marking a required field. The SVM cost
+# and the RBF width must also be > 0.
+HEADS = {
     "qda": ({"means": (2, "d"), "cov": (2, "d", "d"), "logprior": (2,)},
             {"lam": (float, 0.0)}),
     "svml": ({"w": ("d",)},
@@ -357,7 +334,7 @@ def to_arrays(model):
     """Flatten a classifier into the container's auxiliary-section form."""
     kind = "qda" if isinstance(model, QdaModel) else (
         "svml" if model.kind == "linear" else "svmr")
-    tensors, meta = _HEADS[kind]
+    tensors, meta = HEADS[kind]
     return {"kind": kind, "meta": {key: getattr(model, key) for key in meta},
             "tensors": {name: getattr(model, name) for name in tensors}}
 
@@ -371,17 +348,20 @@ def from_arrays(section):
     QDA covariance that is not positive definite raise HeaderSchemaError
     naming the field.
     """
-    _require(section, dict, "classifier section")
-    kind = _require(section.get("kind"), str, "classifier section 'kind'")
-    if kind not in _HEADS:
+    require_field(section, dict, "classifier section")
+    kind = require_field(section.get("kind"), str, "classifier section 'kind'")
+    if kind not in HEADS:
         raise HeaderSchemaError(f"classifier section 'kind' {kind!r} is unknown")
-    tensors = _require(section.get("tensors"), dict, "classifier section 'tensors'")
-    meta = _require(section.get("meta", {}), dict, "classifier section 'meta'")
-    shapes, fields = _HEADS[kind]
+    tensors = require_field(section.get("tensors"), dict,
+                            "classifier section 'tensors'")
+    meta = require_field(section.get("meta", {}), dict,
+                         "classifier section 'meta'")
+    shapes, fields = HEADS[kind]
     extents, values = {}, {}
     for name, dims in shapes.items():
-        arr = np.asarray(_require(tensors.get(name), np.ndarray,
-                                  f"classifier tensor {name!r}"), dtype=np.float64)
+        arr = np.asarray(require_field(tensors.get(name), np.ndarray,
+                                       f"classifier tensor {name!r}"),
+                         dtype=np.float64)
         want = tuple(extents.setdefault(d, n) if isinstance(d, str) else d
                      for d, n in zip(dims, arr.shape))
         if arr.ndim != len(dims) or arr.shape != want:
@@ -390,8 +370,8 @@ def from_arrays(section):
                                     f"{arr.shape}, expected ({expected})")
         values[name] = arr
     for key, (kind_of, default) in fields.items():
-        values[key] = _require(meta[key] if key in meta else default, kind_of,
-                               f"classifier meta {key!r}")
+        values[key] = require_field(meta[key] if key in meta else default,
+                                    kind_of, f"classifier meta {key!r}")
         if key in _POSITIVE and not values[key] > 0:
             raise HeaderSchemaError(
                 f"classifier meta {key!r} must be > 0, got {values[key]}")

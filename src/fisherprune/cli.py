@@ -19,9 +19,9 @@ import numpy as np
 
 from . import classify, deconv, firing, modelio, prune
 from .bench import time_network
-from .data import generate_synthetic, images_labels, load_pgm_dir
-from .errors import (ConfigurationError, ModelFormatError, TrainingDiverged,
-                     require_positive)
+from .data import balanced, generate_synthetic, images_labels, load_pgm_dir
+from .errors import (ConfigurationError, DimensionError, ModelFormatError,
+                     NonFiniteError, TrainingDiverged, require_positive)
 from .network import forward, reference_cnn
 from .train import TrainConfig, accuracy, train
 
@@ -147,8 +147,8 @@ def _dependency_search(args, split):
     te_imgs, te_labels = images_labels(split.test)
     base_acc = accuracy(net, te_imgs, te_labels)
     _, ranking = _rank(net, split, args.k)
-    subset = split.train[:args.dep_images] if args.dep_images else split.train
-    table = deconv.dependency_scores(net, subset, ranking.selected)
+    table = deconv.dependency_scores(
+        net, balanced(split.train, args.dep_images), ranking.selected)
     _write_csv(os.path.join(args.out, "dependencies.csv"),
                ["layer", "filter", "score"],
                [[li, f, f"{s:.8g}"] for li in sorted(table.scores)
@@ -288,7 +288,8 @@ def _add_pruning(p):
     p.add_argument("--lr", type=float, default=0.005,
                    help="base rate; retraining runs at a tenth of it")
     p.add_argument("--dep-images", type=int, default=60,
-                   help="training images used for dependency pooling")
+                   help="training images used for dependency pooling, "
+                        "taken from the classes in turn (0 means all)")
     p.add_argument("--grid", required=True, help="T or lo:hi:step thresholds")
 
 
@@ -335,7 +336,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--classifier", default="fc",
-                   choices=["fc", *classify._HEADS])
+                   choices=["fc", *classify.HEADS])
     p.add_argument("--lam", type=float, default=1e-3, help="qda ridge")
     p.add_argument("--c", type=float, default=1.0, help="svm cost")
     p.set_defaults(func=cmd_eval)
@@ -354,26 +355,34 @@ def main(argv=None):
     """Parse argv, run one command into --out, record its manifest and report.
 
     The command gets the loaded dataset and returns its report.txt lines;
-    manifest.json gains the command's parsed flags under its name.
+    manifest.json gains the command's parsed flags under its name; one that
+    does not hold a JSON object is refused before any work. A package error
+    or an OSError prints one `error:` line and returns 2; any other
+    exception propagates.
     """
     try:
         args = build_parser().parse_args(argv)
         os.makedirs(args.out, exist_ok=True)
-        split = _load_dataset(args.dataset, args.seed, args.n_per_class)
-        lines = args.func(args, split)
         path = os.path.join(args.out, "manifest.json")
         manifest = {}
         if os.path.exists(path):
             with open(path) as fh:
-                manifest = json.load(fh)
+                try:
+                    manifest = json.load(fh)
+                except ValueError:  # not JSON, or not UTF-8
+                    manifest = None
+            if not isinstance(manifest, dict):
+                raise ConfigurationError(f"{path} does not hold a JSON object")
+        split = _load_dataset(args.dataset, args.seed, args.n_per_class)
+        lines = args.func(args, split)
         manifest[args.command] = _manifest(args)
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(os.path.join(args.out, "report.txt"), "a") as fh:
             fh.writelines(line + "\n" for line in lines)
-    except (ConfigurationError, ModelFormatError, TrainingDiverged,
-            ValueError, OSError) as exc:
+    except (ConfigurationError, DimensionError, NonFiniteError,
+            ModelFormatError, TrainingDiverged, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -28,6 +28,7 @@ cast) runs per block of BLOCK_PIXELS // size**2 images.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -68,6 +69,18 @@ def images_labels(samples):
     imgs = [s.image.data for s in samples]
     labels = np.array([s.label for s in samples], dtype=np.int64)
     return imgs, labels
+
+
+def balanced(samples, n):
+    """The first n of samples taken from the classes in turn (0, 1, 0, 1,
+    ..., each class in its given order, the larger one alone once the other
+    runs out), so a prefix of a class-ordered split sees both classes. n of
+    0 means all samples, returned unchanged."""
+    if require_int("n", n, 0) == 0:
+        return samples
+    by_class = [[s for s in samples if s.label == c] for c in (0, 1)]
+    turns = itertools.zip_longest(*by_class)
+    return [s for pair in turns for s in pair if s is not None][:n]
 
 
 # Images per synthesis block: each float64 block temporary holds about

@@ -44,11 +44,15 @@ class DependencyTable:
 
 def selected_neurons(selected):
     """selected as a flat int64 array, or ConfigurationError unless it is a
-    non-empty set of distinct int ids >= 0 (a bool is not an int)."""
+    non-empty set of distinct int ids >= 0 that fit int64 (a bool is not an
+    int)."""
     ids = [require_int("selected neuron id", n, 0)
            for n in np.asarray(selected, dtype=object).ravel()]
     if not ids:
         raise ConfigurationError("selected neuron set is empty")
+    if max(ids) > np.iinfo(np.int64).max:
+        raise ConfigurationError(
+            f"selected neuron id must fit int64, got {max(ids)}")
     if len(set(ids)) < len(ids):
         raise ConfigurationError("selected neurons must be distinct")
     return np.array(ids, dtype=np.int64)

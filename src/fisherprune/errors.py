@@ -1,8 +1,10 @@
-"""Exception kinds shared across the package, and the int and number
-argument checks that raise one of them."""
+"""Exception kinds shared across the package, the int and number argument
+checks that raise one of them, and the header-field check of the model
+container."""
 
 import math
 import numbers
+import sys
 
 
 class DimensionError(ValueError):
@@ -82,3 +84,14 @@ class HeaderSchemaError(ModelFormatError):
 
 class NonFiniteWeightsError(ModelFormatError):
     """A stored tensor holds NaN or infinity."""
+
+
+def require_field(value, kind, what):
+    """value as a kind, else HeaderSchemaError naming what. A bool is not an
+    int or a float, an int is read as a float, and a float must be finite."""
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or (isinstance(value, bool) and kind is not bool)
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        got = "missing" if value is None else f"{type(value).__name__} {value!r:.20}"
+        raise HeaderSchemaError(f"{what}: expected {kind.__name__}, got {got}")
+    return float(value) if kind is float else value

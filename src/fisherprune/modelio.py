@@ -9,12 +9,12 @@ Layout on disk:
                   optional classifier section (kind tag + its own tensors)
     blob          all tensors back to back, little-endian float32
 
-Every header field is checked by `_require` as it is read: a bool is not an
-int or a number, numbers must be finite, and flags such as the classifier's
-`converged` must be JSON bools. Load failures are told apart: a wrong
-magic, a blob shorter than the directory demands, a header field that is
-missing or mistyped, a tensor holding NaN or infinity, and a layer chain
-whose shapes do not compose each raise their own error type.
+Every header field is checked by `errors.require_field` as it is read: a
+bool is not an int or a number, numbers must be finite, and flags such as
+the classifier's `converged` must be JSON bools. Load failures are told
+apart: a wrong magic, a blob shorter than the directory demands, a header
+field that is missing or mistyped, a tensor holding NaN or infinity, and a
+layer chain whose shapes do not compose each raise their own error type.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-import sys
 
 import numpy as np
 
 from .errors import (
     BadMagicError, DimensionError, HeaderSchemaError, NonFiniteError,
-    NonFiniteWeightsError, ShapeChainError, TruncatedBlobError,
+    NonFiniteWeightsError, ShapeChainError, TruncatedBlobError, require_field,
 )
 from .network import LAYER_FIELDS, LayerSpec, Network
 
@@ -106,24 +105,14 @@ def _nonfinite_key(value, where=""):
     return next((path for path in paths if path is not None), None)
 
 
-def _require(value, kind, what):
-    """value as a kind, else HeaderSchemaError naming what. A bool is not an
-    int or a float, an int is read as a float, and a float must be finite."""
-    if (not isinstance(value, (int, float) if kind is float else kind)
-            or (isinstance(value, bool) and kind is not bool)
-            or (kind is float and not abs(value) <= sys.float_info.max)):
-        got = "missing" if value is None else f"{type(value).__name__} {value!r:.20}"
-        raise HeaderSchemaError(f"{what}: expected {kind.__name__}, got {got}")
-    return float(value) if kind is float else value
-
-
 def _read_tensor(blob, directory, name):
     if name not in directory:
         raise ShapeChainError(f"header references missing tensor {name!r}")
-    meta = _require(directory[name], dict, f"tensor {name!r}")
+    meta = require_field(directory[name], dict, f"tensor {name!r}")
     what = f"tensor {name!r} 'shape'"
-    shape = tuple(_require(s, int, what) for s in _require(meta.get("shape"), list, what))
-    start = _require(meta.get("offset"), int, f"tensor {name!r} 'offset'")
+    shape = tuple(require_field(s, int, what)
+                  for s in require_field(meta.get("shape"), list, what))
+    start = require_field(meta.get("offset"), int, f"tensor {name!r} 'offset'")
     if start < 0 or min(shape, default=0) < 0:
         raise HeaderSchemaError(
             f"tensor {name!r} has a negative offset or extent ({start}, {shape})")
@@ -161,21 +150,22 @@ def load_model(path):
         raise BadMagicError(f"{path}: header is not valid JSON ({exc})") from None
     blob = data[hstart + hlen:]
 
-    _require(header, dict, f"{path}: header")
-    directory = _require(header.get("tensors", {}), dict, f"{path}: 'tensors'")
-    entries = _require(header.get("layers", []), list, f"{path}: 'layers'")
+    require_field(header, dict, f"{path}: header")
+    directory = require_field(header.get("tensors", {}), dict,
+                              f"{path}: 'tensors'")
+    entries = require_field(header.get("layers", []), list, f"{path}: 'layers'")
     layers = []
     for i, entry in enumerate(entries):
         where = f"{path}: layer {i}"
-        kind = _require(_require(entry, dict, where).get("kind"), str,
-                        f"{where} 'kind'")
+        kind = require_field(require_field(entry, dict, where).get("kind"), str,
+                             f"{where} 'kind'")
         if kind not in LAYER_FIELDS:
             raise ShapeChainError(f"layer {i}: unknown kind {kind!r}")
         fields = {}
         for key, default in LAYER_FIELDS[kind].items():
             tensor = key in ("weights", "bias")
-            value = _require(entry.get(key, default), str if tensor else int,
-                             f"{where} {key!r}")
+            value = require_field(entry.get(key, default),
+                                  str if tensor else int, f"{where} {key!r}")
             fields[key] = _read_tensor(blob, directory, value) if tensor else value
         try:
             layers.append(LayerSpec(kind, **fields))
@@ -183,8 +173,8 @@ def load_model(path):
             raise ShapeChainError(f"layer {i}: {exc}") from None
 
     what = f"{path}: 'input_shape'"
-    input_shape = _require(header.get("input_shape", []), list, what)
-    net = Network(tuple(_require(s, int, what) for s in input_shape), layers)
+    input_shape = require_field(header.get("input_shape", []), list, what)
+    net = Network(tuple(require_field(s, int, what) for s in input_shape), layers)
     try:
         net.infer_shapes()
     except Exception as exc:
@@ -192,11 +182,12 @@ def load_model(path):
 
     info = {"provenance": header.get("provenance", {}), "classifier": None}
     if "classifier" in header:
-        sec = _require(header["classifier"], dict, f"{path}: 'classifier'")
-        refs = _require(sec.get("tensors", {}), dict,
-                        f"{path}: classifier 'tensors'")
+        sec = require_field(header["classifier"], dict, f"{path}: 'classifier'")
+        refs = require_field(sec.get("tensors", {}), dict,
+                             f"{path}: classifier 'tensors'")
         what = f"{path}: classifier tensor"
-        tensors = {k: _read_tensor(blob, directory, _require(ref, str, f"{what} {k!r}"))
+        tensors = {k: _read_tensor(blob, directory,
+                                   require_field(ref, str, f"{what} {k!r}"))
                    for k, ref in refs.items()}
         info["classifier"] = {"kind": sec.get("kind"), "meta": sec.get("meta", {}),
                               "tensors": tensors}

@@ -175,7 +175,7 @@ def forward(net: Network, x: Tensor, record=False, hook=None):
     for i, layer in enumerate(net.layers):
         try:
             cur, switches = _step(layer, cur, record)
-        except (DimensionError, ConfigurationError, ValueError) as exc:
+        except ValueError as exc:
             raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
         if hook is not None:
             cur = hook(i, cur)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fisherprune import deconv, firing
-from fisherprune.data import generate_synthetic, images_labels
+from fisherprune.data import balanced, generate_synthetic, images_labels
 from fisherprune.network import reference_cnn
 from fisherprune.train import TrainConfig, accuracy, train
 
@@ -55,7 +55,8 @@ def analysis(trained, dataset):
     )
     scatter = firing.scatter_matrices(mat)
     ranking = firing.rank_and_select(firing.icc_scores(scatter), 4)
-    table = deconv.dependency_scores(net, dataset.train[:60], ranking.selected)
+    table = deconv.dependency_scores(net, balanced(dataset.train, 60),
+                                     ranking.selected)
     return {"mat": mat, "scatter": scatter, "ranking": ranking, "table": table,
             "seconds": time.monotonic() - t0}
 

@@ -246,6 +246,31 @@ def head_labels_loops(model, rows):
     return labels
 
 
+def svm_kkt_violations(model, features, labels, tol):
+    """Indices of the training rows of a fitted RBF SVM whose margin y*f(x)
+    breaks its dual KKT condition by more than tol, one row at a time:
+    alpha = 0 needs y*f >= 1, 0 < alpha < c needs y*f = 1 and alpha = c
+    needs y*f <= 1. A row's alpha is that of the support vector with the
+    same bytes, or 0 when it is none; `model` is read by attribute only."""
+    alpha_of = {sv.tobytes(): a for sv, a in zip(model.sv_x, model.alpha)}
+    assert len(alpha_of) == len(model.alpha), "support vectors must be distinct"
+    bad = []
+    for i, (x, y) in enumerate(zip(np.asarray(features, dtype=np.float64),
+                                   np.asarray(labels, dtype=np.float64))):
+        kernel = np.exp(-model.gamma * ((model.sv_x - x) ** 2).sum(axis=1))
+        f = model.b + (model.alpha * model.sv_y * kernel).sum()
+        margin, alpha = y * f, alpha_of.get(x.tobytes(), 0.0)
+        if alpha == 0.0:
+            ok = margin >= 1.0 - tol
+        elif alpha < model.c:
+            ok = abs(margin - 1.0) <= tol
+        else:
+            ok = margin <= 1.0 + tol
+        if not ok:
+            bad.append(i)
+    return bad
+
+
 def rbf_kernel_expression(a, b, gamma):
     """The RBF kernel as the package's earlier one-line expression: three
     (n, m) float64 arrays live at once."""

@@ -26,6 +26,16 @@ def blobs(n=30, gap=6.0, seed=0):
     return x, y01, np.where(y01 == 0, -1, 1)
 
 
+def gaussian_classes(seed):
+    """240 rows of 32-d standard normals, z-scored per column, whose class
+    +1 half is shifted by 1.0 on its first 4 dimensions; labels -1/+1."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat([-1, 1], 120)
+    x = rng.normal(0.0, 1.0, (240, 32))
+    x[y == 1, :4] += 1.0
+    return (x - x.mean(axis=0)) / x.std(axis=0), y
+
+
 class TestQda:
     def test_separable_blobs(self):
         x, y01, _ = blobs()
@@ -161,6 +171,7 @@ class TestRbfSvm:
         x, _, ypm = blobs(seed=4)
         model = rbf_svm_fit(x, ypm, c=1.0)
         assert model.converged
+        assert oracles.svm_kkt_violations(model, x, ypm, 1e-3) == []
         assert np.all(model.alpha >= -1e-12)
         assert np.all(model.alpha <= 1.0 + 1e-12)
         # the SMO pair updates preserve sum(alpha_i y_i) = 0 (up to the
@@ -177,6 +188,24 @@ class TestRbfSvm:
         with pytest.warns(RuntimeWarning, match="partial model"):
             model = rbf_svm_fit(x, ypm, c=10.0, max_passes=1)
         assert not model.converged
+        assert model.iterations == len(ypm)  # max_passes * n steps
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kkt_holds_on_overlapping_blobs(self, seed):
+        x, _, ypm = blobs(n=60, gap=1.5, seed=seed)
+        model = rbf_svm_fit(x, ypm, c=1.0)
+        assert model.converged
+        assert oracles.svm_kkt_violations(model, x, ypm, 1e-3) == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_kkt_and_fit_on_gaussian_classes(self, seed):
+        """Overlapping 32-d classes: the fit stops only when the KKT
+        conditions hold, and it fits the training rows."""
+        x, y = gaussian_classes(seed)
+        model = rbf_svm_fit(x, y)
+        assert model.converged
+        assert oracles.svm_kkt_violations(model, x, y, 1e-3) == []
+        assert np.mean(predict(model, x) * 2 - 1 == y) >= 0.95
 
     def test_refuses_huge_problems(self):
         x = np.zeros((5001, 2))

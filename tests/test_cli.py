@@ -11,7 +11,7 @@ import pytest
 
 from fisherprune import bench, classify, cli, data, prune
 from fisherprune.cli import build_parser, main
-from fisherprune.data import images_labels
+from fisherprune.data import balanced, images_labels
 from fisherprune.deconv import dependency_scores
 from fisherprune.errors import ConfigurationError
 from fisherprune.modelio import load_model, save_model
@@ -229,7 +229,8 @@ class TestGridSearch:
         split = cli._load_dataset("synthetic", 0, 6)
         net, _ = load_model(os.path.join(piperun, "model.ldap1"))
         _, ranking = cli._rank(net, split, 2)
-        table = dependency_scores(net, split.train[:2], ranking.selected)
+        table = dependency_scores(net, balanced(split.train, 2),
+                                  ranking.selected)
         want = prune.apply_prune(
             net, prune.build_prune_plan(table, ranking.selected, 0.3))
         retrain(want, *images_labels(split.train), *images_labels(split.test),
@@ -239,7 +240,50 @@ class TestGridSearch:
         assert_same_weights(got, want)
 
 
+class TestDependencySubset:
+    def test_walk_pools_over_both_classes(self, piperun, tmp_path,
+                                          monkeypatch):
+        """--dep-images 4 of a split that lists class 0 first walks two
+        images of each class; a plain prefix would hold class 0 only."""
+        seen = []
+
+        def spy(net, images, selected):
+            seen.extend(images)
+            return dependency_scores(net, images, selected)
+
+        monkeypatch.setattr(cli.deconv, "dependency_scores", spy)
+        train = cli._load_dataset("synthetic", 0, 6).train
+        assert {s.label for s in train[:4]} == {0}
+        rc = main(["prune", "--out", str(tmp_path), "--model",
+                   os.path.join(piperun, "model.ldap1"), "--k", "2",
+                   "--grid", "0.2", "--epochs", "1", "--dep-images", "4"]
+                  + TINY)
+        assert rc == 0
+        assert [s.label for s in seen] == [0, 1, 0, 1]
+
+
 class TestFailureExits:
+    def test_untyped_value_error_propagates(self, tmp_path, monkeypatch):
+        """Only the package's typed errors and OSError exit 2; a plain
+        ValueError is a defect and surfaces as a traceback."""
+        def boom(args, split):
+            raise ValueError("not a package error")
+
+        monkeypatch.setattr(cli, "cmd_extract", boom)
+        with pytest.raises(ValueError, match="not a package error"):
+            main(["extract", "--out", str(tmp_path), "--model", "m.ldap1"]
+                 + TINY)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+    def test_unreadable_manifest_refused_before_any_work(self, tmp_path,
+                                                         capsys, text):
+        (tmp_path / "manifest.json").write_bytes(text.encode("latin-1"))
+        rc = main(["extract", "--out", str(tmp_path), "--model",
+                   str(tmp_path / "missing.ldap1")] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and "JSON object" in err
+
     def test_unknown_dataset(self, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path), "--dataset", "nope",
                    "--epochs", "1"])
@@ -302,7 +346,7 @@ class TestFailureExits:
                    if isinstance(a, argparse._SubParsersAction))
         action = next(a for a in sub.choices["eval"]._actions
                       if a.dest == "classifier")
-        assert list(action.choices) == ["fc", *classify._HEADS]
+        assert list(action.choices) == ["fc", *classify.HEADS]
         assert set(action.choices) == {"fc", "qda", "svml", "svmr"}
         with pytest.raises(ConfigurationError, match="invalid choice: 'lda'"):
             build_parser().parse_args(["eval", "--model", "m.ldap1",

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from fisherprune import data
 from fisherprune.data import (
-    BLOCK_PIXELS, DatasetSplit, generate_synthetic, images_labels,
+    BLOCK_PIXELS, DatasetSplit, balanced, generate_synthetic, images_labels,
     load_pgm_dir, resize_nearest,
 )
 from fisherprune.errors import ConfigurationError
@@ -109,6 +109,32 @@ class TestSynthetic:
         ones = [s for s in split.train if s.label == 1]
         with pytest.raises(ConfigurationError, match="both classes"):
             DatasetSplit(train=ones, test=split.test, n0=0, n1=len(ones))
+
+
+class TestBalanced:
+    def test_prefix_of_a_class_ordered_split_holds_both_classes(self):
+        train = generate_synthetic(10, seed=0).train  # 8 of class 0 first
+        assert [s.label for s in train[:4]] == [0, 0, 0, 0]
+        subset = balanced(train, 4)
+        assert [s.label for s in subset] == [0, 1, 0, 1]
+        assert [s.id for s in subset] == [train[i].id for i in (0, 8, 1, 9)]
+
+    def test_larger_class_alone_once_the_other_runs_out(self):
+        train = generate_synthetic(10, seed=0).train
+        samples = train[:6] + train[8:10]  # six of class 0, two of class 1
+        got = balanced(samples, 7)
+        assert [s.id for s in got] == [samples[i].id
+                                       for i in (0, 6, 1, 7, 2, 3, 4)]
+        assert len(balanced(samples, 100)) == len(samples)
+
+    def test_zero_means_all_unchanged(self):
+        train = generate_synthetic(3, seed=0).train
+        assert balanced(train, 0) is train
+
+    @pytest.mark.parametrize("n", [-1, 2.0, True, "4"])
+    def test_n_must_be_an_int_at_least_zero(self, n):
+        with pytest.raises(ConfigurationError, match="n must be"):
+            balanced(generate_synthetic(3, seed=0).train, n)
 
 
 def block_length(size):

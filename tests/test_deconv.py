@@ -29,9 +29,10 @@ BAD_SELECTED = [
     ([1, 2.0], "selected neuron id must be an int, got 2.0"),
     (np.array([False, True]), "selected neuron id must be an int, got False"),
     ([0, -1], "selected neuron id must be >= 0, got -1"),
+    ([1, 2**70], f"selected neuron id must fit int64, got {2**70}"),
 ]
 BAD_SELECTED_IDS = ["bool_and_float", "float_array", "int_valued_float",
-                    "bool_array", "negative"]
+                    "bool_array", "negative", "past_int64"]
 
 
 def labeled(img, label=0, id="x"):
