@@ -193,11 +193,11 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
     The mirror of forward: yields (i, signal at layer i's output) for
     i = start..0. Each layer's rule runs only when the next signal is asked
     for, and layer 0's never runs: no caller reads a signal at the input.
-    Conv applies its transposed conv, dense W^T in float64, flatten a
-    reshape, max-pool a scatter-add through its switches (windows sharing
-    a winner sum). Relu is the one difference: backprop (mirror=False)
-    gates by the sign of its recorded output; the deconvnet projection
-    (mirror=True; Zeiler & Fergus, 2014) rectifies.
+    Each step works in the signal's dtype: conv applies its transposed
+    conv, dense W^T, flatten a reshape, max-pool a scatter-add through its
+    switches (windows sharing a winner sum). Relu is the one difference:
+    backprop (mirror=False) gates by the sign of its recorded output; the
+    deconvnet projection (mirror=True; Zeiler & Fergus, 2014) rectifies.
     """
     for i in range(start, -1, -1):
         yield i, signal
@@ -209,7 +209,7 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
             signal = ops.conv2d_adjoint(signal, layer.weights, layer.stride,
                                         layer.pad, out_hw=below[1:])
         elif layer.kind == "dense":
-            signal = layer.weights.astype(np.float64).T @ signal
+            signal = layer.weights.astype(signal.dtype, copy=False).T @ signal
         elif layer.kind == "flatten":
             signal = signal.reshape(below)
         elif layer.kind == "relu":

@@ -1,25 +1,31 @@
 """Layer primitives for the inference engine.
 
 All ops are pure functions on plain ndarrays: feature maps are (C,H,W),
-conv kernels (O,C,kh,kw), dense weights (m,n). Dot products accumulate in
-float64 and results are cast back to the input dtype, so float32 models
-produce reproducible sums. conv_shape, pool_shape and dense_shape are the
+conv kernels (O,C,kh,kw), dense weights (m,n). Every GEMM accumulates in
+the dtype of its input map (float32 or float64; any other dtype is a
+ConfigurationError): kernel, weights and bias are cast to it, so a float32
+net runs float32 GEMMs end to end, while float64 inputs (finite
+differences, the oracles) still accumulate in float64. The price is that
+float32 sums follow the machine's BLAS sgemm kernel, so float32 artifacts
+can differ in their last bits from one machine to another; reruns on one
+machine stay byte-identical. conv_shape, pool_shape and dense_shape are the
 one shape rule of each parametric kind: its kernels check their arguments
 with it, and Network.infer_shapes reads it.
 
 Convolutions unroll their input in row runs. The map is zero-padded into a
-float64 grid of Hp x Wp cells per channel, with zero rows of slack below.
-The unrolled matrix is (C*kh*kw, OH*Wp): row (c, i, j) is one run through
-the grid that starts at tap (i, j) of channel c and steps by the stride,
-and column y*Wp + x holds that tap for output position (y, x). Columns with
-x >= OW fall off the right edge of the windows (they read on into the next
-grid row, or the slack), so each kernel drops them when it crops its result
-to (.., OH, OW). With the kernel flattened to (O, C*kh*kw), the forward
-pass is one GEMM. The weight gradient is one GEMM against the output
-gradient spread onto the same (OH, Wp) layout, with zeros in the dropped
-columns. The adjoint is a stride-1 correlation of the flipped,
-channel-transposed kernel with the output gradient, spread onto the stride
-grid behind kh-1 and kw-1 zeros: one GEMM with inner dimension O*kh*kw.
+grid of Hp x Wp cells per channel, in its own dtype, with zero rows of
+slack below. The unrolled matrix is (C*kh*kw, OH*Wp): row (c, i, j) is one
+run through the grid that starts at tap (i, j) of channel c and steps by
+the stride, and column y*Wp + x holds that tap for output position (y, x).
+Columns with x >= OW fall off the right edge of the windows (they read on
+into the next grid row, or the slack), so each kernel drops them when it
+crops its result to (.., OH, OW). With the kernel flattened to
+(O, C*kh*kw), the forward pass is one GEMM. The weight gradient is one GEMM
+against the output gradient spread onto the same (OH, Wp) layout, with
+zeros in the dropped columns. The adjoint is a stride-1 correlation of the
+flipped, channel-transposed kernel with the output gradient, spread onto
+the stride grid behind kh-1 and kw-1 zeros: one GEMM with inner dimension
+O*kh*kw.
 
 Max-pooling takes a running max over the window's strided tap views in
 scan order, so a plain pass costs one copy and window*window - 1 maximum
@@ -60,8 +66,16 @@ def _span(top, spread, n, size):
     return slice(lo, hi), slice(top + spread * lo, top + spread * hi, spread)
 
 
+def _accumulator(x):
+    """The dtype a kernel accumulates x in: x's own, float32 or float64."""
+    if x.dtype not in (np.float32, np.float64):
+        raise ConfigurationError(
+            f"kernel input must be float32 or float64, got {x.dtype}")
+    return x.dtype
+
+
 def _unroll(x, kh, kw, stride, hp, wp, rows, cols):
-    """Row-run unroll of x set into a zero float64 grid of (C, hp, wp) cells.
+    """Row-run unroll of x set into a zero (C, hp, wp) grid of x's dtype.
 
     x fills the grid cells [:, rows, cols]. Returns the (C*kh*kw, oh*wp)
     matrix, oh = (hp - kh) // stride + 1, whose row (c, i, j) holds cell
@@ -73,10 +87,11 @@ def _unroll(x, kh, kw, stride, hp, wp, rows, cols):
     oh = (hp - kh) // stride + 1
     n = oh * wp
     depth = max(hp, -(-((kh - 1) * wp + kw + stride * (n - 1)) // wp))
-    grid = np.zeros((c, depth, wp))
+    grid = np.zeros((c, depth, wp), x.dtype)
     grid[:, rows, cols] = x
-    runs = np.ndarray((c, kh, kw, n), np.float64, grid, 0,
-                      (depth * wp * 8, wp * 8, 8, stride * 8))
+    item = grid.itemsize
+    runs = np.ndarray((c, kh, kw, n), grid.dtype, grid, 0,
+                      (depth * wp * item, wp * item, item, stride * item))
     return runs.reshape(c * kh * kw, n)
 
 
@@ -115,16 +130,16 @@ def conv2d_forward(input, kernel, bias, stride=1, pad=0):
     o, oh, ow = conv_shape(shape, kshape, stride, pad)
     c, h, w = shape
     kh, kw = kshape[2:]
-    b = np.asarray(bias, dtype=np.float64).reshape(-1)
+    dtype = _accumulator(input)
+    b = np.asarray(bias, dtype=dtype).reshape(-1)
     if b.shape[0] != o:
         raise DimensionError(f"bias length {b.shape[0]} != out channels {o}")
     wp = w + 2 * pad
     cols = _unroll(input, kh, kw, stride, h + 2 * pad, wp,
                    slice(pad, pad + h), slice(pad, pad + w))
-    k2 = kernel.reshape(o, c * kh * kw).astype(np.float64)
-    out = k2 @ cols
+    out = kernel.reshape(o, c * kh * kw).astype(dtype, copy=False) @ cols
     out += b[:, None]
-    return out.reshape(o, oh, wp)[:, :, :ow].astype(input.dtype)
+    return np.ascontiguousarray(out.reshape(o, oh, wp)[:, :, :ow])
 
 
 def conv2d_adjoint(gout, kernel, stride=1, pad=0, *, out_hw):
@@ -139,6 +154,7 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, *, out_hw):
     kern = np.asarray(kernel)
     if gout.ndim != 3 or kern.ndim != 4:
         raise DimensionError("need (O,H,W) signal and (O,C,kh,kw) kernel")
+    dtype = _accumulator(gout)
     o, oh, ow = gout.shape
     _, c, kh, kw = kern.shape
     h, w = out_hw
@@ -153,9 +169,9 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, *, out_hw):
     cs, cg = _span(kw - 1 - pad, stride, ow, wg)
     cols = _unroll(gout[:, rs, cs], kh, kw, 1, hg, wg, rg, cg)
     flipped = np.ascontiguousarray(
-        kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dtype=np.float64)
+        kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dtype=dtype)
     out = flipped.reshape(c, o * kh * kw) @ cols
-    return out.reshape(c, h, wg)[:, :, :w].astype(gout.dtype)
+    return np.ascontiguousarray(out.reshape(c, h, wg)[:, :, :w])
 
 
 def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
@@ -165,14 +181,15 @@ def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
     if gout.ndim != 3 or gout.shape[1:] != (oh, ow):
         raise DimensionError(f"gradient must be (O,{oh},{ow}), got {gout.shape}")
     o = gout.shape[0]
+    dtype = _accumulator(x)
     wp = w + 2 * pad
     cols = _unroll(x, kh, kw, stride, h + 2 * pad, wp,
                    slice(pad, pad + h), slice(pad, pad + w))
-    spread = np.zeros((o, oh, wp))
+    spread = np.zeros((o, oh, wp), dtype)
     spread[:, :, :ow] = gout
     dw = (spread.reshape(o, oh * wp) @ cols.T).reshape(o, c, kh, kw)
-    db = np.asarray(gout, dtype=np.float64).reshape(o, oh * ow).sum(axis=1)
-    return dw.astype(x.dtype), db.astype(x.dtype)
+    db = np.asarray(gout, dtype=dtype).reshape(o, oh * ow).sum(axis=1)
+    return dw, db
 
 
 def relu_forward(input):
@@ -292,11 +309,11 @@ def dense_shape(shape, weights_shape):
 def dense_forward(input, weights, bias):
     """Affine map W @ x + b on a rank-1 input."""
     m, = dense_shape(input.shape, weights.shape)
-    b = np.asarray(bias, dtype=np.float64).reshape(-1)
+    dtype = _accumulator(input)
+    b = np.asarray(bias, dtype=dtype).reshape(-1)
     if b.shape[0] != m:
         raise DimensionError(f"bias length {b.shape[0]} != out dim {m}")
-    out = weights.astype(np.float64) @ input.astype(np.float64) + b
-    return out.astype(input.dtype)
+    return weights.astype(dtype, copy=False) @ input + b
 
 
 def softmax(x):

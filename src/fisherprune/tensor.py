@@ -4,8 +4,9 @@ A Tensor wraps the pixels of a LabeledImage and the input and output of
 network.forward / network.logits; everything inside the package (ops, the
 layer walk, training, the deconv tracer) works on plain ndarrays. Feature
 maps are laid out (channels, height, width) row-major. Model data is
-float32; float64 is kept as given so verification code (finite differences,
-oracles) can run the exact same ops at high precision.
+float32, and the ops accumulate in their input's dtype, so a float32 input
+runs float32 GEMMs throughout. float64 is kept as given so verification
+code (finite differences, oracles) runs the exact same ops in float64.
 """
 
 from __future__ import annotations

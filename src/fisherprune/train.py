@@ -35,24 +35,24 @@ def backward(net: Network, rec: ForwardRecord, label: int):
     """Per-layer parameter gradients for one example.
 
     The network must end in softmax; the loss is cross-entropy against the
-    integer label. Returns {layer_index: (dw, db)} for conv/dense layers.
+    integer label. Returns {layer_index: (dw, db)} for conv/dense layers,
+    in the dtype of the softmax output (the input's: float32 for model
+    data).
     """
     if not net.layers or net.layers[-1].kind != "softmax":
         raise ConfigurationError("backward expects a softmax-terminated network")
     grads = {}
-    g = rec.activations[-1].astype(np.float64)
+    g = rec.activations[-1].copy()
     g[label] -= 1.0  # softmax+CE fused
     for i, g in reverse(net, rec, len(net.layers) - 2, g):
         layer = net.layers[i]
         x = rec.activations[i - 1] if i > 0 else rec.input
         if layer.kind == "dense":
-            grads[i] = (np.outer(g, x.astype(np.float64)).astype(np.float32),
-                        g.astype(np.float32))
+            grads[i] = (np.outer(g, x), g)
         elif layer.kind == "conv":
             _, _, kh, kw = layer.weights.shape
-            dw, db = ops.conv2d_param_grads(x, g, kh, kw, layer.stride, layer.pad)
-            grads[i] = (dw.astype(np.float32, copy=False),
-                        db.astype(np.float32, copy=False))
+            grads[i] = ops.conv2d_param_grads(x, g, kh, kw, layer.stride,
+                                              layer.pad)
     return grads
 
 

@@ -226,17 +226,62 @@ class TestRowRunKernelsMatchIm2col:
             gx, oracles.conv2d_adjoint_col2im(g, k[:, :, ::-1], 7, 9, stride=2, pad=1))
 
     def test_float32_in_float32_out(self, rng):
-        x = rng.standard_normal((3, 7, 9)).astype(np.float32)
-        k = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(2).astype(np.float32)
-        got = ops.conv2d_forward(x, k, b, stride=2, pad=1)
-        assert got.dtype == np.float32
-        np.testing.assert_allclose(
-            got, oracles.conv2d_im2col(x, k, b, stride=2, pad=1), rtol=1e-6, atol=1e-6)
-        g = rng.standard_normal(got.shape).astype(np.float32)
-        assert ops.conv2d_adjoint(g, k, stride=2, pad=1, out_hw=(7, 9)).dtype == np.float32
-        dw, db = ops.conv2d_param_grads(x, g, 3, 3, stride=2, pad=1)
-        assert dw.dtype == db.dtype == np.float32
+        """float32 inputs accumulate in float32: each kernel matches its own
+        float64 result on the same values within a float32 tolerance."""
+        cases = [(stride, kh, kw, pad, h, w) for stride in (1, 2, 3)
+                 for kh, kw in KERNELS
+                 for pad, h, w in geometries(stride, kh, kw)]
+        for stride, kh, kw, pad, h, w in cases:
+            x = rng.standard_normal((3, h, w)).astype(np.float32)
+            k = rng.standard_normal((4, 3, kh, kw)).astype(np.float32)
+            b = rng.standard_normal(4).astype(np.float32)
+            oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)
+            g = rng.standard_normal((4, oh, ow)).astype(np.float32)
+            for run in (
+                lambda x, k, b, g: [ops.conv2d_forward(x, k, b, stride, pad)],
+                lambda x, k, b, g: [ops.conv2d_adjoint(g, k, stride, pad,
+                                                       out_hw=(h, w))],
+                lambda x, k, b, g: ops.conv2d_param_grads(x, g, kh, kw,
+                                                          stride, pad),
+            ):
+                wide = run(*(a.astype(np.float64) for a in (x, k, b, g)))
+                for got, want in zip(run(x, k, b, g), wide):
+                    assert_float32_close(got, want)
+
+    def test_float32_dense(self, rng):
+        for m, n in [(1, 1), (2, 7), (64, 512)]:
+            x = rng.standard_normal(n).astype(np.float32)
+            w = rng.standard_normal((m, n)).astype(np.float32)
+            b = rng.standard_normal(m).astype(np.float32)
+            assert_float32_close(
+                ops.dense_forward(x, w, b),
+                ops.dense_forward(*(a.astype(np.float64) for a in (x, w, b))))
+
+
+def assert_float32_close(got, want):
+    """got is float32 and within 1e-5 of float64 want, relative to the
+    entry or, where terms cancel, to the array; want stays float64."""
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    assert got.shape == want.shape
+    scale = float(np.abs(want).max()) if want.size else 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * scale)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+def test_kernels_refuse_non_float_inputs(dtype):
+    """An int, half or bool map would set an int or half-precision GEMM."""
+    x = np.ones((2, 5, 5), dtype)
+    k = np.ones((3, 2, 3, 3), np.float32)
+    b = np.zeros(3, np.float32)
+    g = np.ones((3, 3, 3), dtype)
+    for run in (lambda: ops.conv2d_forward(x, k, b),
+                lambda: ops.conv2d_adjoint(g, k, out_hw=(5, 5)),
+                lambda: ops.conv2d_param_grads(x, g.astype(np.float32), 3, 3),
+                lambda: ops.dense_forward(np.ones(4, dtype),
+                                          np.ones((2, 4), np.float32),
+                                          np.zeros(2, np.float32))):
+        with pytest.raises(ConfigurationError, match="float32 or float64"):
+            run()
 
 
 class TestPooling:

@@ -8,7 +8,7 @@ import pytest
 
 from fisherprune import ops
 from fisherprune.errors import ConfigurationError, TrainingDiverged
-from fisherprune.network import build_cnn, forward, reference_cnn
+from fisherprune.network import build_cnn, forward, reference_cnn, reverse
 from fisherprune.prune import magnitude_mask
 from fisherprune.tensor import Tensor
 from fisherprune.train import (
@@ -18,6 +18,7 @@ from fisherprune.train import (
 
 import oracles
 from test_network import overlapping_pool_net
+from test_ops import assert_float32_close
 
 # the package re-exports the function `train`, which hides the module
 train_module = importlib.import_module("fisherprune.train")
@@ -84,6 +85,26 @@ class TestGradients:
         x = np.random.default_rng(7).random((1, 9, 9))
         rec = assert_grads_match_central_differences(net, x, 0)
         assert all(np.unique(sw).size < sw.size for sw in rec.switches.values())
+
+    def test_float32_net_matches_its_float64_copy(self):
+        """A float32 net backprops in float32 within a float32 tolerance of
+        the same net in float64, and the float64 copy (the setting of the
+        finite-difference checks) stays float64 end to end."""
+        net = reference_cnn(seed=0)
+        x = np.random.default_rng(5).random((1, 32, 32), dtype=np.float32)
+        grads = {}
+        for dtype, n in ((np.float32, net),
+                         (np.float64, widen_to_float64(net.copy()))):
+            _, rec = forward(n, Tensor(x.astype(dtype)), record=True)
+            signals = [s for _, s in reverse(n, rec, len(n.layers) - 2,
+                                             rec.activations[-1])]
+            grads[dtype] = backward(n, rec, 1)
+            assert {a.dtype for a in rec.activations + signals} == {np.dtype(dtype)}
+            assert {a.dtype for pair in grads[dtype].values()
+                    for a in pair} == {np.dtype(dtype)}
+        for li, pair in grads[np.float32].items():
+            for got, want in zip(pair, grads[np.float64][li]):
+                assert_float32_close(got, want)
 
     def test_no_adjoint_runs_below_the_first_layer(self, monkeypatch):
         net = reference_cnn(seed=0)
