@@ -258,13 +258,13 @@ class TestRowRunKernelsMatchIm2col:
                 ops.dense_forward(*(a.astype(np.float64) for a in (x, w, b))))
 
 
-def assert_float32_close(got, want):
-    """got is float32 and within 1e-5 of float64 want, relative to the
+def assert_float32_close(got, want, tol=1e-6):
+    """got is float32 and within tol of float64 want, relative to the
     entry or, where terms cancel, to the array; want stays float64."""
     assert got.dtype == np.float32 and want.dtype == np.float64
     assert got.shape == want.shape
     scale = float(np.abs(want).max()) if want.size else 0.0
-    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * scale)
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol * scale)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])

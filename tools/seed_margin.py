@@ -9,14 +9,15 @@ tests/conftest.py and tests/test_acceptance.py: it draws the synthetic
 task and seeds the base net's training, the pipeline's retraining and the
 sweep (--seed); every threshold stays as the criteria have it. Per seed
 one worker process imports the package from --src, with BLAS pinned to one
-thread, and --jobs workers (default 2) run at a time. The base net is
+thread, and two workers run at a time. The base net is
 trained by `fisherprune train` from --base-src (default --src), so a net
 trained by one tree can be pruned and swept by another. A seed takes
 about a minute on a 2-vCPU Xeon, so this is a tool, not a test.
 
 One row per seed, each criterion PASS or FAIL with the figure it turns on:
   c6  the plateau pipeline (trained acc >= 0.95, t0 is the top plateau
-      threshold, conv rate >= 0.5, final acc within 0.02): t0, conv rate
+      threshold, conv rate >= 0.5, final acc within 0.02): t0, conv
+      rate, trained > final test accuracy
   c7  size only: file shrink within 10% of the parameter shrink
   c8  the sweep's LDA delta >= magnitude's - 0.02 at matched rates >= 0.7:
       the worst LDA - magnitude margin, the rate and LDA delta it sits at
@@ -82,16 +83,21 @@ def criteria(seed, work):
     best = max(r.acc_after for r in reports)
     rate = plan.conv_rate(net)
     top = max(r.threshold for r in reports if r.acc_after >= best - 0.02)
+    # mirrors test_c06_end_to_end_pipeline and its pipeline fixture
     c6 = (base_acc >= 0.95 and rate >= 0.5 and t0 == top
           and final_acc >= base_acc - 0.02)
 
+    # mirrors the size half of test_c07_speedup_and_size_track_parameters
+    orig_path = os.path.join(work, "orig.ldap1")
     pruned_path = os.path.join(work, "pruned.ldap1")
+    save_model(net, orig_path)
     save_model(pruned, pruned_path)
-    file_ratio = os.path.getsize(model) / os.path.getsize(pruned_path)
-    param_ratio = (model_param_count(model)["total"]
+    file_ratio = os.path.getsize(orig_path) / os.path.getsize(pruned_path)
+    param_ratio = (model_param_count(orig_path)["total"]
                    / model_param_count(pruned_path)["total"])
     c7 = abs(file_ratio - param_ratio) / param_ratio
 
+    # mirrors test_c08_sweep_beats_magnitude_at_high_rates
     sweep = os.path.join(work, "sweep")
     rc = cli_main(["sweep", "--out", sweep, "--model", model, "--grid",
                    "0.4:0.6:0.1", "--n-per-class", "150",
@@ -106,6 +112,8 @@ def criteria(seed, work):
     margins = sorted((lda[r] - mag[r], r, lda[r]) for r in lda
                      if float(r) >= 0.7 and r in mag)
 
+    # mirrors the QDA and linear SVM checks of
+    # test_c09_classifier_heads_on_reduced_features
     train_mat = firing.standardize(firing.extract_firing_matrix(
         pruned, split.train, pruned.last_conv_index()))
     test_raw = firing.extract_firing_matrix(pruned, split.test,
@@ -117,7 +125,8 @@ def criteria(seed, work):
                                      train_mat.labels * 2 - 1))
     c9 = max(abs(classify.evaluate_accuracy(h, test_vals, test_raw.labels)[0]
                  - final_acc) for h in heads)
-    return {"c6": [bool(c6), t0, rate], "c7": [c7 < 0.10, c7],
+    return {"c6": [bool(c6), t0, rate, base_acc, final_acc],
+            "c7": [c7 < 0.10, c7],
             "c8": [bool(margins) and margins[0][0] >= -0.02,
                    *(margins[0] if margins else (None, None, None))],
             "c9": [c9 <= 0.02, c9]}
@@ -151,11 +160,12 @@ def format_row(row):
     def verdict(ok):
         return "PASS" if ok else "FAIL"
 
-    ok6, t0, rate = row["c6"]
+    ok6, t0, rate, base_acc, final_acc = row["c6"]
     ok8, margin, r8, lda = row["c8"]
     c8 = (f"{verdict(ok8)} {margin:+.3f} @{r8} lda {lda:+.3f}"
           if margin is not None else "FAIL no matched rate")
-    return (f"{row['seed']:>4}  {verdict(ok6)} t0 {t0:.1f} rate {rate:.4f}  "
+    return (f"{row['seed']:>4}  {verdict(ok6)} t0 {t0:.1f} rate {rate:.4f} "
+            f"acc {base_acc:.3f}>{final_acc:.3f}  "
             f"{verdict(row['c7'][0])} {row['c7'][1]:.4f}  {c8:32}  "
             f"{verdict(row['c9'][0])} {row['c9'][1]:.3f}  "
             f"{row['seconds']:7.1f}")
@@ -169,7 +179,6 @@ def main(argv=None):
                         help="src/ tree that trains the base nets "
                              "(default --src)")
     parser.add_argument("--seeds", default="0:8", help="lo:hi, hi excluded")
-    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--worker", type=int, default=None,
                         help=argparse.SUPPRESS)
     parser.add_argument("--work", default=None, help=argparse.SUPPRESS)
@@ -181,9 +190,9 @@ def main(argv=None):
     base_src = args.base_src or args.src
     print(f"src {os.path.abspath(args.src)}, base nets from "
           f"{os.path.abspath(base_src)}")
-    print(f"{'seed':>4}  {'c6':28}  {'c7 size':11}  {'c8 worst margin':32}  "
+    print(f"{'seed':>4}  {'c6':39}  {'c7 size':11}  {'c8 worst margin':32}  "
           f"{'c9':10}  {'seconds':>7}", flush=True)
-    with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
         for row in pool.map(lambda s: run_seed(s, args.src, base_src),
                             range(lo, hi)):
             print(format_row(row), flush=True)
