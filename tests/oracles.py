@@ -4,8 +4,8 @@ Everything here is written the dumb way on purpose: quadruple loops,
 two-pass statistics, exhaustive searches. The im2col / col2im conv kernels,
 the per-layer magnitude mask, the per-neuron dependency pooling and the
 re-masking SGD epoch are the package's earlier implementations, kept as
-references for the ones that replaced them. Nothing from the package under
-test is imported.
+references for the ones that replaced them, and so is the spread @ cols.T
+weight gradient. Nothing from the package under test is imported.
 """
 
 import math
@@ -105,6 +105,25 @@ def conv2d_param_grads_im2col(x, gout, kh, kw, stride=1, pad=0):
     cols, oh, ow = im2col_channel_major(x, kh, kw, stride, pad)
     g2 = gout.reshape(o, oh * ow).astype(np.float64)
     return (g2 @ cols.T).reshape(o, c, kh, kw), g2.sum(axis=1)
+
+
+def conv2d_weight_grad_spread(x, gout, kh, kw, stride=1, pad=0):
+    """The weight gradient as spread @ cols.T, in x's dtype: cols is the
+    row-run unroll (row (c, i, j) runs through the zero-padded map from tap
+    (i, j) by the stride, OH*Wp columns), spread is gout set onto the same
+    (OH, Wp) layout with zeros in the columns past OW."""
+    c, h, w = x.shape
+    o, oh, ow = gout.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    n = oh * wp
+    last = (kh - 1) * wp + (kw - 1) + stride * (n - 1)  # furthest cell read
+    grid = np.zeros((c, max(hp, last // wp + 1) * wp), dtype=x.dtype)
+    grid.reshape(c, -1, wp)[:, pad:pad + h, pad:pad + w] = x
+    cols = np.array([grid[ci, i * wp + j:i * wp + j + stride * (n - 1) + 1:stride]
+                     for ci in range(c) for i in range(kh) for j in range(kw)])
+    spread = np.zeros((o, oh, wp), dtype=x.dtype)
+    spread[:, :, :ow] = gout
+    return (spread.reshape(o, n) @ cols.T).reshape(o, c, kh, kw)
 
 
 def conv2d_adjoint_col2im(gout, kernel, h, w, stride=1, pad=0):

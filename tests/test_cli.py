@@ -16,7 +16,7 @@ from fisherprune.deconv import dependency_scores
 from fisherprune.errors import ConfigurationError
 from fisherprune.modelio import load_model, save_model
 from fisherprune.network import build_cnn
-from fisherprune.train import TrainConfig, retrain
+from fisherprune.train import TrainConfig, TrainResult, retrain
 
 from test_data import write_pgm
 from test_modelio import poke_tensor, rewrite_header, zero_extent_net
@@ -744,3 +744,53 @@ class TestEvalHeads:
         assert info["classifier"]["meta"]["c"] == 0.5
         with open(os.path.join(out, "manifest.json")) as fh:
             assert json.load(fh)["eval"]["c"] == 0.5
+
+
+class TestCollapseWarning:
+    """train warns on stderr when its final eval accuracy is no better than
+    always guessing the eval split's majority class; the exit code and the
+    --out files stay as they are."""
+
+    @staticmethod
+    def stub_train(monkeypatch, eval_acc):
+        """Training that ends at eval_acc after one epoch, weights untouched."""
+        def run(net, tr_imgs, tr_labels, te_imgs, te_labels, config):
+            return TrainResult(epoch_log=[(0, 0.693147, 0.5, eval_acc)],
+                               final_train_acc=0.5, final_eval_acc=eval_acc)
+
+        monkeypatch.setattr(cli, "train", run)
+
+    @pytest.mark.parametrize("eval_acc,warned", [(0.25, True), (0.5, True),
+                                                 (0.75, False)])
+    def test_balanced_split(self, tmp_path, capsys, monkeypatch, eval_acc,
+                            warned):
+        self.stub_train(monkeypatch, eval_acc)
+        assert main(["train", "--out", str(tmp_path), "--epochs", "1"] + TINY) == 0
+        out, err = capsys.readouterr()
+        assert out == f"trained: train_acc=0.5000 eval_acc={eval_acc:.4f}\n"
+        assert err == (f"warning: eval_acc={eval_acc:.4f} is no better than "
+                       "always guessing the majority class (0.5000): training "
+                       "collapsed\n" if warned else "")
+        assert sorted(os.listdir(tmp_path)) == [
+            "manifest.json", "model.ldap1", "report.txt", "train_log.csv"]
+        assert "warning" not in (tmp_path / "report.txt").read_text()
+
+    @pytest.mark.parametrize("eval_acc,warned", [(2 / 3, True), (1.0, False)])
+    def test_majority_is_read_from_the_eval_labels(self, tmp_path, capsys,
+                                                   monkeypatch, eval_acc, warned):
+        # 10 and 5 images per class: the test split holds 2 and 1
+        for label, n in ((0, 10), (1, 5)):
+            (tmp_path / "pgm" / str(label)).mkdir(parents=True)
+            for i in range(n):
+                write_pgm(tmp_path / "pgm" / str(label) / f"{i}.pgm",
+                          np.full((32, 32), 10 * i + 100 * label))
+        self.stub_train(monkeypatch, eval_acc)
+        assert main(["train", "--out", str(tmp_path / "out"), "--epochs", "1",
+                     "--dataset", f"dir:{tmp_path / 'pgm'}"]) == 0
+        err = capsys.readouterr().err
+        assert ("(0.6667): training collapsed" in err) == warned
+        assert err.count("\n") == warned
+
+    def test_no_epoch_no_warning(self, tmp_path, capsys):
+        assert main(["train", "--out", str(tmp_path), "--epochs", "0"] + TINY) == 0
+        assert capsys.readouterr().err == ""

@@ -248,6 +248,22 @@ class TestRowRunKernelsMatchIm2col:
                 for got, want in zip(run(x, k, b, g), wide):
                     assert_float32_close(got, want)
 
+    @pytest.mark.parametrize("c,o", [(3, 4), (1, 4), (3, 1)])
+    def test_weight_grad_matches_the_spread_formula(self, rng, c, o):
+        """dw as (cols @ spread.T).T against spread @ cols.T, the formula it
+        replaced, run in float64 on the same float32 values."""
+        cases = [(stride, kh, kw, pad, h, w) for stride in (1, 2, 3)
+                 for kh, kw in KERNELS
+                 for pad, h, w in geometries(stride, kh, kw)]
+        for stride, kh, kw, pad, h, w in cases:
+            x = rng.standard_normal((c, h, w)).astype(np.float32)
+            oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)
+            g = rng.standard_normal((o, oh, ow)).astype(np.float32)
+            dw, _ = ops.conv2d_param_grads(x, g, kh, kw, stride, pad)
+            want = oracles.conv2d_weight_grad_spread(
+                x.astype(np.float64), g.astype(np.float64), kh, kw, stride, pad)
+            assert_float32_close(dw, want)
+
     def test_float32_dense(self, rng):
         for m, n in [(1, 1), (2, 7), (64, 512)]:
             x = rng.standard_normal(n).astype(np.float32)
@@ -418,6 +434,43 @@ class TestSwitchFreePool:
         keep = x.copy()
         ops.maxpool_forward(x, 2, 2, switches=False)
         np.testing.assert_array_equal(x, keep)
+
+    @pytest.mark.parametrize("shape,window,stride", [
+        ((5, 11, 9), 2, 3),  # gapped: the stride skips cells between windows
+        ((5, 11, 9), 3, 5),
+        ((3, 7, 7), 7, 1),  # one window spans the whole map
+        ((3, 7, 7), 7, 4),
+        ((4, 6, 9), 6, 2),  # every row, sliding along the columns
+        ((5, 11, 9), 1, 1),  # window 1 is a strided copy
+        ((5, 11, 9), 1, 2),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gapped_whole_map_and_unit_windows(self, rng, shape, window, stride,
+                                               dtype):
+        values = np.array([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf], dtype=dtype)
+        x = rng.choice(values, size=shape, p=[0.3, 0.3, 0.15, 0.05, 0.1, 0.1])
+        _, sw = ops.maxpool_forward(x, window=window, stride=stride)
+        np.testing.assert_array_equal(
+            sw, oracles.maxpool_loops(x, window=window, stride=stride)[1])
+        got, _ = ops.maxpool_forward(x, window=window, stride=stride,
+                                     switches=False)
+        assert got.dtype == x.dtype and got.shape == sw.shape
+        assert not np.shares_memory(got, x)
+        read = x.take(sw)
+        nan = np.isnan(read)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(_bits(got)[~nan], _bits(read)[~nan])
+
+    @pytest.mark.parametrize("switches", [True, False])
+    def test_output_is_c_contiguous_for_any_input_layout(self, rng, switches):
+        base = rng.standard_normal((5, 11, 9))
+        views = [base.transpose(1, 0, 2), base.transpose(2, 1, 0),
+                 np.asfortranarray(base), base[:, ::-1, ::2],
+                 base[:1].transpose(0, 2, 1)]
+        for x in views:
+            for window, stride in [(1, 1), (1, 2), (2, 2), (3, 1), (2, 3)]:
+                got, _ = ops.maxpool_forward(x, window, stride, switches=switches)
+                assert got.flags.c_contiguous
 
 
 class TestPointwise:

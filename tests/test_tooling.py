@@ -145,7 +145,37 @@ class TestPairedVerdicts:
         row = [line.split() for line in done.stdout.splitlines()
                if line.startswith("infer") and "fwd_ms_p50" in line]
         assert row == [["infer", "fwd_ms_p50", "10", "+3.9%", "[-2.6%,",
-                        "+38.7%]", "unresolved"]]
+                        "+38.7%]", "unresolved", "no"]]
+
+    def test_recompute_applies_the_gain_rule_to_bench_23(self):
+        """BENCH_23.json's prune forward latency won all 10 pairs by far more
+        than the parent's spread; train setup_s moved -12% unresolved."""
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
+             "--recompute", os.path.join(ROOT, "BENCH_23.json")],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].split()[-2:] == ["verdict", "gain"]
+        gain = {tuple(r[:2]): r[-1] for r in map(str.split, lines[1:])
+                if r[0] in ("train", "prune", "infer")}
+        assert gain[("prune", "fwd_ms_p50")] == "yes"
+        assert gain[("train", "setup_s")] == "no"
+        assert any(line.startswith("gain: yes when the change won at least "
+                                   "nine tenths") for line in lines)
+
+    def test_gain_rule_counts_wins_and_the_parent_spread(self):
+        parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+        faster = [p - 0.5 for p in parent]
+        assert self.bp.gain_shown(parent, faster, "lower")
+        assert not self.bp.gain_shown(parent, faster, "higher")
+        # nine wins still show a gain, eight do not
+        assert self.bp.gain_shown(parent, faster[:9] + [2.0], "lower")
+        assert not self.bp.gain_shown(parent, faster[:8] + [2.0, 2.0], "lower")
+        # every pair won, by less than the parent's interquartile range
+        assert not self.bp.gain_shown(parent, [p - 0.01 for p in parent], "lower")
+        # a pair missing a value wins nothing
+        assert not self.bp.gain_shown(parent, faster[:8] + [None, None], "lower")
 
     def test_recompute_prints_the_src_line_totals(self):
         """The size of a change, read from the file's src_lines block."""

@@ -29,9 +29,12 @@ that median from the k-th smallest and k-th largest log ratios, k the
 largest rank whose binomial coverage is at least 95% (2nd and 9th of ten,
 97.9%). The verdict is "better" or "worse" when the interval lies wholly
 on one side of 1, in the direction the metric's `better` names (lower
-time or memory, higher accuracy), and "unresolved" otherwise. To print
-that table from a committed file without running anything, followed by
-both sides' `src/` line totals and their difference:
+time or memory, higher accuracy), and "unresolved" otherwise. Beside it,
+the gain rule a claimed speed-up must meet: the change won at least nine
+tenths of the pairs, and its median beats the parent's by more than the
+parent's interquartile range. To print that table from a committed file
+without running anything, followed by the gain rule and both sides' `src/`
+line totals and their difference:
 
     python3 tools/bench_pairs.py --recompute BENCH_10.json
 """
@@ -139,16 +142,20 @@ def verdict_table(doc):
         return "-" if ratio is None else f"{ratio - 1:+.1%}"
 
     lines = [f"{'workload':8} {'metric':24} {'pairs':>5}  "
-             f"{'median':>7}  {'interval':20}  verdict"]
+             f"{'median':>7}  {'interval':20}  {'verdict':10}  gain"]
     for workload, entry in doc["workloads"].items():
         for group in ("metrics", "detail_walls"):
             for name, m in entry.get(group, {}).items():
                 v = paired_verdict(m["parent"], m["change"], m["better"])
                 lo, hi = v["interval"] or (None, None)
                 interval = f"[{pct(lo)}, {pct(hi)}]" if v["interval"] else "-"
+                gain = gain_shown(m["parent"], m["change"], m["better"])
                 lines.append(f"{workload:8} {name:24} {v['ratio_pairs']:5}  "
                              f"{pct(v['median_ratio']):>7}  {interval:20}  "
-                             f"{v['verdict']}")
+                             f"{v['verdict']:10}  {'yes' if gain else 'no'}")
+    lines.append("gain: yes when the change won at least nine tenths of the "
+                 "pairs (9 of 10; ties win nothing) and its median beats the "
+                 "parent's by more than the parent's interquartile range")
     return "\n".join(lines)
 
 
@@ -159,14 +166,32 @@ def src_size(doc):
             f"({totals['change'] - totals['parent']:+d})")
 
 
+def quartiles(vals):
+    """The first and third quartiles of vals (inclusive method)."""
+    if len(vals) < 2:
+        return [vals[0], vals[0]] if vals else [None, None]
+    q = statistics.quantiles(vals, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def gain_shown(parent, change, better):
+    """The gain rule: the change won at least nine tenths of the pairs run
+    (ties and pairs missing a value win nothing), and its median beats the
+    parent's by more than the parent's interquartile distance."""
+    sign = 1 if better == "lower" else -1
+    pairs = [(p, c) for p, c in zip(parent, change)
+             if p is not None and c is not None]
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
+    if not pairs or wins < math.ceil(0.9 * len(parent)):
+        return False
+    lo, hi = quartiles([p for p, _ in pairs])
+    shift = statistics.median(p for p, _ in pairs) - statistics.median(
+        c for _, c in pairs)
+    return sign * shift > hi - lo
+
+
 def summary(parent, change, better):
     """Medians, quartiles and the change's win count over paired values."""
-    def quartiles(vals):
-        if len(vals) < 2:
-            return [vals[0], vals[0]] if vals else [None, None]
-        q = statistics.quantiles(vals, n=4, method="inclusive")
-        return [q[0], q[2]]
-
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     out = {"better": better, "pairs": len(parent), "parent": parent,
@@ -179,10 +204,7 @@ def summary(parent, change, better):
             "parent_iqr": pq[1] - pq[0], "change_iqr": cq[1] - cq[0],
             "parent_quartiles": pq, "change_quartiles": cq,
             "median_change_frac": (cm - pm) / pm if pm else None,
-            # the gain rule: won at least nine of ten pairs, and the median
-            # moved by more than the parent's interquartile distance
-            "gain_shown": (wins >= math.ceil(0.9 * len(parent))
-                           and sign * (pm - cm) > pq[1] - pq[0]),
+            "gain_shown": gain_shown(parent, change, better),
         })
     out.update(paired_verdict(parent, change, better))
     return out
