@@ -4,7 +4,7 @@ These replace the dense head once the firing matrix has been cut down to a
 few selected neurons. All of them are binary: classes 0 and 1 (the SVMs
 use -1/+1 internally). Decision ties at exactly 0 go to +1. Features
 must be finite: a NaN or infinity in a fit, prediction or evaluation input
-raises NonFiniteError.
+raises NonFiniteError. Both SVMs are fitted by one SMO loop, _smo.
 
 The RBF kernel is built in place: the Gram product is scaled and turned
 into squared distances one block of rows at a time, then clipped and
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
-    require_field, require_int, require_positive,
+    require_field, require_positive,
 )
 
 
@@ -35,11 +35,12 @@ class QdaModel:
     logdet: np.ndarray  # (2,)
     logprior: np.ndarray  # (2,)
     lam: float
+    kind = "qda"
 
 
 @dataclass
 class SvmModel:
-    kind: str  # "linear" or "rbf"
+    kind: str  # "svml" or "svmr", as in HEADS
     c: float
     w: np.ndarray | None = None  # linear
     b: float = 0.0
@@ -148,38 +149,63 @@ def _svm_problem(features, labels, c):
     return x, y
 
 
-def linear_svm_fit(features, labels, c=1.0, epochs=2000, seed=0) -> SvmModel:
-    """Subgradient descent on 0.5*|w|^2 + c * sum hinge(y(wx+b)).
+_SMO_TOL = 1e-3  # SMO stops once the KKT gap is within this
+_SMO_PASSES = 200  # SMO step budget, in steps per training row
 
-    Full-batch steps on the 1/t schedule (the objective's quadratic modulus
-    is 1). The returned model is the average of the second half of the
-    iterates; the early ones overshoot and would pollute a full average.
-    epochs must be an int >= 1. Deterministic; the seed is kept as metadata
-    only since no randomness is consumed.
+
+def _smo(y, c, kdiag, krow):
+    """SMO on the signed SVM dual: one maximal-violating pair per step.
+
+    kdiag holds the kernel's diagonal and krow(i) returns its row i. With
+    a = y * alpha in [min(0, c*y), max(0, c*y)] and g = y - K a, each step
+    moves a_i up and a_j down by the exact line step, clipped to the box,
+    for i = argmax g over the coordinates that can grow and j = argmin g
+    over those that can shrink (first index on ties; Bottou & Lin, 2007,
+    Algorithm 5.1). It stops once the KKT gap g_i - g_j is within _SMO_TOL,
+    with b = (g_i + g_j) / 2; hitting _SMO_PASSES * n steps first returns
+    the partial solution with converged=False and a warning. Returns
+    (a, b, steps, converged).
+    """
+    n = y.shape[0]
+    lo, hi = np.minimum(0.0, c * y), np.maximum(0.0, c * y)
+    a = np.zeros(n)
+    g = y.copy()
+    steps = 0
+    while True:
+        i = int(np.argmax(np.where(a < hi, g, -np.inf)))
+        j = int(np.argmin(np.where(a > lo, g, np.inf)))
+        gap = g[i] - g[j]
+        converged = bool(gap <= _SMO_TOL)
+        if converged or steps == _SMO_PASSES * n:
+            break
+        room_i, room_j = hi[i] - a[i], a[j] - lo[j]
+        k_i, k_j = krow(i), krow(j)
+        curv = max(kdiag[i] + kdiag[j] - 2.0 * k_i[j], 1e-12)
+        lam = min(gap / curv, room_i, room_j)
+        a[i] = hi[i] if lam == room_i else a[i] + lam
+        a[j] = lo[j] if lam == room_j else a[j] - lam
+        g -= lam * (k_i - k_j)
+        steps += 1
+    if not converged:
+        warnings.warn(
+            f"SVM SMO stopped after {_SMO_PASSES} passes with KKT "
+            f"violations above tol={_SMO_TOL}; returning the partial model",
+            RuntimeWarning,
+        )
+    return a, float((g[i] + g[j]) / 2.0), steps, converged
+
+
+def linear_svm_fit(features, labels, c=1.0, seed=0) -> SvmModel:
+    """Linear SVM on 0.5*|w|^2 + c * sum hinge(y(wx+b)), solved by _smo.
+
+    The linear kernel is never built: its rows are x @ x_i, and w = a @ x.
+    Each step reads x twice, so fits past a few thousand rows get slow
+    (about 23 s at 20000 4-d rows). The seed is kept as metadata only.
     """
     x, y = _svm_problem(features, labels, c)
-    require_int("epochs", epochs, 1)
-    n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
-    w_avg = np.zeros(d)
-    b_avg = 0.0
-    tail_start = epochs // 2
-    kept = 0
-    for t in range(1, epochs + 1):
-        margins = y * (x @ w + b)
-        viol = margins < 1.0
-        gw = w - c * (y[viol, None] * x[viol]).sum(axis=0)
-        gb = -c * y[viol].sum()
-        eta = 1.0 / t
-        w = w - eta * gw
-        b = b - eta * gb
-        if t > tail_start:
-            kept += 1
-            w_avg += (w - w_avg) / kept
-            b_avg += (b - b_avg) / kept
-    return SvmModel(kind="linear", c=float(c), w=w_avg, b=float(b_avg),
-                    iterations=epochs, seed=seed)
+    a, b, steps, converged = _smo(y, c, (x * x).sum(axis=1), lambda i: x @ x[i])
+    return SvmModel(kind="svml", c=float(c), w=a @ x, b=b, iterations=steps,
+                    seed=seed, converged=converged)
 
 
 _KERNEL_BLOCK = 64  # rows per squared-distance block in _rbf_kernel
@@ -209,19 +235,12 @@ def _rbf_kernel(a, b, gamma):
     return k
 
 
-def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
-                max_passes=200) -> SvmModel:
-    """SMO on the RBF-kernel SVM dual: one maximal-violating pair per step.
+def rbf_svm_fit(features, labels, c=1.0, gamma=None) -> SvmModel:
+    """RBF-kernel SVM: _smo on the in-place kernel of the training rows.
 
-    gamma defaults to 1/d; it must be finite and > 0, tol finite and >= 0
-    and max_passes an int >= 1. With a = y * alpha in [min(0, c*y),
-    max(0, c*y)] and g = y - K a, each step moves a_i up and a_j down by the
-    exact line step, clipped to the box, for i = argmax g over the
-    coordinates that can grow and j = argmin g over those that can shrink
-    (first index on ties; Bottou & Lin, 2007, Algorithm 5.1). It stops once
-    the KKT gap g_i - g_j is within tol, with b = (g_i + g_j) / 2, and
-    iterations counts the steps; hitting max_passes * n steps first returns
-    the partial model with converged=False and a warning.
+    gamma defaults to 1/d; it must be finite and > 0. iterations counts
+    the SMO steps, and converged=True means every training row meets its
+    KKT condition within _SMO_TOL.
     """
     x, y = _svm_problem(features, labels, c)
     n, d = x.shape
@@ -230,43 +249,18 @@ def rbf_svm_fit(features, labels, c=1.0, gamma=None, tol=1e-3,
     if gamma is None:
         gamma = 1.0 / d
     require_positive("rbf gamma", gamma)
-    require_positive("SMO tol", tol, or_zero=True)
-    require_int("max_passes", max_passes, 1)
     kmat = _rbf_kernel(x, x, gamma)
-    lo, hi = np.minimum(0.0, c * y), np.maximum(0.0, c * y)
-    a = np.zeros(n)
-    g = y.copy()
-    steps = 0
-    while True:
-        i = int(np.argmax(np.where(a < hi, g, -np.inf)))
-        j = int(np.argmin(np.where(a > lo, g, np.inf)))
-        gap = g[i] - g[j]
-        converged = bool(gap <= tol)
-        if converged or steps == max_passes * n:
-            break
-        room_i, room_j = hi[i] - a[i], a[j] - lo[j]
-        curv = max(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j], 1e-12)
-        lam = min(gap / curv, room_i, room_j)
-        a[i] = hi[i] if lam == room_i else a[i] + lam
-        a[j] = lo[j] if lam == room_j else a[j] - lam
-        g -= lam * (kmat[i] - kmat[j])
-        steps += 1
-    if not converged:
-        warnings.warn(
-            f"kernel SVM stopped after {max_passes} passes with KKT "
-            f"violations above tol={tol}; returning the partial model",
-            RuntimeWarning,
-        )
+    a, b, steps, converged = _smo(y, c, kmat.diagonal(), lambda i: kmat[i])
     alpha = y * a
     sv = alpha > 1e-10
-    return SvmModel(kind="rbf", c=float(c), b=float((g[i] + g[j]) / 2.0),
+    return SvmModel(kind="svmr", c=float(c), b=b,
                     sv_x=x[sv].copy(), sv_y=y[sv].copy(), alpha=alpha[sv].copy(),
                     gamma=float(gamma), iterations=steps, converged=converged)
 
 
 def _svm_decisions(model: SvmModel, features):
     """(n,) decision values: x @ w + b, or one kernel block against the SVs."""
-    if model.kind == "linear":
+    if model.kind == "svml":
         return _rows(features, model.w.shape[0]) @ model.w + model.b
     x = _rows(features, model.sv_x.shape[1])
     k = _rbf_kernel(model.sv_x, x, model.gamma)
@@ -332,10 +326,8 @@ _POSITIVE = ("c", "gamma")
 
 def to_arrays(model):
     """Flatten a classifier into the container's auxiliary-section form."""
-    kind = "qda" if isinstance(model, QdaModel) else (
-        "svml" if model.kind == "linear" else "svmr")
-    tensors, meta = HEADS[kind]
-    return {"kind": kind, "meta": {key: getattr(model, key) for key in meta},
+    tensors, meta = HEADS[model.kind]
+    return {"kind": model.kind, "meta": {key: getattr(model, key) for key in meta},
             "tensors": {name: getattr(model, name) for name in tensors}}
 
 
@@ -376,7 +368,7 @@ def from_arrays(section):
             raise HeaderSchemaError(
                 f"classifier meta {key!r} must be > 0, got {values[key]}")
     if kind != "qda":
-        return SvmModel(kind="linear" if kind == "svml" else "rbf", **values)
+        return SvmModel(kind=kind, **values)
     try:
         chol = np.linalg.cholesky(values["cov"])
     except np.linalg.LinAlgError:

@@ -26,11 +26,11 @@ from .network import forward, reference_cnn
 from .train import TrainConfig, accuracy, train
 
 
-def _load_dataset(spec, seed, n_per_class, size=32):
+def _load_dataset(spec, seed, n_per_class):
     if spec == "synthetic":
-        return generate_synthetic(n_per_class, size=size, seed=seed)
+        return generate_synthetic(n_per_class, seed=seed)
     if spec.startswith("dir:"):
-        return load_pgm_dir(spec[4:], size=size)
+        return load_pgm_dir(spec[4:])
     raise ConfigurationError(
         f"--dataset must be 'synthetic' or 'dir:PATH', got {spec!r}"
     )

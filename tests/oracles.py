@@ -255,7 +255,7 @@ def head_labels_loops(model, rows):
                               - 0.5 * float(z @ z))
             labels.append(int(scores[1] > scores[0]))
             continue
-        if model.kind == "linear":
+        if model.kind == "svml":
             decision = float(model.w @ x) + model.b
         else:
             decision = model.b

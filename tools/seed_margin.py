@@ -50,8 +50,6 @@ def tree_env(src):
 def criteria(seed, work):
     """The four verdicts for the base net in work/model.ldap1 (a worker's
     body; the package comes from its PYTHONPATH)."""
-    import numpy as np
-
     from fisherprune import classify, deconv, firing, prune
     from fisherprune.cli import main as cli_main
     from fisherprune.data import balanced, generate_synthetic, images_labels
@@ -118,8 +116,8 @@ def criteria(seed, work):
         pruned, split.train, pruned.last_conv_index()))
     test_raw = firing.extract_firing_matrix(pruned, split.test,
                                             pruned.last_conv_index())
-    scale = np.where(train_mat.col_std < 1e-8, 1.0, train_mat.col_std)
-    test_vals = (test_raw.values - train_mat.col_mean) / scale
+    test_vals, _ = firing.zscore(test_raw.values, train_mat.col_mean,
+                                 train_mat.col_std)
     heads = (classify.qda_fit(train_mat.values, train_mat.labels),
              classify.linear_svm_fit(train_mat.values,
                                      train_mat.labels * 2 - 1))
