@@ -25,7 +25,12 @@ against the output gradient spread onto the same (OH, Wp) layout, with
 zeros in the dropped columns. The adjoint is a stride-1 correlation of the
 flipped, channel-transposed kernel with the output gradient, spread onto
 the stride grid behind kh-1 and kw-1 zeros: one GEMM with inner dimension
-O*kh*kw.
+O*kh*kw. Each kernel memoizes its geometry per argument shape (typed, so
+1, 1.0, True and np.int64(1) stay apart; LRU of 32; a failed check is never
+kept). The zero grids are kept in an LRU of 16, one per thread, dtype and
+geometry with its fill region: each call on a key writes the same cells,
+so the rest stay zero and the unroll is bitwise a fresh grid's. No
+unrolled matrix (for 1x1 kernels a view of its grid) leaves its call.
 
 Max-pooling without switches is separable: a running max over strided
 column slices of the map, then over strided row slices of that band, so a
@@ -44,6 +49,7 @@ elsewhere; with unique switches that is the reverse walks' pool rule.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -58,13 +64,11 @@ def conv_output_hw(h, w, kh, kw, stride, pad):
 
 
 def _span(top, spread, n, size):
-    """(source, grid) slices for n cells set at top + spread*k on a size-cell axis.
-
-    Cells that would land off the axis are dropped.
-    """
+    """(source slice, grid (start, stop, step)) for n cells set at top +
+    spread*k on a size-cell axis; cells that would land off it are dropped."""
     lo = max(0, -(top // spread))
     hi = max(lo, min(n, -((top - size) // spread)))
-    return slice(lo, hi), slice(top + spread * lo, top + spread * hi, spread)
+    return slice(lo, hi), (top + spread * lo, top + spread * hi, spread)
 
 
 def _accumulator(x):
@@ -75,25 +79,33 @@ def _accumulator(x):
     return x.dtype
 
 
-def _unroll(x, kh, kw, stride, hp, wp, rows, cols):
+@functools.lru_cache(maxsize=16, typed=True)
+def _kept_grid(thread, dtype, c, kh, kw, stride, hp, wp, *fill):
+    """_unroll's zero grid, keyed by thread too: fill cells, run view, shape."""
+    n = ((hp - kh) // stride + 1) * wp
+    depth = max(hp, -(-((kh - 1) * wp + kw + stride * (n - 1)) // wp))
+    grid = np.zeros((c, depth, wp), dtype)
+    cells = grid[:, slice(*fill[:3]), slice(*fill[3:])]
+    runs = np.ndarray((c, kh, kw, n), dtype, grid, 0,
+                      grid.strides + (stride * grid.itemsize,))
+    return cells, runs, (c * kh * kw, n)
+
+
+def _unroll(x, geometry):
     """Row-run unroll of x set into a zero (C, hp, wp) grid of x's dtype.
 
-    x fills the grid cells [:, rows, cols]. Returns the (C*kh*kw, oh*wp)
+    geometry is (C, kh, kw, stride, hp, wp) and the (start, stop, step) of
+    the rows, then the columns, that x fills. Returns the (C*kh*kw, oh*wp)
     matrix, oh = (hp - kh) // stride + 1, whose row (c, i, j) holds cell
     (y*stride + i, z*stride + j) of channel c at column y*wp + z. Columns
     with z past the last window read on into the next row; callers drop
     them. Zero rows below each channel's grid hold the tail of its runs.
+    The grid is kept per thread, dtype and geometry, fill included (LRU of
+    16): every call on one key writes the same cells, so the rest stay zero.
     """
-    c = x.shape[0]
-    oh = (hp - kh) // stride + 1
-    n = oh * wp
-    depth = max(hp, -(-((kh - 1) * wp + kw + stride * (n - 1)) // wp))
-    grid = np.zeros((c, depth, wp), x.dtype)
-    grid[:, rows, cols] = x
-    item = grid.itemsize
-    runs = np.ndarray((c, kh, kw, n), grid.dtype, grid, 0,
-                      (depth * wp * item, wp * item, item, stride * item))
-    return runs.reshape(c * kh * kw, n)
+    cells, runs, shape = _kept_grid(threading.get_ident(), x.dtype, *geometry)
+    cells[...] = x
+    return runs.reshape(shape)
 
 
 def conv_shape(shape, kernel_shape, stride, pad):
@@ -121,26 +133,50 @@ def conv_shape(shape, kernel_shape, stride, pad):
     return (o, oh, ow)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _conv_geometry(shape, stride, pad, *kernel_shape):
+    """conv_shape's (O, OH, OW), flat kernel shape, Wp and input unroll
+    geometry; the kernel dims come one by one so that their types key it."""
+    o, oh, ow = conv_shape(shape, kernel_shape, stride, pad)
+    c, h, w = shape
+    kh, kw = kernel_shape[2:]
+    wp = w + 2 * pad
+    return (o, oh, ow, (o, c * kh * kw), wp, (c, kh, kw, stride, h + 2 * pad,
+            wp, pad, pad + h, None, pad, pad + w, None))
+
+
 def conv2d_forward(input, kernel, bias, stride=1, pad=0):
     """2-D cross-correlation with zero padding.
 
     out[o,y,x] = bias[o] + sum_{c,i,j} input[c, y*stride+i-pad, x*stride+j-pad]
                  * kernel[o,c,i,j], reading zero outside the input bounds.
     """
-    shape, kshape = input.shape, kernel.shape
-    o, oh, ow = conv_shape(shape, kshape, stride, pad)
-    c, h, w = shape
-    kh, kw = kshape[2:]
+    o, oh, ow, flat, wp, grid = _conv_geometry(input.shape, stride, pad, *kernel.shape)
     dtype = _accumulator(input)
     b = np.asarray(bias, dtype=dtype).reshape(-1)
     if b.shape[0] != o:
         raise DimensionError(f"bias length {b.shape[0]} != out channels {o}")
-    wp = w + 2 * pad
-    cols = _unroll(input, kh, kw, stride, h + 2 * pad, wp,
-                   slice(pad, pad + h), slice(pad, pad + w))
-    out = kernel.reshape(o, c * kh * kw).astype(dtype, copy=False) @ cols
+    out = kernel.reshape(flat).astype(dtype, copy=False) @ _unroll(input, grid)
     out += b[:, None]
     return np.ascontiguousarray(out.reshape(o, oh, wp)[:, :, :ow])
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _adjoint_geometry(gshape, kernel_shape, stride, pad, h, w):
+    """The adjoint's shape check; its signal's cells, unroll geometry and shapes."""
+    o, oh, ow = gshape
+    _, c, kh, kw = kernel_shape
+    want = conv_shape((c, h, w), kernel_shape, stride, pad)
+    if want != gshape:
+        raise DimensionError(f"forward of {h}x{w} gives {want}, signal is {gshape}")
+    # input cell (u, v) sums gout[o, y, x] * kernel[o, c, u+pad-y*stride,
+    # v+pad-x*stride]: gout spread onto the stride grid behind kh-1 / kw-1
+    # zeros, correlated with the flipped kernel over the input window only
+    hg, wg = h + kh - 1, w + kw - 1
+    rs, rg = _span(kh - 1 - pad, stride, oh, hg)
+    cs, cg = _span(kw - 1 - pad, stride, ow, wg)
+    return ((slice(None), rs, cs), (o, kh, kw, 1, hg, wg, *rg, *cg),
+            (c, o * kh * kw), (c, h, wg))
 
 
 def conv2d_adjoint(gout, kernel, stride=1, pad=0, *, out_hw):
@@ -156,36 +192,24 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, *, out_hw):
     if gout.ndim != 3 or kern.ndim != 4:
         raise DimensionError("need (O,H,W) signal and (O,C,kh,kw) kernel")
     dtype = _accumulator(gout)
-    o, oh, ow = gout.shape
-    _, c, kh, kw = kern.shape
     h, w = out_hw
-    want = conv_shape((c, h, w), kern.shape, stride, pad)
-    if want != gout.shape:
-        raise DimensionError(f"forward of {h}x{w} gives {want}, signal is {gout.shape}")
-    # input cell (u, v) sums gout[o, y, x] * kernel[o, c, u+pad-y*stride,
-    # v+pad-x*stride]: gout spread onto the stride grid behind kh-1 / kw-1
-    # zeros, correlated with the flipped kernel over the input window only
-    hg, wg = h + kh - 1, w + kw - 1
-    rs, rg = _span(kh - 1 - pad, stride, oh, hg)
-    cs, cg = _span(kw - 1 - pad, stride, ow, wg)
-    cols = _unroll(gout[:, rs, cs], kh, kw, 1, hg, wg, rg, cg)
+    src, grid, flat, full = _adjoint_geometry(gout.shape, kern.shape, stride, pad, h, w)
+    cols = _unroll(gout[src], grid)
     flipped = np.ascontiguousarray(
         kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dtype=dtype)
-    out = flipped.reshape(c, o * kh * kw) @ cols
-    return np.ascontiguousarray(out.reshape(c, h, wg)[:, :, :w])
+    out = flipped.reshape(flat) @ cols
+    return np.ascontiguousarray(out.reshape(full)[:, :, :w])
 
 
 def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
     """Weight and bias gradients for conv2d_forward."""
     c, h, w = x.shape
-    _, oh, ow = conv_shape((c, h, w), (1, c, kh, kw), stride, pad)  # O is moot
+    _, oh, ow, _, wp, grid = _conv_geometry(x.shape, stride, pad, 1, c, kh, kw)
     if gout.ndim != 3 or gout.shape[1:] != (oh, ow):
         raise DimensionError(f"gradient must be (O,{oh},{ow}), got {gout.shape}")
     o = gout.shape[0]
     dtype = _accumulator(x)
-    wp = w + 2 * pad
-    cols = _unroll(x, kh, kw, stride, h + 2 * pad, wp,
-                   slice(pad, pad + h), slice(pad, pad + w))
+    cols = _unroll(x, grid)
     spread = np.zeros((o, oh, wp), dtype)
     spread[:, :, :ow] = gout
     # the long OH*Wp axis inner: 1.5-2x on wide layers, float32 bits unchanged
@@ -239,6 +263,13 @@ def pool_shape(shape, window, stride):
     return (c,) + conv_output_hw(h, w, window, window, stride, 0)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _pool_geometry(shape, window, stride):
+    """pool_shape's (C, OH, OW), H, W and the extents a tap's rows and cols span."""
+    c, oh, ow = pool_shape(shape, window, stride)
+    return c, oh, ow, *shape[1:], stride * (oh - 1) + 1, stride * (ow - 1) + 1
+
+
 def maxpool_forward(input, window, stride, switches=True):
     """Max-pool each channel; also return the winning flat input indices.
 
@@ -249,9 +280,7 @@ def maxpool_forward(input, window, stride, switches=True):
     window's columns, then its rows) keep their bits, and (values, None) is
     returned. The values are always a new C-contiguous array.
     """
-    shape = input.shape
-    c, oh, ow = pool_shape(shape, window, stride)
-    h, w = shape[1:]
+    c, oh, ow, h, w, rows, cols = _pool_geometry(input.shape, window, stride)
     x = np.ascontiguousarray(input)
     # on a tie np.maximum returns its second argument, so with the later tap
     # first the earlier tap wins (+0 before -0 stays +0) and out is
@@ -259,7 +288,6 @@ def maxpool_forward(input, window, stride, switches=True):
     # on x86 with numpy 2.4.6 and is platform behaviour (an IEEE maximum
     # ranks +0 over -0), so TestSwitchFreePool fails loudly where it differs
     if not switches:  # separable: the max over each window's columns, then rows
-        rows, cols = stride * (oh - 1) + 1, stride * (ow - 1) + 1
         band = x[:, :, :cols:stride]
         for j in range(1, window):
             band = np.maximum(x[:, :, j:j + cols:stride], band)
@@ -327,8 +355,8 @@ def softmax(x):
     if x.ndim != 1:
         raise DimensionError(f"softmax input must be a vector, got {x.shape}")
     z = x.astype(np.float64)
-    top = z.max()  # NaN exactly when x holds one
+    top = np.maximum.reduce(z)  # NaN exactly when x holds one
     if top != top:
         raise NonFiniteError("softmax input contains NaN")
     e = np.exp(z - top)
-    return (e / e.sum()).astype(x.dtype)
+    return (e / np.add.reduce(e)).astype(x.dtype)

@@ -4,8 +4,8 @@ Everything here is written the dumb way on purpose: quadruple loops,
 two-pass statistics, exhaustive searches. The im2col / col2im conv kernels,
 the per-layer magnitude mask, the per-neuron dependency pooling and the
 re-masking SGD epoch are the package's earlier implementations, kept as
-references for the ones that replaced them, and so is the spread @ cols.T
-weight gradient. Nothing from the package under test is imported.
+references for the ones that replaced them, and so are the spread @ cols.T
+weight gradient and the row-run unroll into a fresh zero grid. Nothing from the package under test is imported.
 """
 
 import math
@@ -124,6 +124,22 @@ def conv2d_weight_grad_spread(x, gout, kh, kw, stride=1, pad=0):
     spread = np.zeros((o, oh, wp), dtype=x.dtype)
     spread[:, :, :ow] = gout
     return (spread.reshape(o, n) @ cols.T).reshape(o, c, kh, kw)
+
+
+def unroll_fresh(x, kh, kw, stride, hp, wp, rows, cols):
+    """The row-run unroll into a fresh zero (C, depth, wp) grid of x's dtype,
+    x set at [:, rows, cols]: (C*kh*kw, oh*wp), row (c, i, j) running from
+    tap (i, j) of channel c by the stride, with zero rows of slack below."""
+    c = x.shape[0]
+    oh = (hp - kh) // stride + 1
+    n = oh * wp
+    depth = max(hp, -(-((kh - 1) * wp + kw + stride * (n - 1)) // wp))
+    grid = np.zeros((c, depth, wp), x.dtype)
+    grid[:, rows, cols] = x
+    item = grid.itemsize
+    runs = np.ndarray((c, kh, kw, n), grid.dtype, grid, 0,
+                      (depth * wp * item, wp * item, item, stride * item))
+    return runs.reshape(c * kh * kw, n)
 
 
 def conv2d_adjoint_col2im(gout, kernel, h, w, stride=1, pad=0):

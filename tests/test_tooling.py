@@ -177,6 +177,23 @@ class TestPairedVerdicts:
         # a pair missing a value wins nothing
         assert not self.bp.gain_shown(parent, faster[:8] + [None, None], "lower")
 
+    def test_traced_metrics_are_medians_over_each_sides_runs(self):
+        """One slow traced run no longer decides a side's per-layer metric;
+        a run that failed or lacks a metric adds no value to it."""
+        def lines(**values):
+            return {"result": {"metrics": {name: {"value": v}
+                                           for name, v in values.items()}}}
+
+        got = self.bp.traced_medians({
+            "parent": [lines(a=1.0, b=5.0), lines(a=30.0), lines(a=2.0, b=None)],
+            "change": [lines(a=9.0), {"error": "exit 1"}, lines(a=4.0, b=1.0)],
+        })
+        assert got["a"] == {"parent": 2.0, "parent_runs": [1.0, 30.0, 2.0],
+                            "change": 6.5, "change_runs": [9.0, 4.0]}
+        assert got["b"] == {"parent": 5.0, "parent_runs": [5.0],
+                            "change": 1.0, "change_runs": [1.0]}
+        assert self.bp.TRACED_RUNS == 3
+
     def test_recompute_prints_the_src_line_totals(self):
         """The size of a change, read from the file's src_lines block."""
         done = subprocess.run(

@@ -10,15 +10,16 @@ a temporary directory outside the repository (removed afterwards); the
 change side is this checkout as it stands. For each workload, pair k runs
 `perfbench/run.py --trace 0 --seed <seed0 + k>` on both sides back to back,
 the parent first in even pairs and the change first in odd ones, so a slow
-phase of the host lands on both sides alike. Then one `--trace 1` run per
-side gives the per-layer medians, and the Tier-1 suite runs once per side
-for its wall time. All three workloads run at full scale, and the file is
+phase of the host lands on both sides alike. Then three `--trace 1` runs
+per side, in the same alternating order, give the per-layer metrics, each
+the median of its three values (one traced run let a slow phase decide a
+side), and the Tier-1 suite runs once per side for its wall time. All three workloads run at full scale, and the file is
 BENCH_<pr>.json at the repository root.
 
 The file holds every output line of every run (env, detail and result),
 per gated metric the parent and change medians, quartiles and the number
 of pairs the change won, the same for the detail-line walls, the traced
-per-layer metrics of both sides, each side's perfbench env block (which
+per-layer medians of both sides with the values they are taken from, each side's perfbench env block (which
 says whether BLAS was pinned), `src/` line counts and the Tier-1 walls.
 The file is rewritten after every run, with "complete": false until the
 last one. Nothing here is a test gate: absolute times depend on the host.
@@ -56,6 +57,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("train", "prune", "infer")
 # detail-line walls: multi-second or per-step times perfbench does not gate
 DETAIL_WALLS = ("prune_s", "analyze_s", "heads_s", "train_step_ms_quiet_p50")
+# traced runs per side and workload; each per-layer metric is their median
+TRACED_RUNS = 3
 # least coverage of the sign-test interval around the median paired ratio
 COVERAGE = 0.95
 NOTES = [
@@ -218,6 +221,24 @@ def value(lines, section, name):
     return entry.get("value") if isinstance(entry, dict) else None
 
 
+def traced_medians(runs):
+    """{metric: {side: median, side_runs: values}} over each side's traced
+    runs ({side: [lines]}); runs missing a metric add no value to it."""
+    metrics = {side: [(l.get("result") or {}).get("metrics", {}) for l in lines]
+               for side, lines in runs.items()}
+    names = sorted({name for ms in metrics.values() for m in ms for name in m})
+    out = {}
+    for name in names:
+        entry = {}
+        for side, ms in metrics.items():
+            vals = [m[name]["value"] for m in ms
+                    if m.get(name, {}).get("value") is not None]
+            entry[side] = statistics.median(vals) if vals else None
+            entry[f"{side}_runs"] = vals
+        out[name] = entry
+    return out
+
+
 def src_lines(root):
     counts = {}
     for dirpath, _, files in os.walk(os.path.join(root, "src")):
@@ -340,13 +361,13 @@ def main(argv=None):
                     for name in DETAIL_WALLS
                     if value(runs["parent"][0], "detail", name) is not None},
             }
-            traced = {side: record(side, workload, args.seed + args.pairs, 1, 0)
-                      for side in ("parent", "change")}
-            metrics = {s: (l.get("result") or {}).get("metrics", {})
-                       for s, l in traced.items()}
-            doc["traced"][workload] = {
-                name: {s: metrics[s].get(name, {}).get("value") for s in metrics}
-                for name in sorted(set(metrics["parent"]) | set(metrics["change"]))}
+            traced = {"parent": [], "change": []}
+            for k in range(TRACED_RUNS):
+                seed = args.seed + args.pairs + k
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for n, side in enumerate(order):
+                    traced[side].append(record(side, workload, seed, 1, n))
+            doc["traced"][workload] = traced_medians(traced)
             save()
         print(verdict_table(doc), src_size(doc), sep="\n", file=sys.stderr,
               flush=True)
