@@ -35,7 +35,7 @@ print(f"pruned net test acc (dense head): "
 ptr = standardize(extract_firing_matrix(pruned, split.train,
                                         pruned.last_conv_index()))
 pte = extract_firing_matrix(pruned, split.test, pruned.last_conv_index())
-te_vals, _ = zscore(pte.values, ptr.col_mean, ptr.col_std)
+te_vals = zscore(pte.values, ptr.col_mean, ptr.col_std)
 print(f"feature dimension: {ptr.values.shape[1]}")
 
 qda = qda_fit(ptr.values, ptr.labels)

@@ -229,8 +229,8 @@ def cmd_eval(args, split):
         train_mat = firing.standardize(
             firing.extract_firing_matrix(net, split.train, last))
         test_raw = firing.extract_firing_matrix(net, split.test, last)
-        test_vals, _ = firing.zscore(test_raw.values, train_mat.col_mean,
-                                     train_mat.col_std)
+        test_vals = firing.zscore(test_raw.values, train_mat.col_mean,
+                                  train_mat.col_std)
         model = classify.fit_head(args.classifier, train_mat.values,
                                   train_mat.labels, lam=args.lam, c=args.c,
                                   seed=args.seed)

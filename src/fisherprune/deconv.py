@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonFiniteError, require_int
 from .network import ForwardRecord, Network, forward, reverse
-from .ops import unpool  # noqa: F401  (still importable from here)
+from .ops import unpool  # noqa: F401  (criterion 4 imports it from here)
 
 
 @dataclass
@@ -27,7 +27,6 @@ class DeconvMap:
     walking and sets dead.
     """
 
-    neuron: int
     maps: dict
     dead: bool
 
@@ -78,10 +77,10 @@ def deconv_from_neuron(net: Network, rec: ForwardRecord, neuron: int) -> DeconvM
     if peak <= 0.0:
         maps = {i: np.zeros(rec.activations[i].shape, start.dtype)
                 for i in range(last, -1, -1)}
-        return DeconvMap(neuron=neuron, maps=maps, dead=True)
+        return DeconvMap(maps=maps, dead=True)
     start[neuron].ravel()[int(chan.argmax())] = peak
     maps = dict(reverse(net, rec, last, start, mirror=True))
-    return DeconvMap(neuron=neuron, maps=maps, dead=False)
+    return DeconvMap(maps=maps, dead=False)
 
 
 def dependency_scores(net: Network, images, selected) -> DependencyTable:

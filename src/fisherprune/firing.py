@@ -27,10 +27,8 @@ class FiringMatrix:
 
     values: np.ndarray  # (n_images, n_neurons) float64
     labels: np.ndarray  # (n_images,) in {0,1}
-    standardized: bool = False
-    col_mean: np.ndarray | None = None
+    col_mean: np.ndarray | None = None  # set by standardize
     col_std: np.ndarray | None = None
-    constant_cols: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -86,10 +84,9 @@ def zscore(values, mean, std):
     """Scale columns by given stats: (values - mean) / std.
 
     A column whose stddev is below 1e-8 is constant: it is centered but left
-    unscaled. Returns (scaled values, constant-column flags).
+    unscaled.
     """
-    constant = std < 1e-8
-    return (values - mean) / np.where(constant, 1.0, std), constant
+    return (values - mean) / np.where(std < 1e-8, 1.0, std)
 
 
 def standardize(mat: FiringMatrix) -> FiringMatrix:
@@ -98,9 +95,8 @@ def standardize(mat: FiringMatrix) -> FiringMatrix:
         raise ConfigurationError("standardization needs at least 2 rows")
     mean = mat.values.mean(axis=0)
     std = mat.values.std(axis=0)  # population: ddof=0
-    vals, constant = zscore(mat.values, mean, std)
-    return FiringMatrix(vals, mat.labels.copy(), standardized=True,
-                        col_mean=mean, col_std=std, constant_cols=constant)
+    return FiringMatrix(zscore(mat.values, mean, std), mat.labels.copy(),
+                        col_mean=mean, col_std=std)
 
 
 def scatter_matrices(mat: FiringMatrix) -> ScatterPair:

@@ -11,7 +11,8 @@ output (masked passes) or observe it (timing).
 reverse() is the one reverse walk over such a record, shared by backprop
 (train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
 It yields the signal at each layer's output in turn, down to layer 0; the
-two walks differ only in their relu rule (Springenberg et al., 2015).
+two walks differ only in their relu rule (Springenberg et al., 2015). A
+max-pool's reverse rule is ops.unpool, so only ops reads the switches.
 """
 
 from __future__ import annotations
@@ -194,11 +195,18 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
     i = start..0. Each layer's rule runs only when the next signal is asked
     for, and layer 0's never runs: no caller reads a signal at the input.
     Each step works in the signal's dtype: conv applies its transposed
-    conv, dense W^T, flatten a reshape, max-pool a scatter-add through its
+    conv, dense W^T, flatten a reshape, max-pool ops.unpool through its
     switches (windows sharing a winner sum). Relu is the one difference:
     backprop (mirror=False) gates by the sign of its recorded output; the
     deconvnet projection (mirror=True; Zeiler & Fergus, 2014) rectifies.
+    A start that is not a layer of the record, or a signal not shaped like
+    its output, raises DimensionError when the walk begins.
     """
+    n = len(rec.activations)
+    if not (is_int(start) and 0 <= start < n
+            and np.shape(signal) == rec.activations[start].shape):
+        raise DimensionError(f"reverse needs a start in [0, {n}) and a signal shaped "
+                             f"like its output, got {start!r} and {np.shape(signal)}")
     for i in range(start, -1, -1):
         yield i, signal
         if i == 0:
@@ -216,10 +224,7 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
             signal = (ops.relu_forward(signal) if mirror
                       else signal * (rec.activations[i] > 0))
         elif layer.kind == "maxpool":
-            scattered = np.zeros(below, signal.dtype)
-            np.add.at(scattered.reshape(-1), rec.switches[i].ravel(),
-                      signal.ravel())
-            signal = scattered
+            signal = ops.unpool(signal, rec.switches[i], below)
         else:
             raise ConfigurationError(f"no reverse rule for layer {i} ({layer.kind})")
 

@@ -25,25 +25,25 @@ against the output gradient spread onto the same (OH, Wp) layout, with
 zeros in the dropped columns. The adjoint is a stride-1 correlation of the
 flipped, channel-transposed kernel with the output gradient, spread onto
 the stride grid behind kh-1 and kw-1 zeros: one GEMM with inner dimension
-O*kh*kw. Each kernel memoizes its geometry per argument shape (typed, so
-1, 1.0, True and np.int64(1) stay apart; LRU of 32; a failed check is never
-kept). The zero grids are kept in an LRU of 16, one per thread, dtype and
-geometry with its fill region: each call on a key writes the same cells,
-so the rest stay zero and the unroll is bitwise a fresh grid's. No
+O*kh*kw. Each kernel memoizes its geometry per argument shape (LRU of 32,
+typed so 1.0 or True cannot skip the int checks on 1's entry; a failed
+check is never kept). Zero grids are kept in an LRU of 16 per thread, dtype
+and geometry with its fill region: each call on a key writes the same
+cells, so the rest stay zero and the unroll is bitwise a fresh grid's. No
 unrolled matrix (for 1x1 kernels a view of its grid) leaves its call.
 
 Max-pooling without switches is separable: a running max over strided
 column slices of the map, then over strided row slices of that band, so a
 2x2 pool is two maximum calls and copies no tap. Only when asked does it
-return the winning flat input index per output cell ("switches"), which
-the backward pass and the deconv walk read, from a stack of the taps.
-The winner is the first cell in window scan order (row-major) that holds
-the window maximum, and a window containing NaN pools to NaN with its first
-NaN as the winner; this is exactly numpy argmax over the flattened window.
-The values are the input read at the switches bit for bit (signed zeros
+return the winning flat input index per output cell ("switches"), from a
+stack of the taps and switch tables kept in the pool's geometry memo. The
+winner is the first cell in window scan order (row-major) that holds the
+window maximum, and a window containing NaN pools to NaN with its first NaN
+as the winner; this is exactly numpy argmax over the flattened window. The
+values are the input read at the switches bit for bit (signed zeros
 included); only a window holding NaNs of different payloads may pool to a
-later one. unpool writes pooled values back at their switches, zeros
-elsewhere; with unique switches that is the reverse walks' pool rule.
+later one. unpool, the pool's one reverse rule (both reverse walks run it),
+adds each pooled signal at its switch, so windows sharing a winner sum.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, NonFiniteError
+from .errors import (ConfigurationError, DimensionError, NonFiniteError, is_int,
+                     require_int)
 
 
 def conv_output_hw(h, w, kh, kw, stride, pad):
@@ -114,16 +115,16 @@ def conv_shape(shape, kernel_shape, stride, pad):
         raise DimensionError(f"conv input must be (C,H,W), got {shape}")
     if len(kernel_shape) != 4:
         raise DimensionError(f"conv kernel must be (O,C,kh,kw), got {kernel_shape}")
-    if min(shape) < 1:
-        raise DimensionError(f"conv input extents must be >= 1, got {shape}")
+    if not all(is_int(s) and s >= 1 for s in shape):
+        raise DimensionError(f"conv input extents must be >= 1 and ints, got {shape}")
     c, h, w = shape
     o, kc, kh, kw = kernel_shape
     if kc != c:
         raise DimensionError(f"kernel expects {kc} input channels, feature map has {c}")
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ConfigurationError(f"pad must be >= 0, got {pad}")
+    require_int("kernel height", kh, 1)
+    require_int("kernel width", kw, 1)
+    require_int("stride", stride, 1)
+    require_int("pad", pad, 0)
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
     if oh < 1 or ow < 1:
         raise ConfigurationError(
@@ -222,30 +223,6 @@ def relu_forward(input):
     return np.maximum(input, 0)
 
 
-@functools.lru_cache(maxsize=64)
-def _pool_index(c, h, w, window, stride):
-    """Read-only tables that turn window hits into switches, per pool geometry.
-
-    Tap t of a window (scan order) lies offset[t] = (t // window)*w +
-    t % window cells past the window's top-left cell. weight[t] is span -
-    offset[t], with span one past the last offset, so the largest weight
-    among a window's hits marks its first hit. end[c, y, x] is the flat
-    index of window (y, x)'s top-left cell plus span, so a window's switch
-    is end minus its largest hit weight.
-    """
-    oh, ow = conv_output_hw(h, w, window, window, stride, 0)
-    taps = np.arange(window * window)
-    offset = (taps // window) * w + taps % window
-    span = int(offset[-1]) + 1
-    weight = (span - offset).astype(np.min_scalar_type(span)).reshape(-1, 1, 1, 1)
-    end = (np.arange(c)[:, None, None] * (h * w)
-           + np.arange(oh)[None, :, None] * (stride * w)
-           + np.arange(ow)[None, None, :] * stride + span)
-    for table in (weight, end):
-        table.flags.writeable = False
-    return weight, end
-
-
 def pool_shape(shape, window, stride):
     """(C,OH,OW) of a max-pool over a (C,H,W) input, or the pool kernel's
     error. No output is empty once 1 <= window <= H, W and stride >= 1."""
@@ -253,10 +230,8 @@ def pool_shape(shape, window, stride):
         raise DimensionError(f"pool input must be (C,H,W), got {shape}")
     if min(shape) < 1:
         raise DimensionError(f"pool input extents must be >= 1, got {shape}")
-    if window < 1:
-        raise ConfigurationError(f"pool window must be >= 1, got {window}")
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
+    require_int("pool window", window, 1)
+    require_int("stride", stride, 1)
     c, h, w = shape
     if window > h or window > w:
         raise ConfigurationError(f"pool window {window} exceeds input {h}x{w}")
@@ -265,9 +240,27 @@ def pool_shape(shape, window, stride):
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _pool_geometry(shape, window, stride):
-    """pool_shape's (C, OH, OW), H, W and the extents a tap's rows and cols span."""
+    """pool_shape's (C, OH, OW), H, W, the extents a tap's rows and cols
+    span, and read-only tables that turn window hits into switches.
+
+    Tap t of a window (scan order) lies offset[t] = (t // window)*w +
+    t % window cells past the window's top-left cell. weight[t] is span -
+    offset[t], with span one past the last offset, so the largest weight
+    among a window's hits marks its first hit. end[c, y, x] is the flat
+    index of window (y, x)'s top-left cell plus span, so a window's switch
+    is end minus its largest hit weight.
+    """
     c, oh, ow = pool_shape(shape, window, stride)
-    return c, oh, ow, *shape[1:], stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    h, w = shape[1:]
+    taps = np.arange(window * window)
+    offset = (taps // window) * w + taps % window
+    span = int(offset[-1]) + 1
+    weight = (span - offset).astype(np.min_scalar_type(span)).reshape(-1, 1, 1, 1)
+    end = (np.arange(c)[:, None, None] * (h * w)
+           + np.arange(oh)[None, :, None] * (stride * w)
+           + np.arange(ow)[None, None, :] * stride + span)
+    weight.flags.writeable = end.flags.writeable = False
+    return c, oh, ow, h, w, stride * (oh - 1) + 1, stride * (ow - 1) + 1, weight, end
 
 
 def maxpool_forward(input, window, stride, switches=True):
@@ -280,7 +273,8 @@ def maxpool_forward(input, window, stride, switches=True):
     window's columns, then its rows) keep their bits, and (values, None) is
     returned. The values are always a new C-contiguous array.
     """
-    c, oh, ow, h, w, rows, cols = _pool_geometry(input.shape, window, stride)
+    c, oh, ow, h, w, rows, cols, weight, end = _pool_geometry(
+        input.shape, window, stride)
     x = np.ascontiguousarray(input)
     # on a tie np.maximum returns its second argument, so with the later tap
     # first the earlier tap wins (+0 before -0 stays +0) and out is
@@ -306,7 +300,6 @@ def maxpool_forward(input, window, stride, switches=True):
     out = taps[0].copy()
     for tap in taps[1:]:
         np.maximum(tap, out, out=out)
-    weight, end = _pool_index(c, h, w, window, stride)
     hit = taps == out
     peak = out.max()  # the running max propagates NaN
     if peak != peak:  # a NaN tap is a hit exactly in NaN windows
@@ -315,17 +308,23 @@ def maxpool_forward(input, window, stride, switches=True):
 
 
 def unpool(pooled, switches, target_shape):
-    """Place each pooled value at its recorded flat index; zeros elsewhere."""
-    out = np.zeros(int(np.prod(target_shape)), dtype=pooled.dtype)
+    """The max-pool's reverse rule: pooled added at its flat switches into
+    zeros of target_shape in pooled's dtype, so windows sharing a winner sum
+    (the adjoint of reading the input at the switches; -0.0 returns +0.0)."""
+    out = np.zeros(target_shape, dtype=pooled.dtype)
     idx = np.asarray(switches).ravel()
     if idx.size != pooled.size:
-        raise DimensionError(
-            f"switch count {idx.size} != pooled size {pooled.size}"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= out.size):
-        raise DimensionError("pool switch out of target bounds")
-    out[idx] = pooled.ravel()
-    return out.reshape(target_shape)
+        raise DimensionError(f"switch count {idx.size} != pooled size {pooled.size}")
+    bad = "pool switches must be int indices within target bounds"
+    # add.at refuses a switch past the end but wraps a negative one and takes
+    # bools as a mask; argmin reads the switches once, without min's set-up
+    if idx.dtype.kind not in "iu" or idx.size and idx[idx.argmin()] < 0:
+        raise DimensionError(bad)
+    try:
+        np.add.at(out.reshape(-1), idx, pooled.ravel())
+    except IndexError:
+        raise DimensionError(bad) from None
+    return out
 
 
 def dense_shape(shape, weights_shape):

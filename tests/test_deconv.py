@@ -56,8 +56,25 @@ class TestMirrors:
         pooled = np.ones((1, 1, 1), dtype=np.float32)
         with pytest.raises(DimensionError, match="switch count"):
             unpool(pooled, np.array([0, 1]), (1, 2, 2))
-        with pytest.raises(DimensionError, match="bounds"):
-            unpool(pooled, np.array([9]), (1, 2, 2))
+        # numpy indexing would wrap the -1 and take the bools as a mask
+        for switches in ([9], [-1], [0.0], [True] * 4):
+            with pytest.raises(DimensionError, match="int indices within target bounds"):
+                unpool(np.ones(len(switches), np.float32), np.array(switches),
+                       (1, 2, 2))
+
+    @pytest.mark.parametrize("window,stride", [(3, 1), (2, 1)])
+    def test_unpool_is_the_adjoint_of_the_switch_read(self, window, stride):
+        """<x[sw], y> == <x, unpool(y, sw)> where overlapping windows share
+        winners: unpool adds at a shared switch, an assignment would not."""
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            x = rng.standard_normal((2, 7, 7))
+            pooled, sw = ops.maxpool_forward(x, window, stride)
+            assert np.unique(sw).size < sw.size
+            y = rng.standard_normal(pooled.shape)
+            lhs = np.sum(x.ravel()[sw] * y)
+            rhs = np.sum(x * unpool(y, sw, x.shape))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_transposed_conv_is_the_adjoint(self):
         rng = np.random.default_rng(2)
@@ -182,8 +199,7 @@ class TestNeuronWalk:
                              ids=["overlapping_pools", "reference_cnn"])
     def test_max_pool_step_is_backprops(self, make):
         """On one record, both walks carry a signal through each max-pool
-        by the same scatter-add in the signal's dtype; where no two windows
-        share a winner that is unpool, bit for bit."""
+        by the same scatter-add in the signal's dtype: unpool, bit for bit."""
         net = make()
         rng = np.random.default_rng(13)
         x = Tensor(rng.random(net.input_shape, dtype=np.float32))
@@ -202,9 +218,22 @@ class TestNeuronWalk:
                 for value, at in zip(signal.ravel(), sw.ravel()):
                     want[at] += value
                 np.testing.assert_array_equal(mirror[1], want.reshape(below))
-                if np.unique(sw).size == sw.size:
-                    assert mirror[1].tobytes() == unpool(signal, sw,
-                                                         below).tobytes()
+                assert mirror[1].tobytes() == unpool(signal, sw, below).tobytes()
+
+    @pytest.mark.parametrize("start,shape", [
+        (3, (1,)), (4, (16, 32, 32)), (3, (16, 16, 16)), (-1, (2,)), (20, (2,)),
+        (True, (16, 32, 32)), (3.0, (16, 32, 32)),
+    ], ids=["relu_scalar", "pool_unpooled", "relu_pooled", "negative",
+            "past_the_record", "bool", "float"])
+    def test_reverse_refuses_a_bad_start(self, start, shape):
+        """A start outside the record, or a signal not shaped like its
+        output, is refused before any layer's rule runs."""
+        net = reference_cnn(seed=0)
+        _, rec = forward(net, Tensor(np.ones((1, 32, 32), np.float32)),
+                         record=True)
+        for mirror in (False, True):
+            with pytest.raises(DimensionError, match="reverse needs a start"):
+                list(network.reverse(net, rec, start, np.ones(shape), mirror))
 
     def test_neuron_index_checked(self):
         net = passthrough_net()
@@ -292,7 +321,7 @@ class TestDependencyScores:
             assert len(rec.activations) == len(net.layers)
             maps, dead = oracles.deconv_walk_every_layer(
                 net, rec, n, network.reverse)
-            return DeconvMap(neuron=n, maps=maps, dead=dead)
+            return DeconvMap(maps=maps, dead=dead)
 
         want, dead = oracles.dependency_scores_per_neuron(
             net, images, selected, forward, full_walk)

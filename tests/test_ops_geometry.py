@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from fisherprune import ops
-from fisherprune.errors import ConfigurationError, DimensionError
+from fisherprune.errors import ConfigurationError, DimensionError, is_int
 
 import oracles
 
@@ -145,6 +145,8 @@ MALFORMED = [
     (lambda x, k, b: ops.conv2d_forward(x, np.ones((2, 3, 6, 6), np.float32), b),
      ConfigurationError,
      "conv of 4x4 with kernel 6x6 stride 1 pad 0 produces empty output -1x-1"),
+    (lambda x, k, b: ops.conv2d_forward(x, np.ones((2, 3, 0, 3), np.float32), b),
+     ConfigurationError, "kernel height must be >= 1, got 0"),
     (lambda x, k, b: ops.conv2d_forward(x, k, b, stride=0),
      ConfigurationError, "stride must be >= 1, got 0"),
     (lambda x, k, b: ops.conv2d_forward(x, k, b, pad=-1),
@@ -210,29 +212,18 @@ def int_like_calls(rng, v):
     }
 
 
-# the TypeError each float geometry raises, as before the geometry memo
-FLOAT_ERRORS = {
-    "adjoint stride": "slice indices must be integers",
-    "adjoint pad": "slice indices must be integers",
-    "plain pool stride": "slice indices must be integers",
-    "plain pool window": "slice indices must be integers",
-}
-# where numpy takes a bool as an extent it raises, as before the memo
-BOOL_ERRORS = {"grads kernel", "adjoint height", "pool window"}
-
-
 def outcome(call):
-    """The arrays call returns, or the message of its TypeError."""
+    """The arrays call returns, or the typed error it raises."""
     try:
         return [a for a in arrays(call()) if a is not None]
-    except TypeError as exc:
-        return str(exc)
+    except (ConfigurationError, DimensionError) as exc:
+        return exc
 
 
 def test_int_like_geometry_arguments_keep_their_behaviour():
     """typed memos keep 1.0, True, np.int64(1) and 1 apart, whichever comes
-    first: np.int64(1) gives the int results bit for bit, True does too
-    except where numpy takes it as an extent, and 1.0 raises its TypeError."""
+    first: np.int64(1) gives the int results bit for bit, and 1.0 and True
+    raise the typed error that names them on every call."""
     values = [1.0, True, np.int64(1), 1, 1.0, True, np.int64(1)]
     seen = [(v, {name: outcome(call) for name, call in
                  int_like_calls(np.random.default_rng(3), v).items()})
@@ -240,13 +231,12 @@ def test_int_like_geometry_arguments_keep_their_behaviour():
     want = seen[3][1]
     for v, got in seen:
         for name, result in got.items():
-            if isinstance(v, float):
-                assert FLOAT_ERRORS.get(
-                    name, "object cannot be interpreted as an integer") in result
-            elif v is True and name in BOOL_ERRORS:
-                assert result == "an integer is required"
-            else:
+            if is_int(v):
                 assert_same_bits(result, want[name])
+            else:
+                assert type(result) is (DimensionError if name == "adjoint height"
+                                        else ConfigurationError)
+                assert "int" in str(result) and repr(v) in str(result)
 
 
 def kept_grid_ref(x, kernel):
@@ -257,8 +247,9 @@ def kept_grid_ref(x, kernel):
 
 
 def test_caches_stay_within_their_bounds():
-    """200 distinct geometries leave each memo and the kept grids at most
-    at their bound, and an evicted grid is freed."""
+    """200 distinct geometries, pooled with and without switches, leave
+    each memo and the kept grids at most at their bound, and an evicted
+    grid is freed; the pool memo's switch tables are read-only."""
     k, b = np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32)
     x = np.ones((1, 3, 3), np.float32)
     ops.conv2d_forward(x, k, b)
@@ -270,11 +261,14 @@ def test_caches_stay_within_their_bounds():
             y = ops.conv2d_forward(x, k, b)
             ops.conv2d_adjoint(y, k, out_hw=(h, w))
             ops.maxpool_forward(x, 2, 1, switches=False)
+            ops.maxpool_forward(x, 2, 1)
     for cache in (ops._kept_grid, ops._conv_geometry, ops._adjoint_geometry,
                   ops._pool_geometry):
         info = cache.cache_info()
         assert info.currsize <= info.maxsize
     assert ops._kept_grid.cache_info().maxsize <= 32
+    for table in ops._pool_geometry((1, 22, 12), 2, 1)[-2:]:
+        assert not table.flags.writeable
     gc.collect()
     assert first() is None
 

@@ -116,8 +116,8 @@ def criteria(seed, work):
         pruned, split.train, pruned.last_conv_index()))
     test_raw = firing.extract_firing_matrix(pruned, split.test,
                                             pruned.last_conv_index())
-    test_vals, _ = firing.zscore(test_raw.values, train_mat.col_mean,
-                                 train_mat.col_std)
+    test_vals = firing.zscore(test_raw.values, train_mat.col_mean,
+                              train_mat.col_std)
     heads = (classify.qda_fit(train_mat.values, train_mat.labels),
              classify.linear_svm_fit(train_mat.values,
                                      train_mat.labels * 2 - 1))
