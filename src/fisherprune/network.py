@@ -2,11 +2,15 @@
 
 A network is a list of LayerSpec entries applied in order to a (C,H,W)
 input. Parameters live on the specs themselves (conv/dense only).
-forward() is the package's one forward layer walk: it takes and returns a
-Tensor but runs every layer on plain arrays. It can record every
-intermediate activation plus pooling switches; a pass that does not record
-computes no switches. A per-layer hook lets callers replace each layer's
-output (masked passes) or observe it (timing).
+forward() takes and returns a Tensor but runs every layer on plain arrays,
+in two modes with the same bits. A plain pass (inference, accuracy, firing,
+logits, bench totals) runs the net's plan, checked once per net, thread and
+input dtype, whose conv steps fuse bias and relu and hand their cropped
+view on as it is; a changed layer stamp rebuilds it. Recording or hooked
+passes (training, masked passes, the deconv walk, per-layer laps) walk the
+layers: they can record every intermediate activation plus pooling
+switches (only they compute switches), and a per-layer hook lets callers
+replace each layer's output (masked passes) or observe it (timing).
 
 reverse() is the one reverse walk over such a record, shared by backprop
 (train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
@@ -18,6 +22,8 @@ max-pool's reverse rule is ops.unpool, so only ops reads the switches.
 from __future__ import annotations
 
 import copy
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +81,14 @@ class LayerSpec:
             raise DimensionError(f"{self.kind} bias length must match its "
                                  f"{self.weights.shape[0]} outputs")
 
+    def __setattr__(self, name, value):  # any rebinding: a new stamp object
+        object.__setattr__(self, name, value)
+        object.__setattr__(self, "_stamp", object())
+
+    def __setstate__(self, state):  # copies and unpickled layers get their own
+        self.__dict__.update(state)
+        self._stamp = None
+
     def param_count(self):
         n = 0
         if self.weights is not None:
@@ -84,9 +98,10 @@ class LayerSpec:
         return n
 
 
-@dataclass
+@dataclass(eq=False)
 class Network:
-    """An ordered stack of layers plus the input shape it expects."""
+    """An ordered stack of layers plus the input shape it expects (compared
+    and hashed by identity)."""
 
     input_shape: tuple
     layers: list = field(default_factory=list)
@@ -100,6 +115,12 @@ class Network:
         for i, layer in enumerate(self.layers):
             try:
                 shape = _layer_out_shape(layer, shape)
+                if layer.kind == "conv" and layer.pad >= min(layer.weights.shape[2:]):
+                    # a load-time policy: such a pad only adds constant
+                    # (bias-valued) border outputs
+                    kh, kw = layer.weights.shape[2:]
+                    raise ConfigurationError(
+                        f"pad {layer.pad} must be below the {kh}x{kw} kernel's extents")
             except (DimensionError, ConfigurationError) as exc:
                 raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
             out.append(shape)
@@ -154,16 +175,7 @@ def _step(layer, x, record):
     return ops.softmax(x), None
 
 
-def forward(net: Network, x: Tensor, record=False, hook=None):
-    """Run the network on one input; optionally keep all intermediates.
-
-    hook(i, out), when given, is called with each layer's output and returns
-    the array that is carried forward (and recorded) in its place; masking
-    and per-layer timing ride on it. Returns the output Tensor, or
-    (output, ForwardRecord) when record=True. Max-pool switches are computed
-    only when record=True; the output is bitwise the same either way. Layer
-    failures are re-raised with the layer index prepended.
-    """
+def _check_input(net, x):
     if not isinstance(x, Tensor):
         raise ConfigurationError(f"network input must be a Tensor, got "
                                  f"{type(x).__name__}")
@@ -171,6 +183,65 @@ def forward(net: Network, x: Tensor, record=False, hook=None):
         raise DimensionError(
             f"network expects input {net.input_shape}, got {x.shape}"
         )
+
+
+def _build(net, x):
+    """(layer index, step) pairs of a plain pass over arrays like x. Every
+    shape check runs here once, in the walk's order and with its errors. A
+    conv step fuses its bias and a following relu (which gets no step) and
+    returns its cropped view; the other layers run the walk's step."""
+    shape, steps, kinds = x.shape, [], [l.kind for l in net.layers] + [""]
+    for i, layer in enumerate(net.layers):
+        if kinds[i - 1:i + 1] == ["conv", "relu"]:
+            continue
+        try:
+            if layer.kind == "conv":
+                step = ops.conv2d_step(shape, x.dtype, layer.weights, layer.bias,
+                                       layer.stride, layer.pad, kinds[i + 1] == "relu")
+            else:
+                step = lambda x, l=layer: _step(l, x, False)[0]
+            shape = _layer_out_shape(layer, shape)
+        except ValueError as exc:
+            raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
+        steps.append((i, step))
+    return steps
+
+
+_LOCAL = threading.local()  # .plans: net -> ((dtype, shape, stamps), steps)
+
+
+def _plain(net, x, drop=0):
+    """x (an array) through all but the last `drop` steps of net's plan, built
+    again whenever x's dtype or shape or a layer's stamp differs."""
+    key = (x.dtype, x.shape, [layer._stamp for layer in net.layers])
+    plans = getattr(_LOCAL, "plans", None)  # this thread's (its grids are)
+    if plans is None:
+        plans = _LOCAL.plans = weakref.WeakKeyDictionary()
+    plan = plans.get(net)
+    if plan is None or plan[0] != key:
+        plan = plans[net] = (key, _build(net, x))
+    try:
+        for i, step in plan[1][:len(plan[1]) - drop]:
+            x = step(x)
+    except ValueError as exc:  # dense and softmax check their input each call
+        raise type(exc)(f"layer {i} ({net.layers[i].kind}): {exc}") from None
+    return x
+
+
+def forward(net: Network, x: Tensor, record=False, hook=None):
+    """Run the network on one input; optionally keep all intermediates.
+
+    With record=False and no hook this runs the net's plain plan (see the
+    module docstring); otherwise it walks the layers, and hook(i, out),
+    when given, is called with each layer's output and returns the array
+    that is carried forward (and recorded) in its place. Returns the output
+    Tensor, or (output, ForwardRecord) when record=True. Max-pool switches
+    are computed only when record=True; the output is bitwise the same
+    either way. Layer failures are re-raised with the layer index prepended.
+    """
+    _check_input(net, x)
+    if not record and hook is None:
+        return Tensor(_plain(net, x.data))
     cur = x.data
     rec = ForwardRecord(input=cur.copy(), activations=[], switches={}) if record else None
     for i, layer in enumerate(net.layers):
@@ -230,24 +301,17 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
 
 
 def logits(net: Network, x: Tensor):
-    """Pre-softmax scores; requires the final layer to be softmax."""
+    """Pre-softmax scores: the plain plan up to the softmax that ends the net."""
     if not net.layers or net.layers[-1].kind != "softmax":
         raise ConfigurationError("network does not end in softmax")
-    trunk = Network(net.input_shape, net.layers[:-1])
-    return forward(trunk, x)
+    _check_input(net, x)
+    return Tensor(_plain(net, x.data, drop=1))
 
 
 def _layer_out_shape(layer, shape):
-    """The layer's output shape under the kernels' shape rules in ops, plus
-    one load-time policy: a conv pad must be below the kernel extents."""
+    """The layer's output shape under the kernels' shape rules in ops."""
     if layer.kind == "conv":
-        out = ops.conv_shape(shape, layer.weights.shape, layer.stride, layer.pad)
-        kh, kw = layer.weights.shape[2:]
-        if layer.pad >= kh or layer.pad >= kw:
-            # such a pad only adds constant (bias-valued) border outputs
-            raise ConfigurationError(
-                f"pad {layer.pad} must be below the {kh}x{kw} kernel's extents")
-        return out
+        return ops.conv_shape(shape, layer.weights.shape, layer.stride, layer.pad)
     if layer.kind == "maxpool":
         return ops.pool_shape(shape, layer.window, layer.stride)
     if layer.kind == "dense":

@@ -31,10 +31,13 @@ check is never kept). Zero grids are kept in an LRU of 16 per thread, dtype
 and geometry with its fill region: each call on a key writes the same
 cells, so the rest stay zero and the unroll is bitwise a fresh grid's. No
 unrolled matrix (for 1x1 kernels a view of its grid) leaves its call.
+conv2d_forward and conv2d_step's steps share one body (fill, GEMM, bias,
+an optional relu in place, crop); only conv2d_forward copies the crop out.
 
 Max-pooling without switches is separable: a running max over strided
 column slices of the map, then over strided row slices of that band, so a
-2x2 pool is two maximum calls and copies no tap. Only when asked does it
+2x2 pool is two maximum calls and copies no tap; it reads a strided map,
+such as a conv step's cropped view, in place. Only when asked does it
 return the winning flat input index per output cell ("switches"), from a
 stack of the taps and switch tables kept in the pool's geometry memo. The
 winner is the first cell in window scan order (row-major) that holds the
@@ -72,12 +75,12 @@ def _span(top, spread, n, size):
     return slice(lo, hi), (top + spread * lo, top + spread * hi, spread)
 
 
-def _accumulator(x):
-    """The dtype a kernel accumulates x in: x's own, float32 or float64."""
-    if x.dtype not in (np.float32, np.float64):
+def _accumulator(dtype):
+    """The dtype a kernel accumulates inputs of dtype in: float32 or float64."""
+    if dtype not in (np.float32, np.float64):
         raise ConfigurationError(
-            f"kernel input must be float32 or float64, got {x.dtype}")
-    return x.dtype
+            f"kernel input must be float32 or float64, got {dtype}")
+    return dtype
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -146,20 +149,47 @@ def _conv_geometry(shape, stride, pad, *kernel_shape):
             wp, pad, pad + h, None, pad, pad + w, None))
 
 
+def _conv_args(shape, dtype, kernel, bias, stride, pad):
+    """conv2d_forward's checks, then _conv's kernel, bias, kept grid and crop."""
+    o, oh, ow, flat, wp, grid = _conv_geometry(shape, stride, pad, *kernel.shape)
+    _accumulator(dtype)
+    b = np.asarray(bias, dtype=dtype).reshape(-1)
+    if b.shape[0] != o:
+        raise DimensionError(f"bias length {b.shape[0]} != out channels {o}")
+    return (kernel.reshape(flat).astype(dtype, copy=False), b[:, None],
+            *_kept_grid(threading.get_ident(), dtype, *grid), (o, oh, wp), ow)
+
+
+def _conv(kernel, bias, cells, runs, unrolled, full, ow, relu, x):
+    """The conv body; returns the cropped view of its fresh output."""
+    cells[...] = x
+    out = kernel @ runs.reshape(unrolled)
+    out += bias
+    if relu:
+        np.maximum(out, 0, out=out)
+    return out.reshape(full)[:, :, :ow]
+
+
 def conv2d_forward(input, kernel, bias, stride=1, pad=0):
     """2-D cross-correlation with zero padding.
 
     out[o,y,x] = bias[o] + sum_{c,i,j} input[c, y*stride+i-pad, x*stride+j-pad]
                  * kernel[o,c,i,j], reading zero outside the input bounds.
     """
-    o, oh, ow, flat, wp, grid = _conv_geometry(input.shape, stride, pad, *kernel.shape)
-    dtype = _accumulator(input)
-    b = np.asarray(bias, dtype=dtype).reshape(-1)
-    if b.shape[0] != o:
-        raise DimensionError(f"bias length {b.shape[0]} != out channels {o}")
-    out = kernel.reshape(flat).astype(dtype, copy=False) @ _unroll(input, grid)
-    out += b[:, None]
-    return np.ascontiguousarray(out.reshape(o, oh, wp)[:, :, :ow])
+    args = _conv_args(input.shape, input.dtype, kernel, bias, stride, pad)
+    return np.ascontiguousarray(_conv(*args, False, input))
+
+
+def conv2d_step(shape, dtype, kernel, bias, stride=1, pad=0, relu=False):
+    """conv2d_forward's checks for maps of this shape and dtype, run now, and
+    step(x): its bits, then a relu if asked, as a cropped view. The step
+    reads kernel and bias through views, or casts them on every call, so it
+    sees them change in place. Its grid is the calling thread's."""
+    args = _conv_args(shape, dtype, kernel, bias, stride, pad)
+    if np.may_share_memory(args[0], kernel) and np.may_share_memory(args[1], bias):
+        return functools.partial(_conv, *args, relu)
+    return lambda x: _conv(*_conv_args(shape, dtype, kernel, bias, stride, pad),
+                           relu, x)
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -192,7 +222,7 @@ def conv2d_adjoint(gout, kernel, stride=1, pad=0, *, out_hw):
     kern = np.asarray(kernel)
     if gout.ndim != 3 or kern.ndim != 4:
         raise DimensionError("need (O,H,W) signal and (O,C,kh,kw) kernel")
-    dtype = _accumulator(gout)
+    dtype = _accumulator(gout.dtype)
     h, w = out_hw
     src, grid, flat, full = _adjoint_geometry(gout.shape, kern.shape, stride, pad, h, w)
     cols = _unroll(gout[src], grid)
@@ -209,7 +239,7 @@ def conv2d_param_grads(x, gout, kh, kw, stride=1, pad=0):
     if gout.ndim != 3 or gout.shape[1:] != (oh, ow):
         raise DimensionError(f"gradient must be (O,{oh},{ow}), got {gout.shape}")
     o = gout.shape[0]
-    dtype = _accumulator(x)
+    dtype = _accumulator(x.dtype)
     cols = _unroll(x, grid)
     spread = np.zeros((o, oh, wp), dtype)
     spread[:, :, :ow] = gout
@@ -275,20 +305,20 @@ def maxpool_forward(input, window, stride, switches=True):
     """
     c, oh, ow, h, w, rows, cols, weight, end = _pool_geometry(
         input.shape, window, stride)
-    x = np.ascontiguousarray(input)
     # on a tie np.maximum returns its second argument, so with the later tap
     # first the earlier tap wins (+0 before -0 stays +0) and out is
     # x.take(switches). numpy does not document that tie rule: it was checked
     # on x86 with numpy 2.4.6 and is platform behaviour (an IEEE maximum
     # ranks +0 over -0), so TestSwitchFreePool fails loudly where it differs
     if not switches:  # separable: the max over each window's columns, then rows
-        band = x[:, :, :cols:stride]
+        band = input[:, :, :cols:stride]
         for j in range(1, window):
-            band = np.maximum(x[:, :, j:j + cols:stride], band)
+            band = np.maximum(input[:, :, j:j + cols:stride], band)
         out = band[:, :rows:stride]
         for i in range(1, window):
-            out = np.maximum(band[:, i:i + rows:stride], out)
+            out = np.maximum(band[:, i:i + rows:stride], out, order="C")
         return (out if window > 1 else out.copy()), None
+    x = np.ascontiguousarray(input)
     item = x.itemsize
     # one contiguous tap stack, read by the max and the hits: hits on the
     # 5-D strided view instead made perfbench's train step about 19% slower
@@ -342,7 +372,7 @@ def dense_shape(shape, weights_shape):
 def dense_forward(input, weights, bias):
     """Affine map W @ x + b on a rank-1 input."""
     m, = dense_shape(input.shape, weights.shape)
-    dtype = _accumulator(input)
+    dtype = _accumulator(input.dtype)
     b = np.asarray(bias, dtype=dtype).reshape(-1)
     if b.shape[0] != m:
         raise DimensionError(f"bias length {b.shape[0]} != out dim {m}")

@@ -161,8 +161,8 @@ def sgd_epoch(net, images, labels, order, lr, velocity, grad_mask=None,
             vw -= step
             vb *= MOMENTUM
             vb -= lr * db
-            layer.weights += vw
-            layer.bias += vb
+            np.add(layer.weights, vw, out=layer.weights)  # no rebinding: the
+            np.add(layer.bias, vb, out=layer.bias)  # layer keeps its stamp
     n = max(len(order), 1)
     return total / n, hit / n
 

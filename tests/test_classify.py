@@ -8,7 +8,7 @@ import pytest
 from fisherprune import classify
 from fisherprune.classify import (
     evaluate_accuracy, fit_head, from_arrays, linear_svm_fit, predict, qda_fit,
-    qda_predict, rbf_svm_fit, svm_decision, svm_predict, to_arrays,
+    qda_predict, rbf_svm_fit, SvmModel, svm_decision, svm_predict, to_arrays,
 )
 from fisherprune.errors import (
     ConfigurationError, DimensionError, HeaderSchemaError, NonFiniteError,
@@ -151,15 +151,15 @@ class TestLinearSvm:
         assert j_fit <= j_grid
 
     def test_converges_and_counts_steps(self, monkeypatch):
-        """Each SMO step reads two kernel rows; iterations counts the steps."""
+        """Each SMO step reads one kernel-row pair; iterations counts the steps."""
         x, _, ypm = blobs(n=40, gap=1.5, seed=11)
-        rows = []
+        pairs = []
         smo = classify._smo
-        monkeypatch.setattr(classify, "_smo", lambda y, c, kdiag, krow: smo(
-            y, c, kdiag, lambda i: rows.append(i) or krow(i)))
+        monkeypatch.setattr(classify, "_smo", lambda y, c, kdiag, pair: smo(
+            y, c, kdiag, lambda i, j: pairs.append((i, j)) or pair(i, j)))
         model = linear_svm_fit(x, ypm)
         assert model.converged
-        assert model.iterations == len(rows) // 2 >= 1
+        assert model.iterations == len(pairs) >= 1
 
     def test_labels_must_be_signed_and_complete(self):
         x = np.random.default_rng(0).normal(0, 1, (4, 2))
@@ -444,6 +444,18 @@ class TestSerialization:
             else:
                 assert svm_decision(rebuilt, row) == pytest.approx(
                     svm_decision(model, row), rel=1e-12)
+
+    @pytest.mark.parametrize("model", [
+        SvmModel(kind="svml", c=1.0, w=np.array([1.0, -1.0]), b=0.5),
+        SvmModel(kind="svmr", c=1.0, b=0.5, sv_x=np.ones((1, 2)), sv_y=np.ones(1),
+                 alpha=np.ones(1), gamma=0.5)], ids=["svml", "svmr"])
+    def test_round_trip_keeps_the_converged_flag(self, model):
+        for flag in (False, True):
+            model.converged = flag
+            assert from_arrays(to_arrays(model)).converged is flag
+        section = to_arrays(model)
+        del section["meta"]["converged"]  # a file written before the field
+        assert from_arrays(section).converged is True
 
     @pytest.mark.parametrize("drop,field", [
         (("kind",), "section 'kind'"),

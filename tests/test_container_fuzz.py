@@ -124,9 +124,12 @@ class TestBoolIsNotAnInt:
         with pytest.raises(ModelFormatError):
             load_model(str(net_file))
 
-    @pytest.mark.parametrize("value", ["no", [0], 1, None])
-    def test_converged_must_be_a_bool(self, value):
-        section = to_arrays(fit_head("svmr", *head_features()))
+    @pytest.mark.parametrize("value,kind", [
+        pytest.param(value, kind, id=("" if kind == "svmr" else "svml-") + name)
+        for kind in ("svmr", "svml")
+        for name, value in (("no", "no"), ("value1", [0]), ("1", 1), ("None", None))])
+    def test_converged_must_be_a_bool(self, value, kind):
+        section = to_arrays(fit_head(kind, *head_features()))
         section["meta"]["converged"] = value
         with pytest.raises(HeaderSchemaError, match="meta 'converged'"):
             from_arrays(section)

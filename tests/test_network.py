@@ -1,11 +1,18 @@
 """Network assembly, shape inference, and the reference architecture."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
-from fisherprune import ops
+from fisherprune import network, ops
 from fisherprune.bench import time_network
-from fisherprune.errors import ConfigurationError, DimensionError
+from fisherprune.errors import ConfigurationError, DimensionError, NonFiniteError
 from fisherprune.network import (
     LayerSpec, Network, build_cnn, forward, logits, reference_cnn,
 )
@@ -265,26 +272,194 @@ def pruned_reference_cnn():
     return apply_prune(net, PrunePlan(keep=keep, threshold=0.0))
 
 
+def strided_conv_net(seed=7):
+    """Stride-2 convs, one without a relu, pooled once at window 1."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        LayerSpec("conv", rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3),
+                  stride=2, pad=1),  # 11x10 -> 6x5
+        LayerSpec("relu"),
+        LayerSpec("conv", rng.standard_normal((4, 3, 2, 2)), rng.standard_normal(4),
+                  stride=2),  # 6x5 -> 3x2
+        LayerSpec("maxpool", window=1, stride=1),
+        LayerSpec("flatten"),
+        LayerSpec("dense", rng.standard_normal((2, 24)), rng.standard_normal(2)),
+        LayerSpec("softmax"),
+    ]
+    return Network((2, 11, 10), layers)
+
+
+def conv_flatten_net(seed=8):
+    """Convs straight into flatten, no pool: dense reads the cropped map."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        LayerSpec("conv", rng.standard_normal((3, 1, 3, 3)), rng.standard_normal(3),
+                  pad=1),
+        LayerSpec("relu"),
+        LayerSpec("conv", rng.standard_normal((2, 3, 3, 3)), rng.standard_normal(2)),
+        LayerSpec("flatten"),
+        LayerSpec("dense", rng.standard_normal((5, 50)), rng.standard_normal(5)),
+        LayerSpec("relu"),
+        LayerSpec("dense", rng.standard_normal((2, 5)), rng.standard_normal(2)),
+        LayerSpec("softmax"),
+    ]
+    return Network((1, 7, 7), layers)
+
+
+def float64_net():
+    """overlapping_pool_net with float64 weights and biases (test_train
+    imports this module, so its widen_to_float64 cannot be imported here)."""
+    net = overlapping_pool_net()
+    for layer in net.layers:
+        if layer.weights is not None:
+            layer.weights = layer.weights.astype(np.float64)
+            layer.bias = layer.bias.astype(np.float64)
+    return net
+
+
+PLAN_NETS = {"reference_cnn": lambda: reference_cnn(seed=0),
+             "pruned": pruned_reference_cnn, "overlapping_pools": overlapping_pool_net,
+             "strided": strided_conv_net, "conv_flatten": conv_flatten_net,
+             "float64_weights": float64_net}
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_plain_is_the_walk(net, x):
+    want, rec = forward(net, x, record=True)
+    assert_same_bits(forward(net, x).data, want.data)
+    assert_same_bits(logits(net, x).data, rec.activations[-2])
+
+
 class TestSwitchFreeForward:
-    @pytest.mark.parametrize("make", [lambda: reference_cnn(seed=0),
-                                      pruned_reference_cnn, overlapping_pool_net],
-                             ids=["reference_cnn", "pruned", "overlapping_pools"])
-    def test_plain_forward_is_the_recording_forward_bit_for_bit(self, make):
+    @pytest.mark.parametrize("make,dtype", [
+        pytest.param(make, dtype, id=name + ("" if dtype is np.float32 else "-float64"))
+        for dtype in (np.float32, np.float64) for name, make in PLAN_NETS.items()])
+    def test_plain_forward_is_the_recording_forward_bit_for_bit(self, make, dtype):
         net = make()
         rng = np.random.default_rng(8)
-        images = [rng.random(net.input_shape).astype(np.float32)
-                  for _ in range(4)]
-        images.append(np.zeros(net.input_shape, dtype=np.float32))  # all ties
+        images = [rng.random(net.input_shape).astype(dtype) for _ in range(4)]
+        images.append(np.zeros(net.input_shape, dtype=dtype))  # all ties
         for image in images:
             x = Tensor(image)
             want, rec = forward(net, x, record=True)
             got = forward(net, x)
-            assert rec.switches  # the recording pass did build switches
-            assert got.data.dtype == want.data.dtype
-            np.testing.assert_array_equal(got.data.view(np.uint32),
-                                          want.data.view(np.uint32))
-            np.testing.assert_array_equal(logits(net, x).data.view(np.uint32),
-                                          rec.activations[-2].view(np.uint32))
+            # the recording pass built switches for every pool
+            assert len(rec.switches) == sum(l.kind == "maxpool" for l in net.layers)
+            assert got.data.dtype == want.data.dtype == dtype
+            assert_same_bits(got.data, want.data)
+            assert_same_bits(logits(net, x).data, rec.activations[-2])
+        plan = network._LOCAL.plans[net]
+        forward(net, x)
+        logits(net, x)
+        assert network._LOCAL.plans[net] is plan  # logits runs forward's plan
+
+    def test_plans_follow_edits_to_their_net(self):
+        rng = np.random.default_rng(10)
+        net = overlapping_pool_net()
+        dup = net.copy()
+        xs = [Tensor(rng.random((1, 9, 9)).astype(dtype))
+              for dtype in (np.float32, np.float64)]
+
+        def check():
+            for n in (net, dup):
+                for x in xs:
+                    assert_plain_is_the_walk(n, x)
+
+        check()
+        conv = net.layers[3]
+        conv.weights = rng.standard_normal(conv.weights.shape).astype(np.float32)
+        check()  # rebound weights, same shape
+        conv.bias = conv.bias + 1
+        check()
+        net.layers[0] = LayerSpec("conv", rng.standard_normal((3, 1, 3, 3)),
+                                  rng.standard_normal(3), pad=1)
+        check()  # a replaced layer
+        net.layers.insert(8, LayerSpec("dense", rng.standard_normal((2, 2)),
+                                       rng.standard_normal(2)))
+        check()  # an added layer
+        del net.layers[8]
+        check()  # a removed one
+        dup.layers[3].weights[...] = -dup.layers[3].weights  # in place, no rebinding
+        dup.layers[3].bias[...] = 3.0
+        check()
+        conv.weights = np.zeros((4, 2, 3, 3), dtype=np.float32)
+        for walk in ({}, {"record": True}):
+            with pytest.raises(DimensionError, match="^layer 3 \\(conv\\): kernel "
+                               "expects 2 input channels, feature map has 3$"):
+                forward(net, xs[0], **walk)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_carry_no_plan(self, clone):
+        net = tiny_net()
+        x = Tensor(np.random.default_rng(11).random((1, 8, 8)).astype(np.float32))
+        forward(net, x)
+        assert net in network._LOCAL.plans
+        dup = clone(net)
+        assert dup not in network._LOCAL.plans
+        assert set(vars(dup)) == {"input_shape", "layers"}
+        assert not {l._stamp for l in dup.layers} & {l._stamp for l in net.layers}
+        dup.layers[0].weights[...] = 0.5
+        assert_plain_is_the_walk(dup, x)
+        assert_plain_is_the_walk(net, x)
+
+    def test_plans_go_with_their_net(self):
+        net = tiny_net()
+        forward(net, Tensor(np.zeros((1, 8, 8), dtype=np.float32)))
+        gone = weakref.ref(net)
+        gc.collect()
+        count = len(network._LOCAL.plans)
+        del net
+        gc.collect()
+        assert gone() is None and len(network._LOCAL.plans) == count - 1
+
+    @pytest.mark.parametrize("make", list(PLAN_NETS.values()), ids=list(PLAN_NETS))
+    def test_nan_input_fails_alike_in_both_walks(self, make):
+        net = make()
+        x = Tensor(np.full(net.input_shape, np.nan, dtype=np.float32))
+        messages = []
+        for walk in ({}, {"record": True}):
+            with pytest.raises(NonFiniteError) as err:
+                forward(net, x, **walk)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("(softmax): softmax input contains NaN")
+
+    def test_threads_get_the_single_thread_bits(self):
+        # more threads than cores, switching often: a plan or grid shared
+        # between threads would mix their images
+        nets = [reference_cnn(seed=0), pruned_reference_cnn()]
+        rng = np.random.default_rng(12)
+        images = [Tensor(rng.random((1, 32, 32)).astype(np.float32)) for _ in range(5)]
+        want = [[forward(n, x).data for x in images] for n in nets]
+        bad = []
+
+        def work(first):
+            if getattr(network._LOCAL, "plans", None):  # each thread has its own
+                bad.append(("inherited plans", first))
+            for r in range(200):
+                k = (first + r) % 2
+                got = forward(nets[k], images[r % 5]).data
+                if got.tobytes() != want[k][r % 5].tobytes():
+                    bad.append((first, r))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
     def test_passes_that_do_not_record_build_no_switches(self, monkeypatch):
         net = tiny_net()
