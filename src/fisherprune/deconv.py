@@ -39,6 +39,7 @@ class DependencyTable:
     selected: np.ndarray
     n_images: int
     dead_layers: set = field(default_factory=set)
+    live_walks: np.ndarray | None = None  # per selected neuron: images it fired on
 
 
 def selected_neurons(selected):
@@ -90,18 +91,21 @@ def dependency_scores(net: Network, images, selected) -> DependencyTable:
     channel of its reconstruction over the largest such norm to the
     neuron's row of one (neurons x filters) sum in the walk's dtype. Scores
     are the mean over images, then the max over the distinct selected
-    neurons, so a filter needed by any one of them survives. Nothing after
-    the last conv runs.
+    neurons, so a filter needed by any one of them survives. A dead walk
+    adds zeros; live_walks counts, per selected neuron, the walks that were
+    not dead. Nothing after the last conv runs.
     """
     selected = selected_neurons(selected)
     if not images:
         raise ConfigurationError("image list is empty")
     trunk = Network(net.input_shape, net.layers[: net.last_conv_index() + 1])
-    sums = {}
+    sums, live = {}, np.zeros(selected.size, np.int64)
     for sample in images:
         _, rec = forward(trunk, sample.image, record=True)
         for row, n in enumerate(selected):
-            maps = deconv_from_neuron(trunk, rec, int(n)).maps
+            walk = deconv_from_neuron(trunk, rec, int(n))
+            live[row] += not walk.dead
+            maps = walk.maps
             for li in trunk.conv_indices():
                 energy = np.abs(maps[li]).reshape(len(maps[li]), -1).sum(axis=1)
                 if li not in sums:
@@ -111,5 +115,5 @@ def dependency_scores(net: Network, images, selected) -> DependencyTable:
                     sums[li][row] += energy / top
     scores = {li: (s / len(images)).max(axis=0) for li, s in sums.items()}
     dead = {li for li, s in scores.items() if s.max() <= 0}
-    return DependencyTable(scores=scores, selected=selected,
-                           n_images=len(images), dead_layers=dead)
+    return DependencyTable(scores=scores, selected=selected, n_images=len(images),
+                           dead_layers=dead, live_walks=live)

@@ -4,10 +4,13 @@ A network is a list of LayerSpec entries applied in order to a (C,H,W)
 input. Parameters live on the specs themselves (conv/dense only).
 forward() takes and returns a Tensor but runs every layer on plain arrays,
 in two modes with the same bits. A plain pass (inference, accuracy, firing,
-logits, bench totals) runs the net's plan, checked once per net, thread and
-input dtype, whose conv steps fuse bias and relu and hand their cropped
-view on as it is; a changed layer stamp rebuilds it. Recording or hooked
-passes (training, masked passes, the deconv walk, per-layer laps) walk the
+logits, bench totals) runs the net's plan, built after one checking walk
+once per net, thread and input dtype, and again when a layer's stamp
+changes. Its conv steps take in a following relu and max-pool (pooling
+before the bias: see ops), its dense steps a following relu, and each
+hands on a view of buffers kept per thread (see ops); forward and logits
+never return one of those views, only a copy. Recording or hooked passes
+(training, masked passes, the deconv walk, per-layer laps) walk the
 layers: they can record every intermediate activation plus pooling
 switches (only they compute switches), and a per-layer hook lets callers
 replace each layer's output (masked passes) or observe it (timing).
@@ -186,24 +189,33 @@ def _check_input(net, x):
 
 
 def _build(net, x):
-    """(layer index, step) pairs of a plain pass over arrays like x. Every
-    shape check runs here once, in the walk's order and with its errors. A
-    conv step fuses its bias and a following relu (which gets no step) and
-    returns its cropped view; the other layers run the walk's step."""
-    shape, steps, kinds = x.shape, [], [l.kind for l in net.layers] + [""]
-    for i, layer in enumerate(net.layers):
-        if kinds[i - 1:i + 1] == ["conv", "relu"]:
-            continue
-        try:
-            if layer.kind == "conv":
-                step = ops.conv2d_step(shape, x.dtype, layer.weights, layer.bias,
-                                       layer.stride, layer.pad, kinds[i + 1] == "relu")
-            else:
-                step = lambda x, l=layer: _step(l, x, False)[0]
-            shape = _layer_out_shape(layer, shape)
-        except ValueError as exc:
-            raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
+    """(layer index, step) pairs of a plain pass over arrays like x.
+
+    A hooked walk over x runs every check first, with its errors. A conv
+    step takes in a following relu and then a max-pool, a dense step a
+    following relu, and both hand on views of the calling thread's kept
+    buffers (their own kept under their layer index); the other layers run
+    the walk's step.
+    """
+    forward(net, Tensor(x), hook=lambda i, out: out)
+    kinds, shape, steps, i = [layer.kind for layer in net.layers], x.shape, [], 0
+    while i < len(kinds):
+        layer, j = net.layers[i], i + 1
+        if layer.kind in ("conv", "dense") and kinds[j:j + 1] == ["relu"]:
+            j += 1 + (layer.kind == "conv" and kinds[j + 1:j + 2] == ["maxpool"])
+        if layer.kind == "conv":
+            pool = net.layers[j - 1] if j - i == 3 else None
+            step = ops.conv2d_step(shape, x.dtype, layer.weights, layer.bias,
+                                   layer.stride, layer.pad, j - i > 1,
+                                   pool and (pool.window, pool.stride), i)
+        elif layer.kind == "dense":
+            step = ops.dense_step(shape, x.dtype, layer.weights, layer.bias, j - i > 1, i)
+        else:
+            step = lambda x, l=layer: _step(l, x, False)[0]
+        for fused in net.layers[i:j]:
+            shape = _layer_out_shape(fused, shape)
         steps.append((i, step))
+        i = j
     return steps
 
 
@@ -212,9 +224,10 @@ _LOCAL = threading.local()  # .plans: net -> ((dtype, shape, stamps), steps)
 
 def _plain(net, x, drop=0):
     """x (an array) through all but the last `drop` steps of net's plan, built
-    again whenever x's dtype or shape or a layer's stamp differs."""
+    again whenever x's dtype or shape or a layer's stamp differs; a copy,
+    unless it is the new array of the softmax that ends net."""
     key = (x.dtype, x.shape, [layer._stamp for layer in net.layers])
-    plans = getattr(_LOCAL, "plans", None)  # this thread's (its grids are)
+    plans = getattr(_LOCAL, "plans", None)  # this thread's (its buffers are)
     if plans is None:
         plans = _LOCAL.plans = weakref.WeakKeyDictionary()
     plan = plans.get(net)
@@ -223,9 +236,9 @@ def _plain(net, x, drop=0):
     try:
         for i, step in plan[1][:len(plan[1]) - drop]:
             x = step(x)
-    except ValueError as exc:  # dense and softmax check their input each call
+    except ValueError as exc:  # softmax checks its input for NaN each call
         raise type(exc)(f"layer {i} ({net.layers[i].kind}): {exc}") from None
-    return x
+    return x if not drop and net.layers[-1].kind == "softmax" else x.copy()
 
 
 def forward(net: Network, x: Tensor, record=False, hook=None):

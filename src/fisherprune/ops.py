@@ -31,8 +31,19 @@ check is never kept). Zero grids are kept in an LRU of 16 per thread, dtype
 and geometry with its fill region: each call on a key writes the same
 cells, so the rest stay zero and the unroll is bitwise a fresh grid's. No
 unrolled matrix (for 1x1 kernels a view of its grid) leaves its call.
-conv2d_forward and conv2d_step's steps share one body (fill, GEMM, bias,
-an optional relu in place, crop); only conv2d_forward copies the crop out.
+A conv's GEMM output and a pool's band are views of one scratch buffer per
+thread, dtype and role, grown to fit; a plan step's own result is kept in
+an LRU of 32 per thread, dtype, shape and slot. Each use writes them whole,
+and a step holds its own, so it outlives their eviction.
+conv2d_forward and conv2d_step's steps share one body: fill, GEMM into the
+scratch output, an optional max-pool, then bias and an optional relu in
+place.
+
+A step that pools (conv, relu, max-pool) pools the GEMM output and adds the
+bias and applies the relu to the pooled map only. The bits are the layer
+walk's: rounding x + b and relu are monotone, so each window comes to the
+same value, and relu makes every zero +0; NaN positions alone decide which
+NaN a running max returns, and bias and relu keep each NaN and its payload.
 
 Max-pooling without switches is separable: a running max over strided
 column slices of the map, then over strided row slices of that band, so a
@@ -52,6 +63,7 @@ adds each pooled signal at its switch, so windows sharing a winner sum.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -93,6 +105,35 @@ def _kept_grid(thread, dtype, c, kh, kw, stride, hp, wp, *fill):
     runs = np.ndarray((c, kh, kw, n), dtype, grid, 0,
                       grid.strides + (stride * grid.itemsize,))
     return cells, runs, (c * kh * kw, n)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _kept(thread, dtype, shape, slot):
+    """A buffer kept per thread, dtype, shape and slot; each use writes it whole."""
+    return np.empty(shape, dtype)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _arena(thread, dtype, role):
+    return [np.empty(0, dtype)]
+
+
+def _scratch(dtype, shape, role):
+    """A view of the calling thread's scratch buffer for role (a GEMM output
+    or a pool's band), which grows to fit: one per role serves every conv."""
+    held, n = _arena(threading.get_ident(), dtype, role), math.prod(shape)
+    if held[0].size < n:
+        held[0] = np.empty(n, dtype)
+    return held[0][:n].reshape(shape)
+
+
+def _bind(body, cast, weights, bias, *state):
+    """step(x) = body(w, b, *state, x), (w, b) = cast(): cast once if they
+    view weights and bias (so in-place edits show), else on every call."""
+    w, b = cast()
+    if np.may_share_memory(w, weights) and np.may_share_memory(b, bias):
+        return functools.partial(body, w, b, *state)
+    return lambda x: body(*cast(), *state, x)
 
 
 def _unroll(x, geometry):
@@ -150,24 +191,30 @@ def _conv_geometry(shape, stride, pad, *kernel_shape):
 
 
 def _conv_args(shape, dtype, kernel, bias, stride, pad):
-    """conv2d_forward's checks, then _conv's kernel, bias, kept grid and crop."""
+    """conv2d_forward's checks, then _conv's kernel and bias column in dtype,
+    kept grid cells and runs, unrolled shape, kept GEMM output and its crop."""
     o, oh, ow, flat, wp, grid = _conv_geometry(shape, stride, pad, *kernel.shape)
     _accumulator(dtype)
     b = np.asarray(bias, dtype=dtype).reshape(-1)
     if b.shape[0] != o:
         raise DimensionError(f"bias length {b.shape[0]} != out channels {o}")
+    out = _scratch(dtype, (o, oh * wp), "gemm")
     return (kernel.reshape(flat).astype(dtype, copy=False), b[:, None],
-            *_kept_grid(threading.get_ident(), dtype, *grid), (o, oh, wp), ow)
+            *_kept_grid(threading.get_ident(), dtype, *grid), out,
+            out.reshape(o, oh, wp)[:, :, :ow])
 
 
-def _conv(kernel, bias, cells, runs, unrolled, full, ow, relu, x):
-    """The conv body; returns the cropped view of its fresh output."""
+def _conv(kernel, bias, cells, runs, unrolled, out, calls, y, res, relu, x):
+    """The conv body: fill, GEMM into out, a max-pool's calls into res, then
+    bias and relu in place on y (out, or res as a matrix); returns res."""
     cells[...] = x
-    out = kernel @ runs.reshape(unrolled)
-    out += bias
+    np.matmul(kernel, runs.reshape(unrolled), out=out)
+    for a, b, o in calls:
+        np.maximum(a, b, out=o)
+    np.add(y, bias, out=y)
     if relu:
-        np.maximum(out, 0, out=out)
-    return out.reshape(full)[:, :, :ow]
+        np.maximum(y, 0, out=y)
+    return res
 
 
 def conv2d_forward(input, kernel, bias, stride=1, pad=0):
@@ -176,20 +223,25 @@ def conv2d_forward(input, kernel, bias, stride=1, pad=0):
     out[o,y,x] = bias[o] + sum_{c,i,j} input[c, y*stride+i-pad, x*stride+j-pad]
                  * kernel[o,c,i,j], reading zero outside the input bounds.
     """
-    args = _conv_args(input.shape, input.dtype, kernel, bias, stride, pad)
-    return np.ascontiguousarray(_conv(*args, False, input))
+    *args, crop = _conv_args(input.shape, input.dtype, kernel, bias, stride, pad)
+    return _conv(*args, (), args[-1], crop, False, input).copy()
 
 
-def conv2d_step(shape, dtype, kernel, bias, stride=1, pad=0, relu=False):
-    """conv2d_forward's checks for maps of this shape and dtype, run now, and
-    step(x): its bits, then a relu if asked, as a cropped view. The step
-    reads kernel and bias through views, or casts them on every call, so it
-    sees them change in place. Its grid is the calling thread's."""
-    args = _conv_args(shape, dtype, kernel, bias, stride, pad)
-    if np.may_share_memory(args[0], kernel) and np.may_share_memory(args[1], bias):
-        return functools.partial(_conv, *args, relu)
-    return lambda x: _conv(*_conv_args(shape, dtype, kernel, bias, stride, pad),
-                           relu, x)
+def conv2d_step(shape, dtype, kernel, bias, stride=1, pad=0, relu=False, pool=None,
+                slot=0):
+    """conv2d_forward's checks for maps of this shape and dtype (and the
+    max-pool's for pool=(window, stride)), run now, and step(x): its bits,
+    then a relu if asked, then (after a relu only) that pool, as a view of
+    the calling thread's kept buffers (a pooled map's kept under slot). It
+    reads kernel and bias through views, or casts them on every call."""
+    *args, res = _conv_args(shape, dtype, kernel, bias, stride, pad)
+    calls, y = (), args[-1]
+    if pool:
+        crop, res = res, _kept(threading.get_ident(), dtype,
+                               _pool_geometry(res.shape, *pool)[:3], slot)
+        calls, y = _max_calls(crop, *pool, res), res.reshape(len(res), -1)
+    return _bind(_conv, lambda: _conv_args(shape, dtype, kernel, bias, stride, pad)[:2],
+                 kernel, bias, *args[2:], calls, y, res, relu)
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -311,13 +363,10 @@ def maxpool_forward(input, window, stride, switches=True):
     # on x86 with numpy 2.4.6 and is platform behaviour (an IEEE maximum
     # ranks +0 over -0), so TestSwitchFreePool fails loudly where it differs
     if not switches:  # separable: the max over each window's columns, then rows
-        band = input[:, :, :cols:stride]
-        for j in range(1, window):
-            band = np.maximum(input[:, :, j:j + cols:stride], band)
-        out = band[:, :rows:stride]
-        for i in range(1, window):
-            out = np.maximum(band[:, i:i + rows:stride], out, order="C")
-        return (out if window > 1 else out.copy()), None
+        out = np.empty((c, oh, ow), input.dtype)
+        for a, b, o in _max_calls(input, window, stride, out):
+            np.maximum(a, b, out=o)
+        return out, None
     x = np.ascontiguousarray(input)
     item = x.itemsize
     # one contiguous tap stack, read by the max and the hits: hits on the
@@ -335,6 +384,24 @@ def maxpool_forward(input, window, stride, switches=True):
     if peak != peak:  # a NaN tap is a hit exactly in NaN windows
         hit |= taps != taps
     return out, end - (hit * weight).max(axis=0)
+
+
+def _max_calls(x, window, stride, out):
+    """The separable max-pool of x into out as np.maximum(a, b, out=o) calls
+    on views made now: over each window's columns into a scratch band, then
+    over the band's rows; a window of 1 is one call that copies. The later
+    tap comes first, so a tie keeps the earlier one (see maxpool_forward)."""
+    c, _, ow, h, _, rows, cols, _, _ = _pool_geometry(x.shape, window, stride)
+    band = _scratch(x.dtype, (c, h, ow), "band")
+    calls, top = [], x[:, :, :cols:stride]
+    for j in range(1, window):
+        calls.append((x[:, :, j:j + cols:stride], top, band))
+        top = band
+    top = top[:, :rows:stride]
+    for i in range(1, window):
+        calls.append((band[:, i:i + rows:stride], top, out))
+        top = out
+    return calls or [(top, top, out)]
 
 
 def unpool(pooled, switches, target_shape):
@@ -369,14 +436,35 @@ def dense_shape(shape, weights_shape):
     return (m,)
 
 
+def _dense_params(dtype, weights, bias):
+    b = np.asarray(bias, dtype=dtype).reshape(-1)
+    if b.shape[0] != weights.shape[0]:
+        raise DimensionError(f"bias length {b.shape[0]} != out dim {weights.shape[0]}")
+    return weights.astype(dtype, copy=False), b
+
+
+def _dense(weights, bias, relu, out, x):
+    """W @ x + b, then a relu if asked, in out (a new array when None)."""
+    y = np.matmul(weights, x, out=out)
+    np.add(y, bias, out=y)
+    return np.maximum(y, 0, out=y) if relu else y
+
+
 def dense_forward(input, weights, bias):
     """Affine map W @ x + b on a rank-1 input."""
-    m, = dense_shape(input.shape, weights.shape)
-    dtype = _accumulator(input.dtype)
-    b = np.asarray(bias, dtype=dtype).reshape(-1)
-    if b.shape[0] != m:
-        raise DimensionError(f"bias length {b.shape[0]} != out dim {m}")
-    return weights.astype(dtype, copy=False) @ input + b
+    dense_shape(input.shape, weights.shape)
+    return _dense(*_dense_params(_accumulator(input.dtype), weights, bias), False,
+                  None, input)
+
+
+def dense_step(shape, dtype, weights, bias, relu=False, slot=0):
+    """dense_forward's checks for inputs of this shape and dtype, run now,
+    and step(x): its bits, then a relu if asked, in a buffer kept under slot
+    (weights and bias are read as conv2d_step reads its own)."""
+    m, = dense_shape(shape, weights.shape)
+    _accumulator(dtype)
+    return _bind(_dense, lambda: _dense_params(dtype, weights, bias), weights, bias,
+                 relu, _kept(threading.get_ident(), dtype, (m,), slot))
 
 
 def softmax(x):

@@ -5,7 +5,9 @@ two-pass statistics, exhaustive searches. The im2col / col2im conv kernels,
 the per-layer magnitude mask, the per-neuron dependency pooling and the
 re-masking SGD epoch are the package's earlier implementations, kept as
 references for the ones that replaced them, and so are the spread @ cols.T
-weight gradient and the row-run unroll into a fresh zero grid. Nothing from the package under test is imported.
+weight gradient, the row-run unroll into a fresh zero grid and the SMO
+that masks g afresh on every step. Nothing from the package under test is
+imported.
 """
 
 import math
@@ -521,3 +523,26 @@ def synthetic_per_image(n_per_class, size, seed):
         train.extend(per_class[label][:n_train])
         test.extend(per_class[label][n_train:])
     return train, test
+
+
+def smo_masked(y, c, kdiag, pair, tol, budget):
+    """The maximal-violating-pair SMO with both masked copies of g made
+    afresh on every step: (a, b, steps, converged), no warning."""
+    n = y.shape[0]
+    lo, hi = np.minimum(0.0, c * y), np.maximum(0.0, c * y)
+    a, g, steps = np.zeros(n), y.copy(), 0
+    while True:
+        i = int(np.argmax(np.where(a < hi, g, -np.inf)))
+        j = int(np.argmin(np.where(a > lo, g, np.inf)))
+        gap = g[i] - g[j]
+        converged = bool(gap <= tol)
+        if converged or steps == budget * n:
+            return a, float((g[i] + g[j]) / 2.0), steps, converged
+        room_i, room_j = hi[i] - a[i], a[j] - lo[j]
+        k_diff, k_ij = pair(i, j)
+        curv = max(kdiag[i] + kdiag[j] - 2.0 * k_ij, 1e-12)
+        lam = min(gap / curv, room_i, room_j)
+        a[i] = hi[i] if lam == room_i else a[i] + lam
+        a[j] = lo[j] if lam == room_j else a[j] - lam
+        g -= lam * k_diff
+        steps += 1

@@ -277,6 +277,23 @@ class TestDependencyScores:
         assert table.n_images == 3
         assert not table.dead_layers
 
+    def test_live_walks_count_the_images_each_neuron_fires_on(self):
+        """Filter 0 of a 1x1 conv fires on positive pixels, filter 1 on
+        negative ones; each counts the images it is not dead on."""
+        net = Network((1, 2, 2), [
+            LayerSpec("conv", np.array([1.0, -1.0]).reshape(2, 1, 1, 1), np.zeros(2)),
+            LayerSpec("relu"), LayerSpec("flatten"),
+            LayerSpec("dense", np.ones((2, 8)), np.zeros(2)), LayerSpec("softmax"),
+        ])
+        pixels = [[1, 2, 3, 4], [1, 1, 1, 1], [1, -1, 0, 2], [-1, -2, -3, -4],
+                  [0, 0, 0, 0]]
+        images = [labeled(np.reshape(p, (1, 2, 2)), k % 2, f"i{k}")
+                  for k, p in enumerate(pixels)]
+        table = dependency_scores(net, images, [0, 1])
+        assert table.live_walks.dtype == np.int64
+        assert table.live_walks.tolist() == [3, 2]
+        assert dependency_scores(net, images, [1, 0]).live_walks.tolist() == [2, 3]
+
     def test_pooling_matches_slow_reduction(self, setup):
         """mean over images, then max over neurons, done longhand."""
         net, images = setup

@@ -317,10 +317,50 @@ def float64_net():
     return net
 
 
+def special_values_net():
+    """1x1 convs, each followed by a relu and a pool, so that the windows of
+    SPECIAL_IMAGE hold exact ties, signed zeros, infinities and NaN at the
+    first pool (2x2) and mixes of them at the second (3x3, overlapping)."""
+    layers = [
+        LayerSpec("conv", np.array([1.0, -1.0, 2.0]).reshape(3, 1, 1, 1),
+                  np.array([0.0, -0.0, 1.5])),
+        LayerSpec("relu"),
+        LayerSpec("maxpool", window=2, stride=2),  # 6x6 -> 3x3
+        LayerSpec("conv", np.array([[1.0, 0.0, -0.0], [-1.0, 0.5, 1.0]]).reshape(2, 3, 1, 1),
+                  np.array([-0.0, -1.0])),
+        LayerSpec("relu"),
+        LayerSpec("maxpool", window=3, stride=1),  # 3x3 -> 1x1
+        LayerSpec("flatten"),
+        LayerSpec("dense", np.array([[1.0, -1.0], [0.5, 2.0]]), np.array([0.0, -0.0])),
+        LayerSpec("softmax"),
+    ]
+    return Network((1, 6, 6), layers)
+
+
+INF, NAN = np.inf, np.nan
+# one 2x2 window per line pair: ties, signed zeros, both infinities and NaN
+SPECIAL_IMAGE = np.array([
+    [1.5, 1.5, 0.0, -0.0, -0.0, -1.0],
+    [1.5, -1.0, -0.0, 0.0, 0.0, -2.0],
+    [INF, 2.0, NAN, 1.0, -INF, -INF],
+    [INF, -INF, -INF, 0.0, -INF, -INF],
+    [NAN, NAN, -0.0, -0.0, 3.0, INF],
+    [1.0, -0.0, -0.0, -0.0, -0.0, NAN],
+])
+
+
+def special_images(shape, dtype):
+    """SPECIAL_IMAGE tiled to shape, the same without NaN and infinities,
+    and all -0.0."""
+    image = np.resize(SPECIAL_IMAGE, shape).astype(dtype)
+    return [image, np.nan_to_num(image, nan=0.0, posinf=3.0, neginf=-3.0),
+            np.full(shape, -0.0, dtype)]
+
+
 PLAN_NETS = {"reference_cnn": lambda: reference_cnn(seed=0),
              "pruned": pruned_reference_cnn, "overlapping_pools": overlapping_pool_net,
              "strided": strided_conv_net, "conv_flatten": conv_flatten_net,
-             "float64_weights": float64_net}
+             "float64_weights": float64_net, "special_values": special_values_net}
 
 
 def assert_same_bits(got, want):
@@ -356,6 +396,23 @@ class TestSwitchFreeForward:
         forward(net, x)
         logits(net, x)
         assert network._LOCAL.plans[net] is plan  # logits runs forward's plan
+        # plain results first, walks after: a result that shared a buffer
+        # with the plan would hold a later image's values by then
+        xs = [Tensor(image) for image in images[:2]]
+        got = [(forward(net, x).data, logits(net, x).data) for x in xs]
+        for x, (out, scores) in zip(xs, got):
+            want, rec = forward(net, x, record=True)
+            assert_same_bits(out, want.data)
+            assert_same_bits(scores, rec.activations[-2])
+        # every trunk (one ending at each layer but the softmax), also on
+        # signed zeros, infinities and NaN, which only the trunks pass on
+        xs += [Tensor(image) for image in special_images(net.input_shape, dtype)]
+        for k in range(1, len(net.layers)):
+            trunk = Network(net.input_shape, net.layers[:k])
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = [forward(trunk, x).data for x in xs]
+                for x, out in zip(xs, got):
+                    assert_same_bits(out, forward(trunk, x, record=True)[0].data)
 
     def test_plans_follow_edits_to_their_net(self):
         rng = np.random.default_rng(10)
@@ -431,20 +488,22 @@ class TestSwitchFreeForward:
         assert messages[0].endswith("(softmax): softmax input contains NaN")
 
     def test_threads_get_the_single_thread_bits(self):
-        # more threads than cores, switching often: a plan or grid shared
-        # between threads would mix their images
-        nets = [reference_cnn(seed=0), pruned_reference_cnn()]
+        # more threads than cores, switching often: a plan, grid or kept
+        # buffer shared between threads would mix their images
+        nets = [reference_cnn(seed=0), pruned_reference_cnn(), overlapping_pool_net(),
+                special_values_net()]
         rng = np.random.default_rng(12)
-        images = [Tensor(rng.random((1, 32, 32)).astype(np.float32)) for _ in range(5)]
-        want = [[forward(n, x).data for x in images] for n in nets]
+        images = [[Tensor(rng.random(n.input_shape).astype(np.float32))
+                   for _ in range(5)] for n in nets]
+        want = [[forward(n, x).data for x in xs] for n, xs in zip(nets, images)]
         bad = []
 
         def work(first):
             if getattr(network._LOCAL, "plans", None):  # each thread has its own
                 bad.append(("inherited plans", first))
             for r in range(200):
-                k = (first + r) % 2
-                got = forward(nets[k], images[r % 5]).data
+                k = (first % 2 + r) % len(nets)  # two threads on each net at once
+                got = forward(nets[k], images[k][r % 5]).data
                 if got.tobytes() != want[k][r % 5].tobytes():
                     bad.append((first, r))
 
@@ -460,6 +519,28 @@ class TestSwitchFreeForward:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
+
+    def test_plans_outlive_their_evicted_grids_and_buffers(self):
+        net = pruned_reference_cnn()
+        rng = np.random.default_rng(13)
+        xs = [Tensor(rng.random((1, 32, 32)).astype(np.float32)) for _ in range(2)]
+        forward(net, xs[0])
+        thread, dtype = threading.get_ident(), xs[0].data.dtype
+        geometry = ops._conv_geometry((1, 32, 32), 1, 1, *net.layers[0].weights.shape)
+        grid = ops._kept_grid(thread, dtype, *geometry[-1])[0]
+        pooled = ops._kept(thread, dtype, (1, 16, 16), 2)  # conv 2's pooled map
+        k, b = np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32)
+        for h in range(3, 43):  # 40 other geometries, then larger scratch
+            ops.conv2d_forward(np.ones((1, h, 5), np.float32), k, b)
+            ops.maxpool_forward(np.ones((1, h, 5), np.float32), 2, 2, switches=False)
+            tiny = build_cnn((1, 8, 8), [(h, 3, 1, True)], [3], 2)  # new kept buffers
+            forward(tiny, Tensor(np.ones((1, 8, 8), np.float32)))
+        ops.conv2d_forward(np.ones((1, 64, 64), np.float32), np.ones((9, 1, 3, 3),
+                           np.float32), np.zeros(9, np.float32), pad=1)
+        assert ops._kept_grid(thread, dtype, *geometry[-1])[0] is not grid  # evicted
+        assert ops._kept(thread, dtype, (1, 16, 16), 2) is not pooled
+        for x in xs:
+            assert_plain_is_the_walk(net, x)
 
     def test_passes_that_do_not_record_build_no_switches(self, monkeypatch):
         net = tiny_net()

@@ -205,6 +205,26 @@ class TestPairedVerdicts:
             "src/ lines: parent 2836, change 2813 (-23)")
 
 
+def test_ab_forward_reads_one_tree_as_its_own_parent():
+    """tools/ab_forward.py with the working tree as both sides: the bits
+    check passes and the table has a ratio for each of its three nets."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_forward.py"),
+         "--parent-src", os.path.join(ROOT, "src"), "--blocks", "2",
+         "--forwards", "2", "--images", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == ("plain forward, logits and trunk: same bits on 2 images "
+                        "in float32 and float64")
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    assert list(rows) == ["reference_cnn", "prune", "infer"]
+    assert rows["prune"][1] == "[6,1,10,12,21,4]"
+    assert rows["infer"][1] == "[13,6,31,26,31,4]"
+    for row in rows.values():
+        assert float(row[4]) > 0  # change/parent ratio
+
+
 def readme_cli_lines():
     """The `fisherprune ...` lines of README's "Quick start (CLI)" block."""
     with open(os.path.join(ROOT, "README.md")) as fh:
