@@ -4,16 +4,16 @@ A network is a list of LayerSpec entries applied in order to a (C,H,W)
 input. Parameters live on the specs themselves (conv/dense only).
 forward() takes and returns a Tensor but runs every layer on plain arrays,
 in two modes with the same bits. A plain pass (inference, accuracy, firing,
-logits, bench totals) runs the net's plan, built after one checking walk
-once per net, thread and input dtype, and again when a layer's stamp
-changes. Its conv steps take in a following relu and max-pool (pooling
-before the bias: see ops), its dense steps a following relu, and each
-hands on a view of buffers kept per thread (see ops); forward and logits
-never return one of those views, only a copy. Recording or hooked passes
-(training, masked passes, the deconv walk, per-layer laps) walk the
-layers: they can record every intermediate activation plus pooling
-switches (only they compute switches), and a per-layer hook lets callers
-replace each layer's output (masked passes) or observe it (timing).
+logits, bench totals) runs the net's plan, checked once per net, thread and
+input dtype, and built again when a layer's stamp changes. Its conv steps
+take in a following relu and max-pool (pooling before the bias: see ops)
+and hand on a view of scratch buffers kept per thread, its dense steps a
+following relu; forward and logits never return one of those views, only
+a copy. Recording or hooked passes (training, masked passes, the deconv
+walk, per-layer laps) walk the layers: they can record every intermediate
+activation plus pooling switches (only they compute switches), and a
+per-layer hook lets callers replace each layer's output (masked passes)
+or observe it (timing).
 
 reverse() is the one reverse walk over such a record, shared by backprop
 (train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
@@ -189,33 +189,34 @@ def _check_input(net, x):
 
 
 def _build(net, x):
-    """(layer index, step) pairs of a plain pass over arrays like x.
-
-    A hooked walk over x runs every check first, with its errors. A conv
-    step takes in a following relu and then a max-pool, a dense step a
-    following relu, and both hand on views of the calling thread's kept
-    buffers (their own kept under their layer index); the other layers run
-    the walk's step.
-    """
-    forward(net, Tensor(x), hook=lambda i, out: out)
-    kinds, shape, steps, i = [layer.kind for layer in net.layers], x.shape, [], 0
-    while i < len(kinds):
-        layer, j = net.layers[i], i + 1
-        if layer.kind in ("conv", "dense") and kinds[j:j + 1] == ["relu"]:
-            j += 1 + (layer.kind == "conv" and kinds[j + 1:j + 2] == ["maxpool"])
-        if layer.kind == "conv":
-            pool = net.layers[j - 1] if j - i == 3 else None
-            step = ops.conv2d_step(shape, x.dtype, layer.weights, layer.bias,
-                                   layer.stride, layer.pad, j - i > 1,
-                                   pool and (pool.window, pool.stride), i)
-        elif layer.kind == "dense":
-            step = ops.dense_step(shape, x.dtype, layer.weights, layer.bias, j - i > 1, i)
+    """(layer index, step) pairs of a plain pass over arrays like x. Every
+    shape check runs here once, in the walk's order and with its errors. A
+    conv step takes in a following relu and, after it, a max-pool, and a
+    dense step a following relu (each layer taken in rebuilds the step with
+    it and gets no step of its own); the other layers run the walk's step."""
+    shape, steps, make, taking = x.shape, [], None, ()  # kinds the open step takes in
+    for i, layer in enumerate(net.layers):
+        try:
+            if layer.kind in ("conv", "dense"):
+                args, opts = (shape, x.dtype, layer.weights, layer.bias), {}
+                make, taking = ops.dense_step, ("relu",)
+                if layer.kind == "conv":
+                    make, taking = ops.conv2d_step, ("relu", "maxpool")
+                    opts = {"stride": layer.stride, "pad": layer.pad}
+            elif layer.kind == "relu" and taking[:1] == ("relu",):
+                opts["relu"], taking = True, taking[1:]
+            elif layer.kind == "maxpool" and taking[:1] == ("maxpool",):
+                opts["pool"], taking = (layer.window, layer.stride), ()
+            else:
+                make, taking = None, ()
+            step = make(*args, **opts) if make else lambda x, l=layer: _step(l, x, False)[0]
+            shape = _layer_out_shape(layer, shape)
+        except ValueError as exc:
+            raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
+        if make and layer.kind in ("relu", "maxpool"):  # taken into the last step
+            steps[-1] = (steps[-1][0], step)
         else:
-            step = lambda x, l=layer: _step(l, x, False)[0]
-        for fused in net.layers[i:j]:
-            shape = _layer_out_shape(fused, shape)
-        steps.append((i, step))
-        i = j
+            steps.append((i, step))
     return steps
 
 

@@ -31,19 +31,20 @@ check is never kept). Zero grids are kept in an LRU of 16 per thread, dtype
 and geometry with its fill region: each call on a key writes the same
 cells, so the rest stay zero and the unroll is bitwise a fresh grid's. No
 unrolled matrix (for 1x1 kernels a view of its grid) leaves its call.
-A conv's GEMM output and a pool's band are views of one scratch buffer per
-thread, dtype and role, grown to fit; a plan step's own result is kept in
-an LRU of 32 per thread, dtype, shape and slot. Each use writes them whole,
-and a step holds its own, so it outlives their eviction.
-conv2d_forward and conv2d_step's steps share one body: fill, GEMM into the
-scratch output, an optional max-pool, then bias and an optional relu in
-place.
+A conv's GEMM output, a pool's band and a step's pooled map are views of
+one scratch buffer per thread, dtype and role, grown to fit; a step fills
+its grid from its input before it writes any of them, and keeps the views
+it was built with. conv2d_forward and conv2d_step's steps share one body:
+fill, GEMM, an optional max-pool, then bias and an optional relu in place;
+dense_forward and dense_step's steps share theirs (a new array, then bias
+and an optional relu in place).
 
-A step that pools (conv, relu, max-pool) pools the GEMM output and adds the
-bias and applies the relu to the pooled map only. The bits are the layer
-walk's: rounding x + b and relu are monotone, so each window comes to the
-same value, and relu makes every zero +0; NaN positions alone decide which
-NaN a running max returns, and bias and relu keep each NaN and its payload.
+A step that pools (conv, relu, max-pool) pools the GEMM output, then adds
+the bias and applies the relu to the pooled map. For a finite bias the bits
+are the walk's: rounding x + b and relu are monotone, relu makes every zero
++0, and NaN positions alone decide which NaN a running max returns. (With
+a bias of +inf a window of -inf and 5 pools to NaN in the walk and to inf
+here; model files hold finite tensors only.)
 
 Max-pooling without switches is separable: a running max over strided
 column slices of the map, then over strided row slices of that band, so a
@@ -107,33 +108,19 @@ def _kept_grid(thread, dtype, c, kh, kw, stride, hp, wp, *fill):
     return cells, runs, (c * kh * kw, n)
 
 
-@functools.lru_cache(maxsize=32, typed=True)
-def _kept(thread, dtype, shape, slot):
-    """A buffer kept per thread, dtype, shape and slot; each use writes it whole."""
-    return np.empty(shape, dtype)
-
-
 @functools.lru_cache(maxsize=16, typed=True)
 def _arena(thread, dtype, role):
     return [np.empty(0, dtype)]
 
 
 def _scratch(dtype, shape, role):
-    """A view of the calling thread's scratch buffer for role (a GEMM output
-    or a pool's band), which grows to fit: one per role serves every conv."""
+    """A view of the calling thread's scratch buffer for role (a GEMM output,
+    a pool's band or a pooled map), which grows to fit: one per role serves
+    every conv."""
     held, n = _arena(threading.get_ident(), dtype, role), math.prod(shape)
     if held[0].size < n:
         held[0] = np.empty(n, dtype)
     return held[0][:n].reshape(shape)
-
-
-def _bind(body, cast, weights, bias, *state):
-    """step(x) = body(w, b, *state, x), (w, b) = cast(): cast once if they
-    view weights and bias (so in-place edits show), else on every call."""
-    w, b = cast()
-    if np.may_share_memory(w, weights) and np.may_share_memory(b, bias):
-        return functools.partial(body, w, b, *state)
-    return lambda x: body(*cast(), *state, x)
 
 
 def _unroll(x, geometry):
@@ -227,21 +214,21 @@ def conv2d_forward(input, kernel, bias, stride=1, pad=0):
     return _conv(*args, (), args[-1], crop, False, input).copy()
 
 
-def conv2d_step(shape, dtype, kernel, bias, stride=1, pad=0, relu=False, pool=None,
-                slot=0):
+def conv2d_step(shape, dtype, kernel, bias, stride=1, pad=0, relu=False, pool=None):
     """conv2d_forward's checks for maps of this shape and dtype (and the
     max-pool's for pool=(window, stride)), run now, and step(x): its bits,
     then a relu if asked, then (after a relu only) that pool, as a view of
-    the calling thread's kept buffers (a pooled map's kept under slot). It
-    reads kernel and bias through views, or casts them on every call."""
+    the calling thread's scratch buffers. It reads kernel and bias through
+    views, or casts them on every call, so it sees them change in place."""
     *args, res = _conv_args(shape, dtype, kernel, bias, stride, pad)
     calls, y = (), args[-1]
     if pool:
-        crop, res = res, _kept(threading.get_ident(), dtype,
-                               _pool_geometry(res.shape, *pool)[:3], slot)
+        crop, res = res, _scratch(dtype, _pool_geometry(res.shape, *pool)[:3], "pooled")
         calls, y = _max_calls(crop, *pool, res), res.reshape(len(res), -1)
-    return _bind(_conv, lambda: _conv_args(shape, dtype, kernel, bias, stride, pad)[:2],
-                 kernel, bias, *args[2:], calls, y, res, relu)
+    if np.may_share_memory(args[0], kernel) and np.may_share_memory(args[1], bias):
+        return functools.partial(_conv, *args, calls, y, res, relu)
+    return lambda x: _conv(*_conv_args(shape, dtype, kernel, bias, stride, pad)[:2],
+                           *args[2:], calls, y, res, relu, x)
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -436,35 +423,34 @@ def dense_shape(shape, weights_shape):
     return (m,)
 
 
-def _dense_params(dtype, weights, bias):
-    b = np.asarray(bias, dtype=dtype).reshape(-1)
-    if b.shape[0] != weights.shape[0]:
-        raise DimensionError(f"bias length {b.shape[0]} != out dim {weights.shape[0]}")
+def _dense_args(shape, dtype, weights, bias):
+    """dense_forward's checks, then its weights and bias in dtype."""
+    m, = dense_shape(shape, weights.shape)
+    b = np.asarray(bias, dtype=_accumulator(dtype)).reshape(-1)
+    if b.shape[0] != m:
+        raise DimensionError(f"bias length {b.shape[0]} != out dim {m}")
     return weights.astype(dtype, copy=False), b
 
 
-def _dense(weights, bias, relu, out, x):
-    """W @ x + b, then a relu if asked, in out (a new array when None)."""
-    y = np.matmul(weights, x, out=out)
-    np.add(y, bias, out=y)
+def _dense(weights, bias, relu, x):
+    y = weights @ x
+    y += bias
     return np.maximum(y, 0, out=y) if relu else y
 
 
 def dense_forward(input, weights, bias):
     """Affine map W @ x + b on a rank-1 input."""
-    dense_shape(input.shape, weights.shape)
-    return _dense(*_dense_params(_accumulator(input.dtype), weights, bias), False,
-                  None, input)
+    return _dense(*_dense_args(input.shape, input.dtype, weights, bias), False, input)
 
 
-def dense_step(shape, dtype, weights, bias, relu=False, slot=0):
+def dense_step(shape, dtype, weights, bias, relu=False):
     """dense_forward's checks for inputs of this shape and dtype, run now,
-    and step(x): its bits, then a relu if asked, in a buffer kept under slot
-    (weights and bias are read as conv2d_step reads its own)."""
-    m, = dense_shape(shape, weights.shape)
-    _accumulator(dtype)
-    return _bind(_dense, lambda: _dense_params(dtype, weights, bias), weights, bias,
-                 relu, _kept(threading.get_ident(), dtype, (m,), slot))
+    and step(x): its bits, then a relu if asked, in a new array. It reads
+    weights and bias as conv2d_step reads kernel and bias."""
+    w, b = _dense_args(shape, dtype, weights, bias)
+    if np.may_share_memory(w, weights) and np.may_share_memory(b, bias):
+        return functools.partial(_dense, w, b, relu)
+    return lambda x: _dense(*_dense_args(shape, dtype, weights, bias), relu, x)
 
 
 def softmax(x):

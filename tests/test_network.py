@@ -440,8 +440,13 @@ class TestSwitchFreeForward:
         check()  # an added layer
         del net.layers[8]
         check()  # a removed one
-        dup.layers[3].weights[...] = -dup.layers[3].weights  # in place, no rebinding
-        dup.layers[3].bias[...] = 3.0
+        for x in xs:  # edits in place, no rebinding, seen by a warm plan
+            forward(dup, x)
+            dup.layers[3].weights[...] *= -1.0
+            dup.layers[3].bias[...] += 3.0
+            dup.layers[7].weights[...] *= -2.0  # the dense step reads views too
+            dup.layers[7].bias[...] += 0.5
+            assert_plain_is_the_walk(dup, x)
         check()
         conv.weights = np.zeros((4, 2, 3, 3), dtype=np.float32)
         for walk in ({}, {"record": True}):
@@ -487,6 +492,20 @@ class TestSwitchFreeForward:
         assert messages[0] == messages[1]
         assert messages[0].endswith("(softmax): softmax input contains NaN")
 
+    @pytest.mark.parametrize("make", list(PLAN_NETS.values()), ids=list(PLAN_NETS))
+    def test_logits_of_a_nan_input_are_the_walks_cold_or_warm(self, make):
+        # logits stop before the softmax, the one layer that refuses NaN, so
+        # the call that builds the plan and a later one give the same scores
+        net = make()
+        x = Tensor(np.full(net.input_shape, np.nan, dtype=np.float32))
+        head = Network(net.input_shape, net.layers[:-1])
+        with np.errstate(invalid="ignore"):
+            assert net not in network._LOCAL.plans
+            cold, warm = logits(net, x).data, logits(net, x).data
+            want = forward(head, x, record=True)[0].data
+        assert_same_bits(cold, want)
+        assert_same_bits(warm, want)
+
     def test_threads_get_the_single_thread_bits(self):
         # more threads than cores, switching often: a plan, grid or kept
         # buffer shared between threads would mix their images
@@ -528,17 +547,16 @@ class TestSwitchFreeForward:
         thread, dtype = threading.get_ident(), xs[0].data.dtype
         geometry = ops._conv_geometry((1, 32, 32), 1, 1, *net.layers[0].weights.shape)
         grid = ops._kept_grid(thread, dtype, *geometry[-1])[0]
-        pooled = ops._kept(thread, dtype, (1, 16, 16), 2)  # conv 2's pooled map
+        held = {role: ops._arena(thread, dtype, role)[0]
+                for role in ("gemm", "band", "pooled")}
         k, b = np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32)
-        for h in range(3, 43):  # 40 other geometries, then larger scratch
+        for h in range(3, 43):  # 40 other geometries
             ops.conv2d_forward(np.ones((1, h, 5), np.float32), k, b)
-            ops.maxpool_forward(np.ones((1, h, 5), np.float32), 2, 2, switches=False)
-            tiny = build_cnn((1, 8, 8), [(h, 3, 1, True)], [3], 2)  # new kept buffers
-            forward(tiny, Tensor(np.ones((1, 8, 8), np.float32)))
-        ops.conv2d_forward(np.ones((1, 64, 64), np.float32), np.ones((9, 1, 3, 3),
-                           np.float32), np.zeros(9, np.float32), pad=1)
+        big = build_cnn((1, 64, 64), [(9, 3, 1, True)], [3], 2)  # larger scratch
+        forward(big, Tensor(np.ones((1, 64, 64), np.float32)))
         assert ops._kept_grid(thread, dtype, *geometry[-1])[0] is not grid  # evicted
-        assert ops._kept(thread, dtype, (1, 16, 16), 2) is not pooled
+        for role, buffer in held.items():
+            assert ops._arena(thread, dtype, role)[0] is not buffer  # replaced
         for x in xs:
             assert_plain_is_the_walk(net, x)
 

@@ -248,7 +248,7 @@ def kept_grid_ref(x, kernel):
 
 def test_caches_stay_within_their_bounds():
     """200 distinct geometries, pooled with and without switches, leave
-    each memo, the kept grids and the kept buffers at most at their bound,
+    each memo, the kept grids and the scratch buffers at most at their bound,
     and an evicted grid is freed; the pool memo's switch tables are
     read-only."""
     k, b = np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32)
@@ -263,12 +263,11 @@ def test_caches_stay_within_their_bounds():
             ops.conv2d_adjoint(y, k, out_hw=(h, w))
             ops.maxpool_forward(x, 2, 1, switches=False)
             ops.maxpool_forward(x, 2, 1)
-    for cache in (ops._kept_grid, ops._kept, ops._arena, ops._conv_geometry,
+    for cache in (ops._kept_grid, ops._arena, ops._conv_geometry,
                   ops._adjoint_geometry, ops._pool_geometry):
         info = cache.cache_info()
         assert info.currsize <= info.maxsize
     assert ops._kept_grid.cache_info().maxsize <= 32
-    assert ops._kept.cache_info().maxsize <= 32
     for table in ops._pool_geometry((1, 22, 12), 2, 1)[-2:]:
         assert not table.flags.writeable
     gc.collect()

@@ -46,6 +46,7 @@ import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIDTHS = {"prune": (6, 1, 10, 12, 21, 4), "infer": (13, 6, 31, 26, 31, 4)}
+PROBE_SEED = 30  # seed of the probe images
 
 
 def load(name, src):
@@ -121,7 +122,6 @@ def main(argv=None):
     p.add_argument("--blocks", type=int, default=40, help="block pairs per net")
     p.add_argument("--forwards", type=int, default=250, help="forwards per block")
     p.add_argument("--images", type=int, default=50, help="probe images")
-    p.add_argument("--seed", type=int, default=30, help="seed of the probe images")
     args = p.parse_args(argv)
     if min(args.blocks, args.forwards, args.images) < 1:
         p.error("--blocks, --forwards and --images must be >= 1")
@@ -143,7 +143,7 @@ def main(argv=None):
         built = nets(change)
         sides = {"parent": (parent, {n: rebuild(parent, net) for n, net in built.items()}),
                  "change": (change, {n: rebuild(change, net) for n, net in built.items()})}
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(PROBE_SEED)
         probes = [rng.random((1, 32, 32)) for _ in range(args.images)]
         bad = mismatches(sides, probes)
         for item in bad[:10]:
