@@ -33,10 +33,10 @@ def time_network(net: Network, image: Tensor, runs=30):
 
     Returns (per_layer, total_ms) where per_layer is a list of
     (layer_index, kind, median_ms). Layer times are laps between the
-    outputs of whole forward passes of the layer walk, taken by a forward
-    hook; the total times the plain plan, so the laps need not add up to
-    it. Each of the two loops runs WARMUP untimed passes, then `runs` timed
-    ones; runs must be an int >= 1.
+    outputs of whole hooked forward passes, which run the unfused plan's
+    steps, one per layer; the total times plain passes, which run the fused
+    plan, so the laps need not add up to it. Each of the two loops runs
+    WARMUP untimed passes, then `runs` timed ones; runs must be an int >= 1.
     """
     require_int("runs", runs, 1)
     laps = [[] for _ in net.layers]

@@ -262,8 +262,7 @@ def cmd_bench(args, split):
         rows.append([name, "total", "", f"{total[name]:.6f}"])
     summary = f"total median {total['original']:.3f} ms"
     if args.pruned:
-        speedup = (total["original"] / total["pruned"] if total["pruned"] > 0
-                   else float("inf"))
+        speedup = total["original"] / total["pruned"]
         size_o, size_p = map(os.path.getsize, (args.model, args.pruned))
         n_o, n_p = (sum(nets[name].param_count()) for name in paths)
         rows.append(["speedup", "", "", f"{speedup:.6f}"])

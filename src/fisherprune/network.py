@@ -1,19 +1,19 @@
-"""Sequential CNN container: layer descriptors, shape inference, layer walks.
+"""Sequential CNN container: layers, shapes, forward plans, the reverse walk.
 
 A network is a list of LayerSpec entries applied in order to a (C,H,W)
 input. Parameters live on the specs themselves (conv/dense only).
 forward() takes and returns a Tensor but runs every layer on plain arrays,
-in two modes with the same bits. A plain pass (inference, accuracy, firing,
-logits, bench totals) runs the net's plan, checked once per net, thread and
-input dtype, and built again when a layer's stamp changes. Its conv steps
-take in a following relu and max-pool (pooling before the bias: see ops)
-and hand on a view of scratch buffers kept per thread, its dense steps a
-following relu; forward and logits never return one of those views, only
-a copy. Recording or hooked passes (training, masked passes, the deconv
-walk, per-layer laps) walk the layers: they can record every intermediate
-activation plus pooling switches (only they compute switches), and a
-per-layer hook lets callers replace each layer's output (masked passes)
-or observe it (timing).
+through one of two plans per net, thread and input dtype and shape, which
+check every shape once and are built again when a layer's stamp changes.
+Plain passes (inference, accuracy, firing, logits, bench totals) run the
+fused plan: its conv steps take in a following relu and max-pool (pooling
+before the bias: see ops) and hand on views of per-thread scratch buffers,
+its dense steps a following relu; forward and logits return copies only.
+Recording or hooked passes (training, masked passes, the deconv walk,
+per-layer laps) run the unfused plan, one step per layer with a new array
+out, to the same bits: they can record every activation plus pooling
+switches (only they compute switches), and a per-layer hook lets callers
+replace each layer's output (masked passes) or observe it (timing).
 
 reverse() is the one reverse walk over such a record, shared by backprop
 (train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
@@ -158,26 +158,6 @@ class ForwardRecord:
     switches: dict  # layer index -> flat-index switch array for maxpool
 
 
-def _step(layer, x, record):
-    """Apply one layer to a raw array: (output, pool switches or None).
-
-    Pools compute switches only when the walk records.
-    """
-    if layer.kind == "conv":
-        return ops.conv2d_forward(x, layer.weights, layer.bias,
-                                  stride=layer.stride, pad=layer.pad), None
-    if layer.kind == "relu":
-        return ops.relu_forward(x), None
-    if layer.kind == "maxpool":
-        return ops.maxpool_forward(x, layer.window, layer.stride,
-                                   switches=record)
-    if layer.kind == "flatten":
-        return x.reshape(-1), None
-    if layer.kind == "dense":
-        return ops.dense_forward(x, layer.weights, layer.bias), None
-    return ops.softmax(x), None
-
-
 def _check_input(net, x):
     if not isinstance(x, Tensor):
         raise ConfigurationError(f"network input must be a Tensor, got "
@@ -188,20 +168,33 @@ def _check_input(net, x):
         )
 
 
-def _build(net, x):
-    """(layer index, step) pairs of a plain pass over arrays like x. Every
-    shape check runs here once, in the walk's order and with its errors. A
-    conv step takes in a following relu and, after it, a max-pool, and a
-    dense step a following relu (each layer taken in rebuilds the step with
-    it and gets no step of its own); the other layers run the walk's step."""
+def _lone_step(layer):
+    """A relu, max-pool, flatten or softmax layer's step, which looks its op
+    up in ops on each call; a max-pool's is step(x, switches) -> (x, s)."""
+    if layer.kind == "maxpool":
+        return lambda x, s: ops.maxpool_forward(x, layer.window, layer.stride, s)
+    if layer.kind == "relu":
+        return lambda x: ops.relu_forward(x)
+    if layer.kind == "flatten":
+        return lambda x: x.reshape(-1)
+    return lambda x: ops.softmax(x)
+
+
+def _build(net, x, fuse):
+    """(layer index, step, lone pool?) of a pass over arrays like x; every
+    shape check runs here once, in layer order, under "layer i (kind): ...".
+    Unfused, each layer is one step, with a new array out (a flatten's is a
+    view). Fused, a conv step takes in a following relu and, after it, a
+    max-pool, and a dense step a following relu (each layer taken in
+    rebuilds the step with it), and a conv step hands on a scratch view."""
     shape, steps, make, taking = x.shape, [], None, ()  # kinds the open step takes in
     for i, layer in enumerate(net.layers):
         try:
             if layer.kind in ("conv", "dense"):
                 args, opts = (shape, x.dtype, layer.weights, layer.bias), {}
-                make, taking = ops.dense_step, ("relu",)
+                make, taking = ops.dense_step, ("relu",) * fuse  # none if unfused
                 if layer.kind == "conv":
-                    make, taking = ops.conv2d_step, ("relu", "maxpool")
+                    make, taking = ops.conv2d_step, ("relu", "maxpool") * fuse
                     opts = {"stride": layer.stride, "pad": layer.pad}
             elif layer.kind == "relu" and taking[:1] == ("relu",):
                 opts["relu"], taking = True, taking[1:]
@@ -209,68 +202,73 @@ def _build(net, x):
                 opts["pool"], taking = (layer.window, layer.stride), ()
             else:
                 make, taking = None, ()
-            step = make(*args, **opts) if make else lambda x, l=layer: _step(l, x, False)[0]
+            step = make(*args, **opts) if make else _lone_step(layer)
+            if layer.kind == "conv" and not fuse:
+                step = lambda x, conv=step: conv(x).copy()  # noqa: E731
             shape = _layer_out_shape(layer, shape)
         except ValueError as exc:
             raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
         if make and layer.kind in ("relu", "maxpool"):  # taken into the last step
-            steps[-1] = (steps[-1][0], step)
+            steps[-1] = (steps[-1][0], step, False)
         else:
-            steps.append((i, step))
+            steps.append((i, step, layer.kind == "maxpool"))
     return steps
 
 
-_LOCAL = threading.local()  # .plans: net -> ((dtype, shape, stamps), steps)
+_LOCAL = threading.local()  # .plans: net -> ((dtype, shape, stamps), {fuse: steps})
 
 
-def _plain(net, x, drop=0):
-    """x (an array) through all but the last `drop` steps of net's plan, built
-    again whenever x's dtype or shape or a layer's stamp differs; a copy,
-    unless it is the new array of the softmax that ends net."""
+def _run(net, x, record=False, hook=None, drop=0):
+    """x (an array) through all but the last `drop` steps of one of net's
+    plans: the fused one for a plain pass, else the unfused one. Both are
+    built again whenever x's dtype or shape or a layer's stamp differs.
+    Returns (output, ForwardRecord or None); a plain pass's output is a
+    copy, unless it is the new array of the softmax that ends net."""
+    fuse = not record and hook is None
     key = (x.dtype, x.shape, [layer._stamp for layer in net.layers])
     plans = getattr(_LOCAL, "plans", None)  # this thread's (its buffers are)
     if plans is None:
         plans = _LOCAL.plans = weakref.WeakKeyDictionary()
     plan = plans.get(net)
     if plan is None or plan[0] != key:
-        plan = plans[net] = (key, _build(net, x))
-    try:
-        for i, step in plan[1][:len(plan[1]) - drop]:
-            x = step(x)
-    except ValueError as exc:  # softmax checks its input for NaN each call
-        raise type(exc)(f"layer {i} ({net.layers[i].kind}): {exc}") from None
-    return x if not drop and net.layers[-1].kind == "softmax" else x.copy()
+        plan = plans[net] = (key, {})
+    steps = plan[1].get(fuse)
+    if steps is None:
+        steps = plan[1][fuse] = _build(net, x, fuse)
+    rec = ForwardRecord(input=x.copy(), activations=[], switches={}) if record else None
+    for i, step, pool in steps[:len(steps) - drop]:
+        try:  # softmax checks its input for NaN each call
+            if not pool:
+                x = step(x)
+            elif record:  # only pools with their own steps build switches
+                x, rec.switches[i] = step(x, True)
+            else:
+                x = step(x, False)[0]
+        except ValueError as exc:
+            raise type(exc)(f"layer {i} ({net.layers[i].kind}): {exc}") from None
+        if hook is not None:
+            x = hook(i, x)
+        if record:
+            rec.activations.append(x)  # unfused steps return new arrays
+    if fuse and (drop or net.layers[-1].kind != "softmax"):
+        x = x.copy()
+    return x, rec
 
 
 def forward(net: Network, x: Tensor, record=False, hook=None):
     """Run the network on one input; optionally keep all intermediates.
 
-    With record=False and no hook this runs the net's plain plan (see the
-    module docstring); otherwise it walks the layers, and hook(i, out),
-    when given, is called with each layer's output and returns the array
-    that is carried forward (and recorded) in its place. Returns the output
-    Tensor, or (output, ForwardRecord) when record=True. Max-pool switches
-    are computed only when record=True; the output is bitwise the same
-    either way. Layer failures are re-raised with the layer index prepended.
+    A plain pass (record=False, no hook) runs the net's fused plan, others
+    its unfused one (see the module docstring). hook(i, out), when given,
+    gets each layer's output and returns the array, of its shape and dtype,
+    carried forward (and recorded) in its place. Returns the output Tensor,
+    or (output, ForwardRecord) when record=True; only then are max-pool
+    switches computed, and the output has the same bits either way. Layer
+    failures are re-raised with the layer index prepended.
     """
     _check_input(net, x)
-    if not record and hook is None:
-        return Tensor(_plain(net, x.data))
-    cur = x.data
-    rec = ForwardRecord(input=cur.copy(), activations=[], switches={}) if record else None
-    for i, layer in enumerate(net.layers):
-        try:
-            cur, switches = _step(layer, cur, record)
-        except ValueError as exc:
-            raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
-        if hook is not None:
-            cur = hook(i, cur)
-        if rec is not None:
-            rec.activations.append(cur)  # ops return new arrays; no copy
-            if switches is not None:
-                rec.switches[i] = switches
-    out = Tensor(cur)
-    return (out, rec) if record else out
+    out, rec = _run(net, x.data, record, hook)
+    return (Tensor(out), rec) if record else Tensor(out)
 
 
 def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
@@ -315,11 +313,11 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
 
 
 def logits(net: Network, x: Tensor):
-    """Pre-softmax scores: the plain plan up to the softmax that ends the net."""
+    """Pre-softmax scores: the fused plan up to the softmax that ends the net."""
     if not net.layers or net.layers[-1].kind != "softmax":
         raise ConfigurationError("network does not end in softmax")
     _check_input(net, x)
-    return Tensor(_plain(net, x.data, drop=1))
+    return Tensor(_run(net, x.data, drop=1)[0])
 
 
 def _layer_out_shape(layer, shape):

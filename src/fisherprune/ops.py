@@ -37,14 +37,14 @@ its grid from its input before it writes any of them, and keeps the views
 it was built with. conv2d_forward and conv2d_step's steps share one body:
 fill, GEMM, an optional max-pool, then bias and an optional relu in place;
 dense_forward and dense_step's steps share theirs (a new array, then bias
-and an optional relu in place).
+and an optional relu in place). A network's passes run only the steps.
 
 A step that pools (conv, relu, max-pool) pools the GEMM output, then adds
 the bias and applies the relu to the pooled map. For a finite bias the bits
-are the walk's: rounding x + b and relu are monotone, relu makes every zero
-+0, and NaN positions alone decide which NaN a running max returns. (With
-a bias of +inf a window of -inf and 5 pools to NaN in the walk and to inf
-here; model files hold finite tensors only.)
+are those of the three layers in turn: rounding x + b and relu are monotone,
+relu makes every zero +0, and NaN positions alone decide which NaN a
+running max returns. (With a bias of +inf a window of -inf and 5 pools to
+NaN layer by layer and to inf here; model files hold finite tensors only.)
 
 Max-pooling without switches is separable: a running max over strided
 column slices of the map, then over strided row slices of that band, so a

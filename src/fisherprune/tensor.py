@@ -2,7 +2,7 @@
 
 A Tensor wraps the pixels of a LabeledImage and the input and output of
 network.forward / network.logits; everything inside the package (ops, the
-layer walk, training, the deconv tracer) works on plain ndarrays. Feature
+forward plans, training, the deconv tracer) works on plain ndarrays. Feature
 maps are laid out (channels, height, width) row-major. Model data is
 float32, and the ops accumulate in their input's dtype, so a float32 input
 runs float32 GEMMs throughout. float64 is kept as given so verification

@@ -6,8 +6,10 @@ the per-layer magnitude mask, the per-neuron dependency pooling and the
 re-masking SGD epoch are the package's earlier implementations, kept as
 references for the ones that replaced them, and so are the spread @ cols.T
 weight gradient, the row-run unroll into a fresh zero grid and the SMO
-that masks g afresh on every step. Nothing from the package under test is
-imported.
+that masks g afresh on every step, and so is the per-layer forward walk
+that the forward plans are held to. Nothing from the package under test is
+imported: an oracle that needs one of its functions or modules takes it as
+an argument.
 """
 
 import math
@@ -315,6 +317,40 @@ def rbf_kernel_expression(a, b, gamma):
     bb = (b * b).sum(axis=1)[None, :]
     d2 = aa + bb - 2.0 * (a @ b.T)
     return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+def layer_walk(ops, net, x, record=False, hook=None):
+    """The forward pass one layer at a time, every kernel called with all of
+    its checks: (output, activations, switches). activations[i] is layer
+    i's output, or hook(i, output) when a hook is given, which is carried
+    forward in its place. Max-pools build switches (layer index -> array)
+    only when record is set. A failing layer's error is re-raised as
+    "layer i (kind): ..."."""
+    activations, switches = [], {}
+    for i, layer in enumerate(net.layers):
+        try:
+            if layer.kind == "conv":
+                x = ops.conv2d_forward(x, layer.weights, layer.bias,
+                                       stride=layer.stride, pad=layer.pad)
+            elif layer.kind == "relu":
+                x = ops.relu_forward(x)
+            elif layer.kind == "maxpool":
+                x, table = ops.maxpool_forward(x, layer.window, layer.stride,
+                                               switches=record)
+                if record:
+                    switches[i] = table
+            elif layer.kind == "flatten":
+                x = x.reshape(-1)
+            elif layer.kind == "dense":
+                x = ops.dense_forward(x, layer.weights, layer.bias)
+            else:
+                x = ops.softmax(x)
+        except ValueError as exc:
+            raise type(exc)(f"layer {i} ({layer.kind}): {exc}") from None
+        if hook is not None:
+            x = hook(i, x)
+        activations.append(x)
+    return x, activations, switches
 
 
 def deconv_walk_every_layer(net, rec, neuron, reverse):

@@ -224,6 +224,26 @@ class TestGridSearch:
         t_0 = info["provenance"]["threshold"]
         assert_same_weights(saved, nets[[0.1, 0.2, 0.3].index(t_0)])
 
+    def test_report_names_the_layers_the_guard_forced(self, piperun, tmp_path):
+        """At t0 = 1 the layers whose scores all fall short keep their top
+        filter, and the report line lists them as dependencies.csv says."""
+        out = str(tmp_path)
+        rc = main(["prune", "--out", out, "--model",
+                   os.path.join(piperun, "model.ldap1"), "--k", "2",
+                   "--grid", "1", "--epochs", "0", "--dep-images", "2"] + TINY)
+        assert rc == 0
+        _, rows = read_csv(os.path.join(out, "threshold_search.csv"))
+        assert [(r[0], r[4]) for r in rows] == [("1", "1")]
+        _, scores = read_csv(os.path.join(out, "dependencies.csv"))
+        layers = sorted({int(li) for li, _, _ in scores})
+        forced = [li for li in layers[:-1]
+                  if all(float(s) < 1 for l, _, s in scores if int(l) == li)]
+        assert forced
+        with open(os.path.join(out, "report.txt")) as fh:
+            guard = [line for line in fh if "empty-layer guard" in line]
+        assert guard == [f"prune: empty-layer guard kept top filter in layers "
+                         f"{forced}\n"]
+
     def test_threshold_run_saves_the_plans_retrained_net(self, piperun):
         """prune --grid 0.3 saves apply_prune + retrain at 0.3."""
         split = cli._load_dataset("synthetic", 0, 6)

@@ -235,6 +235,19 @@ class TestNeuronWalk:
             with pytest.raises(DimensionError, match="reverse needs a start"):
                 list(network.reverse(net, rec, start, np.ones(shape), mirror))
 
+    def test_reverse_has_no_rule_for_softmax(self):
+        """Started at the softmax, both walks yield its signal, then refuse."""
+        net = reference_cnn(seed=0)
+        out, rec = forward(net, Tensor(np.ones((1, 32, 32), np.float32)),
+                           record=True)
+        last = len(net.layers) - 1
+        for mirror in (False, True):
+            walk = network.reverse(net, rec, last, out.data, mirror)
+            assert next(walk)[0] == last
+            with pytest.raises(ConfigurationError,
+                               match=f"^no reverse rule for layer {last} \\(softmax\\)$"):
+                next(walk)
+
     def test_neuron_index_checked(self):
         net = passthrough_net()
         x = Tensor(np.zeros((1, 4, 4), dtype=np.float32))
@@ -421,12 +434,12 @@ class TestOneFiringRule:
         last = net.last_conv_index()
         images = generate_synthetic(2, seed=3).train[:2]
         ran, adjoined, records = [], [], []
-        real_step, real_adjoint = network._step, ops.conv2d_adjoint
+        real_build, real_adjoint = network._build, ops.conv2d_adjoint
         real_forward = deconv.forward
 
-        def step(layer, x, record):
-            ran.append(layer)
-            return real_step(layer, x, record)
+        def build(net, x, fuse):
+            ran.extend(net.layers)
+            return real_build(net, x, fuse)
 
         def adjoint(gout, kernel, *args, **kwargs):
             adjoined.append(kernel)
@@ -437,7 +450,7 @@ class TestOneFiringRule:
             records.append(out[1])
             return out
 
-        monkeypatch.setattr(network, "_step", step)
+        monkeypatch.setattr(network, "_build", build)
         monkeypatch.setattr(ops, "conv2d_adjoint", adjoint)
         monkeypatch.setattr(deconv, "forward", recording)
         table = dependency_scores(net, images, list(range(32)))

@@ -8,6 +8,7 @@ import threading
 import weakref
 
 import numpy as np
+import oracles
 import pytest
 
 from fisherprune import network, ops
@@ -149,6 +150,13 @@ class TestForward:
         with pytest.raises(ConfigurationError, match="must be a Tensor"):
             walk(tiny_net(), x)
 
+    @pytest.mark.parametrize("end", [-1, 0], ids=["trunk", "no_layers"])
+    def test_logits_needs_a_softmax_at_the_end(self, end):
+        net = tiny_net()
+        head = Network(net.input_shape, net.layers[:end])
+        with pytest.raises(ConfigurationError, match="does not end in softmax$"):
+            logits(head, Tensor(np.zeros((1, 8, 8), dtype=np.float32)))
+
     def test_logits_skips_softmax(self):
         net = tiny_net()
         x = Tensor(np.random.default_rng(1).random((1, 8, 8)).astype(np.float32))
@@ -185,11 +193,19 @@ class TestForwardHook:
         x = Tensor(np.random.default_rng(3).random((1, 8, 8)).astype(np.float32))
         _, plain = forward(net, x, record=True)
         assert plain.activations[3].any()
-        _, rec = forward(net, x, record=True,
-                         hook=lambda i, a: np.zeros_like(a) if i == 1 else a)
+
+        def hook(i, a):
+            return np.zeros_like(a) if i == 1 else a
+
+        _, rec = forward(net, x, record=True, hook=hook)
         # the zeroed relu output is what the pool and flatten layers saw
         for i in (1, 2, 3):
             assert not rec.activations[i].any()
+        out, acts, switches = oracles.layer_walk(ops, net, x.data, True, hook)
+        for got, want in zip(rec.activations, acts):
+            assert_same_bits(got, want)
+        assert_same_bits(rec.switches[2], switches[2])
+        assert_same_bits(forward(net, x, hook=hook).data, out)
 
     def test_time_network_reports_every_layer(self):
         net = tiny_net()
@@ -368,42 +384,67 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_plain_is_the_walk(net, x):
-    want, rec = forward(net, x, record=True)
-    assert_same_bits(forward(net, x).data, want.data)
-    assert_same_bits(logits(net, x).data, rec.activations[-2])
+def walk(net, x, record=False):
+    """oracles.layer_walk of net on the Tensor x."""
+    return oracles.layer_walk(ops, net, x.data, record)
+
+
+def assert_same_record(rec, x, acts, switches):
+    assert_same_bits(rec.input, x.data)
+    assert len(rec.activations) == len(acts)
+    for got, want in zip(rec.activations, acts):
+        assert_same_bits(got, want)
+    assert rec.switches.keys() == switches.keys()
+    for i, want in switches.items():
+        assert_same_bits(rec.switches[i], want)
+
+
+def assert_passes_are_the_walk(net, x):
+    """The plain, recording and hooked passes of net on x, and its logits
+    when it ends in softmax, give oracles.layer_walk's bits: the outputs,
+    every recorded activation and every pool's switches."""
+    want, acts, switches = walk(net, x, record=True)
+    out, rec = forward(net, x, record=True)
+    assert_same_bits(out.data, want)
+    assert_same_record(rec, x, acts, switches)
+    seen = []
+    hooked = forward(net, x, hook=lambda i, a: seen.append(i) or a)
+    assert seen == list(range(len(net.layers)))
+    for got in (forward(net, x), hooked):
+        assert_same_bits(got.data, want)
+    if net.layers[-1].kind == "softmax":
+        assert_same_bits(logits(net, x).data, acts[-2])
 
 
 class TestSwitchFreeForward:
     @pytest.mark.parametrize("make,dtype", [
         pytest.param(make, dtype, id=name + ("" if dtype is np.float32 else "-float64"))
         for dtype in (np.float32, np.float64) for name, make in PLAN_NETS.items()])
-    def test_plain_forward_is_the_recording_forward_bit_for_bit(self, make, dtype):
+    def test_every_pass_is_the_layer_walk_bit_for_bit(self, make, dtype):
         net = make()
         rng = np.random.default_rng(8)
         images = [rng.random(net.input_shape).astype(dtype) for _ in range(4)]
         images.append(np.zeros(net.input_shape, dtype=dtype))  # all ties
         for image in images:
             x = Tensor(image)
-            want, rec = forward(net, x, record=True)
-            got = forward(net, x)
-            # the recording pass built switches for every pool
-            assert len(rec.switches) == sum(l.kind == "maxpool" for l in net.layers)
-            assert got.data.dtype == want.data.dtype == dtype
-            assert_same_bits(got.data, want.data)
-            assert_same_bits(logits(net, x).data, rec.activations[-2])
+            assert forward(net, x).data.dtype == dtype
+            assert_passes_are_the_walk(net, x)
         plan = network._LOCAL.plans[net]
+        assert set(plan[1]) == {True, False}  # the fused plan and the unfused
         forward(net, x)
         logits(net, x)
-        assert network._LOCAL.plans[net] is plan  # logits runs forward's plan
-        # plain results first, walks after: a result that shared a buffer
-        # with the plan would hold a later image's values by then
+        forward(net, x, record=True)
+        assert network._LOCAL.plans[net] is plan  # every pass runs one of them
+        # results first, walks after: a result or an activation that shared
+        # a buffer with a plan would hold a later image's values by then
         xs = [Tensor(image) for image in images[:2]]
-        got = [(forward(net, x).data, logits(net, x).data) for x in xs]
-        for x, (out, scores) in zip(xs, got):
-            want, rec = forward(net, x, record=True)
-            assert_same_bits(out, want.data)
-            assert_same_bits(scores, rec.activations[-2])
+        got = [(forward(net, x).data, logits(net, x).data,
+                forward(net, x, record=True)[1]) for x in xs]
+        for x, (out, scores, rec) in zip(xs, got):
+            want, acts, switches = walk(net, x, record=True)
+            assert_same_bits(out, want)
+            assert_same_bits(scores, acts[-2])
+            assert_same_record(rec, x, acts, switches)
         # every trunk (one ending at each layer but the softmax), also on
         # signed zeros, infinities and NaN, which only the trunks pass on
         xs += [Tensor(image) for image in special_images(net.input_shape, dtype)]
@@ -412,7 +453,8 @@ class TestSwitchFreeForward:
             with np.errstate(invalid="ignore", over="ignore"):
                 got = [forward(trunk, x).data for x in xs]
                 for x, out in zip(xs, got):
-                    assert_same_bits(out, forward(trunk, x, record=True)[0].data)
+                    assert_same_bits(out, walk(trunk, x)[0])
+                    assert_passes_are_the_walk(trunk, x)
 
     def test_plans_follow_edits_to_their_net(self):
         rng = np.random.default_rng(10)
@@ -424,7 +466,7 @@ class TestSwitchFreeForward:
         def check():
             for n in (net, dup):
                 for x in xs:
-                    assert_plain_is_the_walk(n, x)
+                    assert_passes_are_the_walk(n, x)
 
         check()
         conv = net.layers[3]
@@ -446,13 +488,13 @@ class TestSwitchFreeForward:
             dup.layers[3].bias[...] += 3.0
             dup.layers[7].weights[...] *= -2.0  # the dense step reads views too
             dup.layers[7].bias[...] += 0.5
-            assert_plain_is_the_walk(dup, x)
+            assert_passes_are_the_walk(dup, x)
         check()
         conv.weights = np.zeros((4, 2, 3, 3), dtype=np.float32)
-        for walk in ({}, {"record": True}):
+        for mode in ({}, {"record": True}, {"hook": lambda i, a: a}):
             with pytest.raises(DimensionError, match="^layer 3 \\(conv\\): kernel "
                                "expects 2 input channels, feature map has 3$"):
-                forward(net, xs[0], **walk)
+                forward(net, xs[0], **mode)
 
     @pytest.mark.parametrize("clone", [copy.deepcopy,
                                        lambda net: pickle.loads(pickle.dumps(net))],
@@ -467,8 +509,8 @@ class TestSwitchFreeForward:
         assert set(vars(dup)) == {"input_shape", "layers"}
         assert not {l._stamp for l in dup.layers} & {l._stamp for l in net.layers}
         dup.layers[0].weights[...] = 0.5
-        assert_plain_is_the_walk(dup, x)
-        assert_plain_is_the_walk(net, x)
+        assert_passes_are_the_walk(dup, x)
+        assert_passes_are_the_walk(net, x)
 
     def test_plans_go_with_their_net(self):
         net = tiny_net()
@@ -481,15 +523,17 @@ class TestSwitchFreeForward:
         assert gone() is None and len(network._LOCAL.plans) == count - 1
 
     @pytest.mark.parametrize("make", list(PLAN_NETS.values()), ids=list(PLAN_NETS))
-    def test_nan_input_fails_alike_in_both_walks(self, make):
+    def test_nan_input_fails_alike_in_every_pass(self, make):
         net = make()
         x = Tensor(np.full(net.input_shape, np.nan, dtype=np.float32))
         messages = []
-        for walk in ({}, {"record": True}):
+        for run in (lambda: walk(net, x, record=True), lambda: forward(net, x),
+                    lambda: forward(net, x, record=True),
+                    lambda: forward(net, x, hook=lambda i, a: a)):
             with pytest.raises(NonFiniteError) as err:
-                forward(net, x, **walk)
+                run()
             messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
         assert messages[0].endswith("(softmax): softmax input contains NaN")
 
     @pytest.mark.parametrize("make", list(PLAN_NETS.values()), ids=list(PLAN_NETS))
@@ -502,7 +546,7 @@ class TestSwitchFreeForward:
         with np.errstate(invalid="ignore"):
             assert net not in network._LOCAL.plans
             cold, warm = logits(net, x).data, logits(net, x).data
-            want = forward(head, x, record=True)[0].data
+            want = walk(head, x)[0]
         assert_same_bits(cold, want)
         assert_same_bits(warm, want)
 
@@ -514,7 +558,7 @@ class TestSwitchFreeForward:
         rng = np.random.default_rng(12)
         images = [[Tensor(rng.random(n.input_shape).astype(np.float32))
                    for _ in range(5)] for n in nets]
-        want = [[forward(n, x).data for x in xs] for n, xs in zip(nets, images)]
+        want = [[walk(n, x)[0] for x in xs] for n, xs in zip(nets, images)]
         bad = []
 
         def work(first):
@@ -522,7 +566,9 @@ class TestSwitchFreeForward:
                 bad.append(("inherited plans", first))
             for r in range(200):
                 k = (first % 2 + r) % len(nets)  # two threads on each net at once
-                got = forward(nets[k], images[k][r % 5]).data
+                x = images[k][r % 5]  # every third pass records
+                got = (forward(nets[k], x, record=True)[0] if r % 3 == 0
+                       else forward(nets[k], x)).data
                 if got.tobytes() != want[k][r % 5].tobytes():
                     bad.append((first, r))
 
@@ -558,7 +604,7 @@ class TestSwitchFreeForward:
         for role, buffer in held.items():
             assert ops._arena(thread, dtype, role)[0] is not buffer  # replaced
         for x in xs:
-            assert_plain_is_the_walk(net, x)
+            assert_passes_are_the_walk(net, x)
 
     def test_passes_that_do_not_record_build_no_switches(self, monkeypatch):
         net = tiny_net()

@@ -215,8 +215,8 @@ def test_ab_forward_reads_one_tree_as_its_own_parent():
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == ("plain forward, logits and trunk: same bits on 2 images "
-                        "in float32 and float64")
+    assert lines[0] == ("plain forward, logits, trunk, recording pass and backward: "
+                        "same bits on 2 images in float32 and float64")
     rows = {line.split()[0]: line.split() for line in lines[2:]}
     assert list(rows) == ["reference_cnn", "prune", "infer"]
     assert rows["prune"][1] == "[6,1,10,12,21,4]"

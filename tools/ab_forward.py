@@ -18,8 +18,10 @@ are handed to both trees: `reference_cnn(seed=0)` and two seeded slices of
 it to conv widths [6,1,10,12,21,4] (the `prune` job's delivered net) and
 [13,6,31,26,31,4] (the `infer` job's). First, on seeded probe images in
 float32 and float64, each tree's plain `forward`, `logits` and the trunk
-up to the last conv must give the same bits; any difference is printed
-and the exit status is 1. Then, per net, blocks of plain forwards over
+up to the last conv, its recording pass (output, every activation and
+every pool's switches) and `train.backward`'s gradients on that record
+must give the same bits; any difference is printed and the exit status
+is 1. Then, per net, blocks of plain forwards over
 the float32 probes alternate between the trees (the parent first in even
 blocks), and the table gives each side's median per-forward time and the
 median change/parent ratio over the block pairs with its quartiles. The
@@ -82,10 +84,18 @@ def rebuild(fp, net):
 
 
 def outputs(fp, net, image):
-    """Plain forward, logits and last-conv trunk output of net on image."""
+    """{name: array}: plain forward, logits and last-conv trunk output of
+    net on image, its recording pass and the gradients of label 0 on it."""
     x = fp.Tensor(image)
     trunk = fp.Network(net.input_shape, net.layers[:net.last_conv_index() + 1])
-    return [fp.forward(net, x).data, fp.logits(net, x).data, fp.forward(trunk, x).data]
+    out, rec = fp.forward(net, x, record=True)
+    grads = importlib.import_module(fp.__name__ + ".train").backward(net, rec, 0)
+    return {"forward": fp.forward(net, x).data, "logits": fp.logits(net, x).data,
+            "trunk": fp.forward(trunk, x).data, "recorded output": out.data,
+            **{f"activation {i}": a for i, a in enumerate(rec.activations)},
+            **{f"switches {i}": s for i, s in rec.switches.items()},
+            **{f"{part} gradient {i}": g for i, pair in grads.items()
+               for part, g in zip(("weight", "bias"), pair)}}
 
 
 def same_bits(a, b):
@@ -93,16 +103,17 @@ def same_bits(a, b):
 
 
 def mismatches(sides, probes):
-    """(net, dtype, image, output) of every plain output whose bits differ."""
+    """(net, dtype, image, output) of every output whose bits differ, or
+    that only one tree gives."""
     bad = []
     for name in sides["parent"][1]:
         for dtype in (np.float32, np.float64):
             for k, image in enumerate(probes):
-                got = [outputs(fp, built[name], image.astype(dtype))
-                       for fp, built in sides.values()]
-                bad += [(name, np.dtype(dtype).name, k, what)
-                        for what, a, b in zip(("forward", "logits", "trunk"), *got)
-                        if not same_bits(a, b)]
+                a, b = [outputs(fp, built[name], image.astype(dtype))
+                        for fp, built in sides.values()]
+                bad += [(name, np.dtype(dtype).name, k, what) for what in a | b
+                        if what not in a or what not in b
+                        or not same_bits(a[what], b[what])]
     return bad
 
 
@@ -151,8 +162,8 @@ def main(argv=None):
         if bad:
             print(f"{len(bad)} outputs differ in their bits")
             return 1
-        print(f"plain forward, logits and trunk: same bits on {args.images} images "
-              "in float32 and float64")
+        print("plain forward, logits, trunk, recording pass and backward: same bits "
+              f"on {args.images} images in float32 and float64")
         print(f"{'net':<14} {'conv widths':<22} {'parent us':>9} {'change us':>9} "
               f"{'ratio':>6} {'q1':>6} {'q3':>6}")
         xs = {side: [fp.Tensor(image.astype(np.float32)) for image in probes]
