@@ -32,11 +32,11 @@ retrain(pruned, tr_imgs, tr_labels, te_imgs, te_labels,
 
 probe = Tensor(np.zeros((1, 32, 32), dtype=np.float32))
 for name, model in (("original", net), ("pruned", pruned)):
-    per_layer, total = time_network(model, probe)
+    per_step, total = time_network(model, probe)
     print(f"{name}: {sum(model.param_count())} params, {total:.2f} ms/image")
-    for i, kind, ms in per_layer:
-        if kind == "conv":
-            print(f"  layer {i:2d} {kind:7s} {ms:6.3f} ms")
+    for i, kinds, ms in per_step:  # one row per fused step of the plain pass
+        if kinds.startswith("conv"):
+            print(f"  step at layer {i:2d} {kinds:17s} {ms:6.3f} ms")
 
 _, orig_total = time_network(net, probe)
 _, pruned_total = time_network(pruned, probe)

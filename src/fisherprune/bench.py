@@ -1,4 +1,5 @@
-"""Timing harness: per-layer and total per-image forward cost.
+"""Timing harness: per-step and total per-image forward cost, both on the
+fused plan that inference runs, so the steps add up to about the total.
 
 Medians over repeated runs (after warmups) to resist scheduler noise.
 Timings run with the BLAS thread count the process started with, which
@@ -29,23 +30,22 @@ def _median_ms(fn, runs):
 
 
 def time_network(net: Network, image: Tensor, runs=30):
-    """Median per-layer and total forward time in milliseconds.
+    """Median per-step and total forward time in milliseconds.
 
-    Returns (per_layer, total_ms) where per_layer is a list of
-    (layer_index, kind, median_ms). Layer times are laps between the
-    outputs of whole hooked forward passes, which run the unfused plan's
-    steps, one per layer; the total times plain passes, which run the fused
-    plan, so the laps need not add up to it. Each of the two loops runs
-    WARMUP untimed passes, then `runs` timed ones; runs must be an int >= 1.
+    Returns (per_step, total_ms): per_step lists (first layer, its layers'
+    kinds joined by "+", median_ms) for each step of the fused plan, such as
+    (2, "conv+relu+maxpool", ms), laps between the outputs of hooked plain
+    passes; the total times unhooked ones. Each of the two loops runs WARMUP
+    untimed passes, then `runs` timed ones; runs must be an int >= 1.
     """
     require_int("runs", runs, 1)
-    laps = [[] for _ in net.layers]
+    laps = {}  # first layer of each step, in step order -> lap times
     last = 0
 
     def lap(i, out):
         nonlocal last
         now = time.perf_counter_ns()
-        laps[i].append((now - last) / 1e6)
+        laps.setdefault(i, []).append((now - last) / 1e6)
         last = now
         return out
 
@@ -53,5 +53,7 @@ def time_network(net: Network, image: Tensor, runs=30):
         last = time.perf_counter_ns()
         forward(net, image, hook=lap)
     total = _median_ms(lambda: forward(net, image), runs)
-    return [(i, layer.kind, statistics.median(laps[i][WARMUP:]))
-            for i, layer in enumerate(net.layers)], total
+    ends = [*laps][1:] + [len(net.layers)]
+    return [(i, "+".join(layer.kind for layer in net.layers[i:end]),
+             statistics.median(times[WARMUP:]))
+            for (i, times), end in zip(laps.items(), ends)], total

@@ -22,7 +22,7 @@ from .bench import time_network
 from .data import balanced, generate_synthetic, images_labels, load_pgm_dir
 from .errors import (ConfigurationError, DimensionError, ModelFormatError,
                      NonFiniteError, TrainingDiverged, require_positive)
-from .network import forward, reference_cnn
+from .network import forward, reference_cnn, require_softmax
 from .train import TrainConfig, accuracy, train
 
 
@@ -223,6 +223,7 @@ def cmd_eval(args, split):
     if info["classifier"] is not None:
         classify.from_arrays(info["classifier"])  # refuse a malformed stored head
     if args.classifier == "fc":
+        require_softmax(net)
         preds = [int(np.argmax(forward(net, s.image).data)) for s in split.test]
     else:
         last = net.last_conv_index()
@@ -346,7 +347,7 @@ def build_parser():
     p.add_argument("--c", type=float, default=1.0, help="svm cost")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="median per-layer and total timings")
+    p = sub.add_parser("bench", help="median per-step and total timings")
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--pruned", default=None)

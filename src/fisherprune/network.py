@@ -5,15 +5,15 @@ input. Parameters live on the specs themselves (conv/dense only).
 forward() takes and returns a Tensor but runs every layer on plain arrays,
 through one of two plans per net, thread and input dtype and shape, which
 check every shape once and are built again when a layer's stamp changes.
-Plain passes (inference, accuracy, firing, logits, bench totals) run the
-fused plan: its conv steps take in a following relu and max-pool (pooling
-before the bias: see ops) and hand on views of per-thread scratch buffers,
-its dense steps a following relu; forward and logits return copies only.
-Recording or hooked passes (training, masked passes, the deconv walk,
-per-layer laps) run the unfused plan, one step per layer with a new array
-out, to the same bits: they can record every activation plus pooling
-switches (only they compute switches), and a per-layer hook lets callers
-replace each layer's output (masked passes) or observe it (timing).
+Only recording picks the plan. Passes that do not record (inference,
+accuracy, firing, logits, bench laps) run the fused plan: its conv steps
+take in a following relu and max-pool (pooling before the bias: see ops)
+and hand on views of per-thread scratch buffers, its dense steps a
+following relu; forward and logits return copies only. Recording passes
+(training, masked passes, the deconv walk) run the unfused plan, one step
+per layer with a new array out, to the same bits, and keep every
+activation plus pooling switches (only they compute switches). A hook sees
+each step's output, and a step's error carries the record built so far.
 
 reverse() is the one reverse walk over such a record, shared by backprop
 (train.backward) and the deconvnet projection (deconv.deconv_from_neuron).
@@ -219,12 +219,15 @@ _LOCAL = threading.local()  # .plans: net -> ((dtype, shape, stamps), {fuse: ste
 
 
 def _run(net, x, record=False, hook=None, drop=0):
-    """x (an array) through all but the last `drop` steps of one of net's
-    plans: the fused one for a plain pass, else the unfused one. Both are
-    built again whenever x's dtype or shape or a layer's stamp differs.
-    Returns (output, ForwardRecord or None); a plain pass's output is a
-    copy, unless it is the new array of the softmax that ends net."""
-    fuse = not record and hook is None
+    """x (an array) through all but the last `drop` steps of net's unfused
+    plan when recording, else its fused one, rebuilt whenever x's dtype or
+    shape or a layer's stamp differs; hook(i, out) follows each step, i its
+    first layer. Returns (output, ForwardRecord or None); a plain pass's
+    output is a copy, unless it is the softmax's new array. A step's error
+    is re-raised as "layer i (kind): ..." with .record, the record so far."""
+    if not net.layers:
+        raise ConfigurationError("network has no layers")
+    fuse = not record
     key = (x.dtype, x.shape, [layer._stamp for layer in net.layers])
     plans = getattr(_LOCAL, "plans", None)  # this thread's (its buffers are)
     if plans is None:
@@ -245,7 +248,9 @@ def _run(net, x, record=False, hook=None, drop=0):
             else:
                 x = step(x, False)[0]
         except ValueError as exc:
-            raise type(exc)(f"layer {i} ({net.layers[i].kind}): {exc}") from None
+            err = type(exc)(f"layer {i} ({net.layers[i].kind}): {exc}")
+            err.record = rec
+            raise err from None
         if hook is not None:
             x = hook(i, x)
         if record:
@@ -258,13 +263,14 @@ def _run(net, x, record=False, hook=None, drop=0):
 def forward(net: Network, x: Tensor, record=False, hook=None):
     """Run the network on one input; optionally keep all intermediates.
 
-    A plain pass (record=False, no hook) runs the net's fused plan, others
-    its unfused one (see the module docstring). hook(i, out), when given,
-    gets each layer's output and returns the array, of its shape and dtype,
-    carried forward (and recorded) in its place. Returns the output Tensor,
-    or (output, ForwardRecord) when record=True; only then are max-pool
-    switches computed, and the output has the same bits either way. Layer
-    failures are re-raised with the layer index prepended.
+    A recording pass runs the net's unfused plan, others its fused one, to
+    the same bits. hook(i, out) gets each step's output, i its first layer
+    (every layer, when recording), and returns the array, of its shape and
+    dtype, carried forward (and recorded) in its place; on a plain pass out
+    may be a scratch view that a later step or pass overwrites. Returns the
+    output Tensor, or (output, ForwardRecord) when record=True; only then
+    are max-pool switches computed. A net with no layers is refused; a layer
+    failure names the layer and carries the record so far (or None) as .record.
     """
     _check_input(net, x)
     out, rec = _run(net, x.data, record, hook)
@@ -312,10 +318,15 @@ def reverse(net: Network, rec: ForwardRecord, start, signal, mirror=False):
             raise ConfigurationError(f"no reverse rule for layer {i} ({layer.kind})")
 
 
-def logits(net: Network, x: Tensor):
-    """Pre-softmax scores: the fused plan up to the softmax that ends the net."""
+def require_softmax(net: Network):
+    """ConfigurationError unless net's last layer is a softmax."""
     if not net.layers or net.layers[-1].kind != "softmax":
         raise ConfigurationError("network does not end in softmax")
+
+
+def logits(net: Network, x: Tensor):
+    """Pre-softmax scores: the fused plan up to the softmax that ends the net."""
+    require_softmax(net)
     _check_input(net, x)
     return Tensor(_run(net, x.data, drop=1)[0])
 

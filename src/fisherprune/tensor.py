@@ -23,9 +23,9 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        arr = np.ascontiguousarray(arr)
-        if arr.ndim == 0:
+        if arr.ndim == 0:  # before ascontiguousarray, which makes it (1,)
             raise DimensionError("tensor needs at least one axis")
+        arr = np.ascontiguousarray(arr)
         if min(arr.shape) < 1:
             raise DimensionError(f"tensor extents must be >= 1, got {arr.shape}")
         self.data = arr

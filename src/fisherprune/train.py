@@ -6,8 +6,9 @@ pass, along network.reverse. The softmax layer is fused with cross-entropy
 max-pool scatter-adds through its stored switches. Every run uses the one
 SGD recipe, momentum MOMENTUM and weight decay WEIGHT_DECAY; TrainConfig
 holds what callers vary (int epochs >= 0, a finite positive lr, an int
-seed >= 0). Divergence is caught per sample in sgd_epoch; train returns the
-epoch log and writes no file.
+seed >= 0). Divergence is caught per sample in sgd_epoch, which reads the
+first non-finite layer from the failing pass's own record; train returns
+the epoch log and writes no file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import ops
 from .errors import (ConfigurationError, NonFiniteError, TrainingDiverged,
                      is_int, require_int, require_positive)
-from .network import ForwardRecord, Network, forward, reverse
+from .network import ForwardRecord, Network, forward, require_softmax, reverse
 from .tensor import Tensor
 
 MOMENTUM = 0.9
@@ -39,8 +40,7 @@ def backward(net: Network, rec: ForwardRecord, label: int):
     in the dtype of the softmax output (the input's: float32 for model
     data).
     """
-    if not net.layers or net.layers[-1].kind != "softmax":
-        raise ConfigurationError("backward expects a softmax-terminated network")
+    require_softmax(net)
     grads = {}
     g = rec.activations[-1].copy()
     g[label] -= 1.0  # softmax+CE fused
@@ -98,26 +98,6 @@ def accuracy(net, images, labels):
     return hit / len(labels)
 
 
-def _first_non_finite_layer(net, x):
-    """Index of the first layer whose output holds NaN or infinity, or None.
-
-    Re-runs the forward pass with a checking hook; training calls it only
-    once a sample has already diverged, so the normal path pays nothing.
-    """
-    found = []
-
-    def check(i, out):
-        if not found and not np.isfinite(out).all():
-            found.append(i)
-        return out
-
-    try:
-        forward(net, x, hook=check)
-    except NonFiniteError:
-        pass  # softmax refuses NaN after an earlier layer already produced it
-    return found[0] if found else None
-
-
 def sgd_epoch(net, images, labels, order, lr, velocity, grad_mask=None,
               epoch=None):
     """One pass over the data in the given order; returns (mean loss, acc).
@@ -132,10 +112,11 @@ def sgd_epoch(net, images, labels, order, lr, velocity, grad_mask=None,
         try:
             probs, rec = forward(net, x, record=True)
             bad = None if np.isfinite(probs.data).all() else "output became non-finite"
-        except NonFiniteError as exc:
-            bad = f"activations went NaN ({exc})"
+        except NonFiniteError as exc:  # a softmax refusing NaN: read its record
+            bad, rec = f"activations went NaN ({exc})", exc.record
         if bad:
-            layer = _first_non_finite_layer(net, x)
+            layer = next((i for i, a in enumerate(rec.activations)
+                          if not np.isfinite(a).all()), None)
             raise TrainingDiverged(
                 f"{bad} on sample {idx}{of_epoch}, first at layer {layer} "
                 f"(lr={lr}); reduce the learning rate",

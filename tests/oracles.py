@@ -353,6 +353,20 @@ def layer_walk(ops, net, x, record=False, hook=None):
     return x, activations, switches
 
 
+def fused_step_starts(net):
+    """The first layer of each step of a plain pass, by the fusion rule: a
+    conv step takes in a following relu and, after it, a max-pool, a dense
+    step a following relu, and every other layer is a step of its own."""
+    starts, taking = [], ()
+    for i, layer in enumerate(net.layers):
+        if taking[:1] == (layer.kind,):
+            taking = taking[1:]
+        else:
+            starts.append(i)
+            taking = {"conv": ("relu", "maxpool"), "dense": ("relu",)}.get(layer.kind, ())
+    return starts
+
+
 def deconv_walk_every_layer(net, rec, neuron, reverse):
     """The package's earlier neuron walk: (maps, dead).
 

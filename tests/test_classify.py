@@ -79,6 +79,13 @@ class TestQda:
         with pytest.raises(DimensionError, match="smaller k"):
             qda_fit(x, y)
 
+    def test_constant_column_without_ridge_is_refused(self):
+        x, y01, _ = blobs(n=10)
+        x[:, 1] = 2.0  # zero variance: the covariance is singular at lam 0
+        with pytest.raises(ConfigurationError, match="^class 0 covariance not "
+                           "positive definite even with lam=0; raise lam$"):
+            qda_fit(x, y01, lam=0)
+
     def test_needs_both_classes(self):
         x = np.random.default_rng(0).normal(0, 1, (6, 2))
         with pytest.raises(ConfigurationError, match="absent"):
@@ -358,6 +365,19 @@ class TestHeadInputs:
         with pytest.raises(NonFiniteError, match="features"):
             one(model, rows[1])
         predict(model, rows[[0, 2]])  # the finite rows still predict
+
+    @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
+    def test_rows_and_labels_must_pair_up(self, kind):
+        x, y01, _ = blobs(n=5)
+        with pytest.raises(DimensionError, match="^one label per feature row required$"):
+            fit_head(kind, x, y01[:-1])
+
+    @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
+    def test_prediction_refuses_rows_of_another_width(self, kind):
+        x, y01, _ = blobs(n=10)
+        model = fit_head(kind, x, y01)
+        with pytest.raises(DimensionError, match="^expected 2-dim input, got 3$"):
+            predict(model, np.ones((4, 3)))
 
     @pytest.mark.parametrize("kind", ["qda", "svml", "svmr"])
     def test_zero_width_features_rejected(self, kind):

@@ -15,7 +15,7 @@ from fisherprune.data import balanced, images_labels
 from fisherprune.deconv import dependency_scores
 from fisherprune.errors import ConfigurationError
 from fisherprune.modelio import load_model, save_model
-from fisherprune.network import build_cnn
+from fisherprune.network import Network, build_cnn, reference_cnn
 from fisherprune.train import TrainConfig, TrainResult, retrain
 
 from test_data import write_pgm
@@ -398,6 +398,28 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert err == "error: ConfigurationError: evaluation set is empty\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("end", [15, 0], ids=["headless_trunk", "no_layers"])
+    def test_eval_fc_needs_a_model_that_ends_in_softmax(self, tmp_path, capsys, end):
+        net = reference_cnn(seed=0)  # layers 0-14: the conv trunk, pooled
+        model = tmp_path / "trunk.ldap1"
+        save_model(Network(net.input_shape, net.layers[:end]), str(model))
+        rc = main(["eval", "--out", str(tmp_path / "out"), "--model", str(model)]
+                  + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigurationError: network does not end in softmax\n"
+        assert not os.path.exists(tmp_path / "out" / "eval.csv")
+
+    def test_bench_refuses_a_model_without_layers(self, tmp_path, capsys):
+        model = tmp_path / "empty.ldap1"
+        save_model(Network((1, 32, 32), []), str(model))
+        rc = main(["bench", "--out", str(tmp_path / "out"), "--model", str(model),
+                   "--runs", "1"] + TINY)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigurationError: network has no layers\n"
+        assert not os.path.exists(tmp_path / "out" / "bench.csv")
 
     def test_zero_input_extent_model_is_refused(self, tmp_path, capsys):
         model = tmp_path / "zero.ldap1"

@@ -82,6 +82,14 @@ class TestExtraction:
         with pytest.raises(ConfigurationError, match="image list is empty"):
             extract_firing_matrix(net, [], 0)
 
+    @pytest.mark.parametrize("values,labels,message", [
+        (np.ones(3), np.zeros(3), r"firing matrix must be 2-D, got \(3,\)"),
+        (np.ones((2, 3)), np.zeros(3), "one label per firing row required"),
+    ], ids=["not_2d", "rows_not_labels"])
+    def test_malformed_matrix_is_a_dimension_error(self, values, labels, message):
+        with pytest.raises(DimensionError, match=message):
+            FiringMatrix(values, labels)
+
     def test_nan_rows_rejected(self):
         with pytest.raises(ValueError):
             FiringMatrix(np.array([[1.0, np.nan]]), np.array([0]))

@@ -150,6 +150,30 @@ class TestForward:
         with pytest.raises(ConfigurationError, match="must be a Tensor"):
             walk(tiny_net(), x)
 
+    @pytest.mark.parametrize("mode", [{}, {"record": True}, {"hook": lambda i, a: a}],
+                             ids=["plain", "recording", "hooked"])
+    def test_a_net_without_layers_is_refused(self, mode):
+        net = Network((1, 8, 8), [])
+        with pytest.raises(ConfigurationError, match="^network has no layers$"):
+            forward(net, Tensor(np.zeros((1, 8, 8), dtype=np.float32)), **mode)
+        assert net not in getattr(network._LOCAL, "plans", {})  # refused unbuilt
+
+    def test_a_failing_pass_carries_what_it_recorded(self):
+        # the softmax refuses the NaN that layers 0-6 carried: a recording
+        # pass's error holds their activations, a plain pass's none
+        net = tiny_net()
+        x = Tensor(np.full((1, 8, 8), np.nan, dtype=np.float32))
+        trunk = Network(net.input_shape, net.layers[:-1])
+        with np.errstate(invalid="ignore"):
+            _, acts, switches = walk(trunk, x, record=True)
+            with pytest.raises(NonFiniteError, match="^layer 7 ") as err:
+                forward(net, x, record=True)
+            assert_same_record(err.value.record, x, acts, switches)
+            for mode in ({}, {"hook": lambda i, a: a}):
+                with pytest.raises(NonFiniteError, match="^layer 7 ") as err:
+                    forward(net, x, **mode)
+                assert err.value.record is None
+
     @pytest.mark.parametrize("end", [-1, 0], ids=["trunk", "no_layers"])
     def test_logits_needs_a_softmax_at_the_end(self, end):
         net = tiny_net()
@@ -205,22 +229,50 @@ class TestForwardHook:
         for got, want in zip(rec.activations, acts):
             assert_same_bits(got, want)
         assert_same_bits(rec.switches[2], switches[2])
-        assert_same_bits(forward(net, x, hook=hook).data, out)
+        # a plain pass hooks its fused steps, and layers 0-2 are one step
+        out = oracles.layer_walk(ops, net, x.data, False,
+                                 lambda i, a: np.zeros_like(a) if i == 2 else a)[0]
+        plain = forward(net, x, hook=lambda i, a: np.zeros_like(a) if i == 0 else a)
+        assert_same_bits(plain.data, out)
 
     def test_time_network_reports_every_layer(self):
+        # one row per fused step, named by its first layer and its kinds
         net = tiny_net()
         x = Tensor(np.random.default_rng(4).random((1, 8, 8)).astype(np.float32))
-        per_layer, total = time_network(net, x, runs=1)
-        assert [(i, kind) for i, kind, _ in per_layer] == [
-            (i, layer.kind) for i, layer in enumerate(net.layers)]
-        assert all(ms > 0 for _, _, ms in per_layer)
+        per_step, total = time_network(net, x, runs=1)
+        assert [(i, kind) for i, kind, _ in per_step] == [
+            (0, "conv+relu+maxpool"), (3, "flatten"), (4, "dense+relu"),
+            (6, "dense"), (7, "softmax")]
+        assert all(ms > 0 for _, _, ms in per_step)
         assert total > 0
+        for make in PLAN_NETS.values():
+            net = make()
+            x = Tensor(np.zeros(net.input_shape, dtype=np.float32))
+            per_step = time_network(net, x, runs=1)[0]
+            assert [i for i, _, _ in per_step] == oracles.fused_step_starts(net)
+            kinds = "+".join(kind for _, kind, _ in per_step).split("+")
+            assert kinds == [layer.kind for layer in net.layers]
 
     @pytest.mark.parametrize("runs", [0, -1, 2.0, True])
     def test_time_network_refuses_runs_below_one_or_not_int(self, runs):
         x = Tensor(np.zeros((1, 8, 8), dtype=np.float32))
         with pytest.raises(ConfigurationError, match="runs must be"):
             time_network(tiny_net(), x, runs=runs)
+
+
+class TestTensor:
+    def test_an_int_input_is_cast_to_float32(self):
+        t = Tensor(np.arange(4).reshape(1, 2, 2))
+        assert t.data.dtype == np.float32 and t.data.tolist() == [[[0, 1], [2, 3]]]
+        assert repr(t) == "Tensor(shape=(1, 2, 2), dtype=float32)"
+
+    @pytest.mark.parametrize("data,message", [
+        (np.float32(1.0), "^tensor needs at least one axis$"),
+        (np.zeros((1, 0, 3)), r"^tensor extents must be >= 1, got \(1, 0, 3\)$"),
+    ], ids=["zero_d", "empty_extent"])
+    def test_shapes_without_cells_are_refused(self, data, message):
+        with pytest.raises(DimensionError, match=message):
+            Tensor(data)
 
 
 class TestBuilders:
@@ -400,16 +452,31 @@ def assert_same_record(rec, x, acts, switches):
 
 
 def assert_passes_are_the_walk(net, x):
-    """The plain, recording and hooked passes of net on x, and its logits
-    when it ends in softmax, give oracles.layer_walk's bits: the outputs,
-    every recorded activation and every pool's switches."""
+    """The plain and recording passes of net on x, hooked or not, and its
+    logits when it ends in softmax, give oracles.layer_walk's bits: the
+    outputs, every recorded activation and every pool's switches. A hook
+    sees every layer of a recording pass, and the output of each fused step
+    of a plain pass under the step's first layer."""
     want, acts, switches = walk(net, x, record=True)
     out, rec = forward(net, x, record=True)
     assert_same_bits(out.data, want)
     assert_same_record(rec, x, acts, switches)
     seen = []
-    hooked = forward(net, x, hook=lambda i, a: seen.append(i) or a)
+    out, rec = forward(net, x, record=True, hook=lambda i, a: seen.append(i) or a)
     assert seen == list(range(len(net.layers)))
+    assert_same_bits(out.data, want)
+    assert_same_record(rec, x, acts, switches)
+    steps = {}
+
+    def keep(i, a):  # a plain pass may hand its hook a scratch view
+        steps[i] = a.copy()
+        return a
+
+    hooked = forward(net, x, hook=keep)
+    starts = oracles.fused_step_starts(net)
+    assert list(steps) == starts
+    for i, end in zip(starts, starts[1:] + [len(net.layers)]):
+        assert_same_bits(steps[i], acts[end - 1])
     for got in (forward(net, x), hooked):
         assert_same_bits(got.data, want)
     if net.layers[-1].kind == "softmax":
@@ -607,8 +674,9 @@ class TestSwitchFreeForward:
             assert_passes_are_the_walk(net, x)
 
     def test_passes_that_do_not_record_build_no_switches(self, monkeypatch):
-        net = tiny_net()
-        x = Tensor(np.random.default_rng(9).random((1, 8, 8)).astype(np.float32))
+        net = strided_conv_net()
+        assert 3 in oracles.fused_step_starts(net)  # its pool is a step of its own
+        x = Tensor(np.random.default_rng(9).random((2, 11, 10)).astype(np.float32))
         seen = []
         pool = ops.maxpool_forward
 

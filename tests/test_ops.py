@@ -498,6 +498,18 @@ class TestPointwise:
         with pytest.raises(ValueError, match="NaN"):
             ops.softmax(np.array([1.0, np.nan], dtype=np.float32))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda x, w, b: ops.dense_forward(x, w[0], b),
+         "dense weights must be (m,n), got (3,)"),
+        (lambda x, w, b: ops.dense_forward(x, w, b[:1]), "bias length 1 != out dim 2"),
+        (lambda x, w, b: ops.softmax(w), "softmax input must be a vector, got (2, 3)"),
+    ], ids=["dense_weights_not_a_matrix", "dense_bias_length", "softmax_of_a_matrix"])
+    def test_dense_and_softmax_refuse_malformed_arguments(self, call, message):
+        x, w, b = np.ones(3, np.float32), np.ones((2, 3), np.float32), np.zeros(2, np.float32)
+        with pytest.raises(DimensionError) as caught:
+            call(x, w, b)
+        assert str(caught.value) == message
+
 
 def shape_or_error(run):
     """The shape run() returns, or the type of the shape error it raises."""

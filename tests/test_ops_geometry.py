@@ -153,6 +153,8 @@ MALFORMED = [
      ConfigurationError, "pad must be >= 0, got -1"),
     (lambda x, k, b: ops.conv2d_forward(x[0], k, b),
      DimensionError, "conv input must be (C,H,W), got (4, 4)"),
+    (lambda x, k, b: ops.conv2d_forward(x, k[0], b),
+     DimensionError, "conv kernel must be (O,C,kh,kw), got (3, 3, 3)"),
     (lambda x, k, b: ops.conv2d_forward(x, k, np.zeros(5, np.float32)),
      DimensionError, "bias length 5 != out channels 2"),
     (lambda x, k, b: ops.conv2d_forward(x.astype(np.int64), k, b),

@@ -225,6 +225,32 @@ def test_ab_forward_reads_one_tree_as_its_own_parent():
         assert float(row[4]) > 0  # change/parent ratio
 
 
+def test_unrun_lines_lists_what_a_test_file_left_unrun(tmp_path):
+    """tools/unrun_lines.py over one small test file: require_positive ran,
+    but not its overflow branch, and the listing says so, per statement."""
+    (tmp_path / "test_one.py").write_text(
+        "from fisherprune.errors import require_positive\n\n\n"
+        "def test_one():\n"
+        "    assert require_positive('lr', 0.5) == 0.5\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "unrun_lines.py"), "-q",
+         "-p", "no:cacheprovider", str(tmp_path / "test_one.py")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    source = open(os.path.join(ROOT, "src", "fisherprune", "errors.py")).read()
+    number = {text.strip(): n for n, text in enumerate(source.splitlines(), 1)}
+    assert (f"src/fisherprune/errors.py:{number['finite = False']}: finite = False"
+            in lines)
+    ran = f"src/fisherprune/errors.py:{number['finite = math.isfinite(value)']}:"
+    assert not [line for line in lines if line.startswith(ran)]
+    texts = [line.split(": ", 1)[1] for line in lines if line.startswith("src/")]
+    assert not [t for t in texts if t.startswith(('"""', "nonlocal ", "global "))]
+    files = len(glob.glob(os.path.join(ROOT, "src", "fisherprune", "*.py")))
+    assert lines[-1].endswith(f"of {files} files")
+
+
 def readme_cli_lines():
     """The `fisherprune ...` lines of README's "Quick start (CLI)" block."""
     with open(os.path.join(ROOT, "README.md")) as fh:

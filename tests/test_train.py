@@ -241,13 +241,36 @@ class TestTrainLoop:
         assert info.value.epoch == 0
 
     def test_layer_is_searched_only_after_divergence(self, monkeypatch):
-        def refuse(net, x):
-            raise AssertionError("layer search on a finite sample")
+        class Unscanned(list):  # backward indexes the activations only
+            def __iter__(self):
+                raise AssertionError("layer search on a finite sample")
 
-        monkeypatch.setattr(train_module, "_first_non_finite_layer", refuse)
+        def recording(net, x, record=False, hook=None):
+            got = forward(net, x, record, hook)
+            if record:
+                got[1].activations = Unscanned(got[1].activations)
+            return got
+
+        monkeypatch.setattr(train_module, "forward", recording)
         images, labels = toy_split(n=2)
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
         train(net, images, labels, images, labels, TrainConfig(epochs=1))
+
+    def test_a_diverged_sample_is_forwarded_once(self, monkeypatch):
+        nan_passes = []
+
+        def spy(net, x, *args, **kwargs):
+            nan_passes.append(bool(np.isnan(x.data).any()))
+            return forward(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "forward", spy)
+        images, labels = toy_split()
+        images[5][0, 3, 3] = np.nan
+        net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
+        with pytest.raises(TrainingDiverged) as info:
+            train(net, images, labels, images, labels, TrainConfig(epochs=1))
+        assert info.value.layer == 0  # read from that one pass's record
+        assert sum(nan_passes) == 1
 
     def test_empty_train_set_rejected(self):
         net = build_cnn((1, 16, 16), [(4, 3, 1, True)], [8], 2, seed=1)
@@ -277,6 +300,7 @@ class TestTrainLoop:
         ("lr", "0.1", "lr must be a number, got '0.1'"),
         ("lr", True, "lr must be a number, got True"),
         ("lr", None, "lr must be a number, got None"),
+        ("lr", 10**400, "lr must be finite and > 0, got 1000"),  # past float range
     ])
     def test_bad_rates_rejected(self, field, value, message):
         with pytest.raises(ConfigurationError, match=message):
